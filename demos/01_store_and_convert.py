@@ -22,6 +22,7 @@ from eitconvert import (
     converted_spectrum,
     efficiency_from_record,
     gaussian_probe_spectrum,
+    pulse_energy,
     read_channel,
     run_original_readout,
     run_protocol,
@@ -63,8 +64,7 @@ grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p, Omega_r)
 probe = gaussian_probe_spectrum(grid, T_p)
 stored = stored_coherence_exact(scheme, Omega_w, probe, kappa * T_p, grid)
 res = converted_field_exact(scheme, stored, Omega_r, grid)
-input_energy = T_p * np.sqrt(np.pi / (4.0 * np.log(2.0)))
-print("spectral: xi_total %.4f" % (res.energy / input_energy))
+print("spectral: xi_total %.4f" % (res.energy / pulse_energy(T_p)))
 
 # 3. Time-domain Maxwell-Bloch run of the full switching protocol,
 #    plus a companion run that reads out on the original channel so the

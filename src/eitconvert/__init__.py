@@ -52,6 +52,7 @@ from .theory import (
     ConvertedSpectrum,
     EfficiencyReport,
     pulse_bandwidth,
+    pulse_energy,
     control_for_eta,
     write_channel,
     read_channel,
@@ -89,7 +90,6 @@ from .mb import (
     ConversionEfficiency,
     timeline_for_protocol,
     run_protocol,
-    original_readout_scheme,
     run_original_readout,
     efficiency_from_record,
     leakage_energy,
@@ -151,6 +151,7 @@ __all__ = [
     "ConvertedSpectrum",
     "EfficiencyReport",
     "pulse_bandwidth",
+    "pulse_energy",
     "control_for_eta",
     "write_channel",
     "read_channel",
@@ -188,7 +189,6 @@ __all__ = [
     "ConversionEfficiency",
     "timeline_for_protocol",
     "run_protocol",
-    "original_readout_scheme",
     "run_original_readout",
     "efficiency_from_record",
     "leakage_energy",

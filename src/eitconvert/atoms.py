@@ -20,9 +20,10 @@ the opposite direction.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +85,8 @@ class CGTable:
     normalized so the stretched sigma+ transition from m=3 is exactly 1);
     r_plus/r_minus are the signed probe/control ratios in the convention of
     the standard cesium conversion table (constant normalization absorbed
-    into the control Rabi frequency).
+    into the control Rabi frequency).  cesium_d1() builds the table once
+    and returns that instance on every call, so its arrays are read-only.
     """
 
     j: np.ndarray
@@ -94,6 +96,7 @@ class CGTable:
     r_minus: np.ndarray
 
     @classmethod
+    @functools.cache
     def cesium_d1(cls) -> "CGTable":
         j = ZEEMAN_M.copy()
         a_plus = np.array([clebsch_gordan(3, m, 1, +1, 4, m + 1) for m in j])
@@ -118,6 +121,8 @@ class CGTable:
                     f"CG generator disagrees with the ratio table at m={m}, q={q}"
                 )
 
+        for arr in (j, a_plus, a_minus, r_plus, r_minus):
+            arr.setflags(write=False)
         table = cls(j=j, a_plus=a_plus, a_minus=a_minus,
                     r_plus=r_plus, r_minus=r_minus)
         table.validate()
@@ -254,11 +259,6 @@ class ConversionScheme:
         return int(self.j.size)
 
     # -- transformations -----------------------------------------------
-
-    def with_populations(self, populations) -> "ConversionScheme":
-        if isinstance(populations, PopulationDistribution):
-            populations = populations.p
-        return replace(self, p=np.asarray(populations, dtype=float))
 
     def with_original_readout(self) -> "ConversionScheme":
         """Companion scheme whose read/converted channel is the write channel.

@@ -445,16 +445,21 @@ class ScenarioConfig:
         )
 
 
+def _read_json(path: Path, what: str):
+    """Parse the JSON document at path; what names the file in errors."""
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigValidationError(f"{what} file {path} does not exist")
+    except json.JSONDecodeError as exc:
+        raise ConfigValidationError(f"{what} file {path} is not valid "
+                                    f"JSON: {exc}") from exc
+
+
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigValidationError(f"scenario file {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise ConfigValidationError(f"scenario file {path} is not valid "
-                                    f"JSON: {exc}") from exc
-    return ScenarioConfig.from_dict(doc, base_dir=path.parent)
+    return ScenarioConfig.from_dict(_read_json(path, "scenario"),
+                                    base_dir=path.parent)
 
 
 @dataclass(frozen=True)
@@ -582,14 +587,8 @@ def set_by_path(doc: dict, dotted: str, value) -> None:
 
 def load_sweep(path) -> SweepSpec:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigValidationError(f"sweep file {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise ConfigValidationError(f"sweep file {path} is not valid "
-                                    f"JSON: {exc}") from exc
-    return SweepSpec.from_dict(doc, base_dir=path.parent)
+    return SweepSpec.from_dict(_read_json(path, "sweep"),
+                               base_dir=path.parent)
 
 
 @dataclass(frozen=True)
@@ -672,12 +671,4 @@ class PumpSpec:
 
 
 def load_pump(path) -> PumpSpec:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigValidationError(f"pump file {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise ConfigValidationError(f"pump file {path} is not valid "
-                                    f"JSON: {exc}") from exc
-    return PumpSpec.from_dict(doc)
+    return PumpSpec.from_dict(_read_json(Path(path), "pump"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrayio import write_arrays, write_csv
+from .arrayio import write_csv
 
 __all__ = ["CoherenceField", "FieldGrid"]
 
@@ -60,10 +60,6 @@ class CoherenceField:
             cols.append(row)
         write_csv(path, header, cols)
 
-    def to_binary(self, path) -> None:
-        write_arrays(path, {"z": self.z, "sigma": self.sigma,
-                            "t": np.array([self.t])})
-
 
 @dataclass(frozen=True)
 class FieldGrid:
@@ -89,6 +85,3 @@ class FieldGrid:
         """Waveform CSV (t, Re, Im) at the entry or exit face."""
         wave = self.at_exit() if where == "exit" else self.at_entry()
         write_csv(path, ["t", "re", "im"], [self.t, wave.real, wave.imag])
-
-    def to_binary(self, path) -> None:
-        write_arrays(path, {"z": self.z, "t": self.t, "values": self.values})

@@ -30,16 +30,17 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .atoms import ConversionScheme
-from .errors import MissingCompanionError, StiffnessError
+from .errors import MissingCompanionError, StiffnessError, ValidityWarning
 from .fields import CoherenceField, FieldGrid
-from .theory import (LN2, _channel_sums, pulse_bandwidth, read_channel,
-                     write_channel)
+from .theory import (LN2, _channel_sums, pulse_bandwidth, pulse_energy,
+                     read_channel, write_channel)
 
 __all__ = [
     "GaussianPulse",
@@ -47,7 +48,6 @@ __all__ = [
     "timeline_for_protocol",
     "SimulationRecord",
     "run_protocol",
-    "original_readout_scheme",
     "run_original_readout",
     "ConversionEfficiency",
     "efficiency_from_record",
@@ -81,7 +81,7 @@ class GaussianPulse:
     @property
     def energy(self) -> float:
         """Integral of |E|^2 over all time."""
-        return abs(self.E0) ** 2 * self.T_p * math.sqrt(math.pi / (4.0 * LN2))
+        return pulse_energy(self.T_p, self.E0)
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,13 @@ def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
     z_mid = min(v_w * timeline.t_w, L)
     if timeline.Omega_r0 == 0:
         return timeline.t_w + timeline.t_s + 6.0 * pulse.T_p
-    write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
-                          timeline.t_w / pulse.T_p)
-    read = read_channel(scheme, timeline.Omega_r0, write)
+    # The closed form only sizes the run here; its validity flags describe
+    # a model this engine does not report.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
+                              timeline.t_w / pulse.T_p)
+        read = read_channel(scheme, timeline.Omega_r0, write)
     stretch = write.beta_w_mid * read.beta_r_L
     t_out = pulse.T_p * stretch * max(1.0, write.v_w / read.v_r)
     return (timeline.t_r + timeline.ramp + (L - z_mid) / read.v_r + 6.0 * t_out)
@@ -381,16 +385,13 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
     e_conv = unit_ratio * e_conv_scaled
 
-    def _stored_equiv(sig):
-        dens = np.zeros(n_z)
-        for jj in range(M):
-            if scheme.p[jj] > 0:
-                dens += np.abs(sig[jj]) ** 2 / scheme.p[jj]
+    def _stored_energy(stored: CoherenceField) -> float:
         return float(scheme.alpha_p * scheme.Gamma_w / scheme.length
-                     * np.trapezoid(dens, z))
+                     * np.trapezoid(stored.excitation_density(scheme.p), z))
 
-    e_stored = _stored_equiv(snap_w.sigma) if snap_w is not None else 0.0
-    e_resid = _stored_equiv(sig_sg)
+    e_stored = _stored_energy(snap_w) if snap_w is not None else 0.0
+    e_resid = _stored_energy(CoherenceField(z=z, sigma=sig_sg, t=t_axis[-1],
+                                            j=scheme.j))
     energies = {
         "input": e_in,
         "transmitted": e_trans,
@@ -429,21 +430,14 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     return record
 
 
-def original_readout_scheme(scheme: ConversionScheme) -> ConversionScheme:
-    """Clone of the scheme whose read channel is the write channel itself."""
-    return replace(scheme, a_c=scheme.a_p, a_r=scheme.a_w,
-                   alpha_c=scheme.alpha_p, Gamma_r=scheme.Gamma_w,
-                   label=(scheme.label + "+original-readout").lstrip("+"))
-
-
 def run_original_readout(scheme: ConversionScheme, pulse: GaussianPulse,
                          timeline: ControlTimeline,
                          grid: tuple[int, int] | None = None,
                          t_end: float | None = None) -> SimulationRecord:
     """Companion run: same write phase, retrieval in the original channel."""
-    companion = original_readout_scheme(scheme)
     tl = replace(timeline, Omega_r0=timeline.Omega_w0)
-    return run_protocol(companion, pulse, tl, grid=grid, t_end=t_end)
+    return run_protocol(scheme.with_original_readout(), pulse, tl, grid=grid,
+                        t_end=t_end)
 
 
 @dataclass(frozen=True)

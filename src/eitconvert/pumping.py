@@ -116,14 +116,6 @@ class DensityMatrix14:
         return cls(rho=rho)
 
     @property
-    def ground_populations(self) -> np.ndarray:
-        return self.rho.diagonal().real[:_N_G].copy()
-
-    @property
-    def excited_populations(self) -> np.ndarray:
-        return self.rho.diagonal().real[_N_G:].copy()
-
-    @property
     def trace(self) -> float:
         return float(self.rho.trace().real)
 
@@ -138,11 +130,11 @@ class DensityMatrix14:
             raise SchemeError("negative population beyond the numeric floor")
 
 
-def _lowering_operators(Gamma: float) -> list[np.ndarray]:
+def _lowering_operators(Gamma: float, couplings: dict) -> list[np.ndarray]:
     """sqrt(Gamma)-scaled emission operators, one per polarization."""
     ops = []
     for name, q in _POLARIZATIONS.items():
-        b = pump_couplings()[name]
+        b = couplings[name]
         A = np.zeros((_N, _N))
         for i, m in enumerate(ZEEMAN_M):
             if abs(m + q) <= 3:
@@ -171,7 +163,7 @@ def build_pump_generator(config: PumpConfig):
                 H[_N_G + i + q, i] += -0.5 * Om * b[i]
     H = H + H.conj().T
 
-    lowering = _lowering_operators(config.Gamma)
+    lowering = _lowering_operators(config.Gamma, couplings)
     # sum A^+A is Gamma times the excited projector; precompute half of it
     half_aa = 0.5 * sum(A.conj().T @ A for A in lowering)
     gamma_gg = config.gamma_gg
@@ -201,8 +193,7 @@ class PumpTrajectory:
 
     @property
     def final(self) -> PopulationDistribution:
-        p = self.ground[-1]
-        return PopulationDistribution(p=p / p.sum())
+        return self.distribution_at(-1)
 
     def distribution_at(self, index: int) -> PopulationDistribution:
         p = self.ground[index]

@@ -22,7 +22,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +30,15 @@ import numpy as np
 from . import __version__
 from .arrayio import write_csv
 from .atoms import ConversionScheme
-from .config import (GridSpec, PumpSpec, ResolvedControls, ScenarioConfig,
-                     SweepSpec)
-from .fields import CoherenceField
+from .config import PumpSpec, ResolvedControls, ScenarioConfig, SweepSpec
 from .mb import (GaussianPulse, efficiency_from_record, leakage_energy,
                  run_original_readout, run_protocol, timeline_for_protocol)
 from .pumping import evolve_pumping, steady_state
 from .spectral import (SpectralGrid, converted_field_exact,
                        gaussian_probe_spectrum, stored_coherence_exact,
                        transmitted_probe)
-from .theory import (converted_spectrum, read_channel, total_efficiency,
-                     write_channel)
+from .theory import (converted_spectrum, pulse_energy, read_channel,
+                     total_efficiency, write_channel)
 from .units import UnitSystem
 
 
@@ -124,16 +122,23 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
         grid = SpectralGrid(omega_max=over.omega_max or grid.omega_max,
                             n_omega=over.n_omega or grid.n_omega,
                             n_z=over.n_z or grid.n_z)
-    probe = gaussian_probe_spectrum(grid, controls.T_p)
-    stored = stored_coherence_exact(scheme, controls.Omega_w, probe,
-                                    controls.kappa * controls.T_p, grid)
     decay = math.exp(-scheme.gamma_sg * controls.t_s)
-    if decay != 1.0:
-        stored = CoherenceField(z=stored.z, sigma=decay * stored.sigma,
-                                t=stored.t, j=stored.j)
-    res = converted_field_exact(scheme, stored, controls.Omega_r, grid)
-    trans = transmitted_probe(scheme, controls.Omega_w, probe, grid)
-    input_energy = controls.T_p * math.sqrt(math.pi / (4.0 * math.log(2.0)))
+
+    def convert(grid):
+        """Store on grid, decay through the storage time, read out."""
+        stored = stored_coherence_exact(
+            scheme, controls.Omega_w,
+            gaussian_probe_spectrum(grid, controls.T_p),
+            controls.kappa * controls.T_p, grid)
+        if decay != 1.0:
+            stored = replace(stored, sigma=decay * stored.sigma)
+        return converted_field_exact(scheme, stored, controls.Omega_r, grid)
+
+    res = convert(grid)
+    trans = transmitted_probe(scheme, controls.Omega_w,
+                              gaussian_probe_spectrum(grid, controls.T_p),
+                              grid)
+    input_energy = pulse_energy(controls.T_p)
     summary = {
         "converted_energy": res.energy,
         "input_energy": input_energy,
@@ -143,11 +148,7 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
     }
     summary.update(_waveform_stats(res.t, res.waveform))
     if config.grid.grid_check:
-        fine = converted_field_exact(scheme, stored_coherence_exact(
-            scheme, controls.Omega_w,
-            gaussian_probe_spectrum(grid.refined(), controls.T_p),
-            controls.kappa * controls.T_p, grid.refined()),
-            controls.Omega_r, grid.refined())
+        fine = convert(grid.refined())
         rel = abs(res.energy - fine.energy) / fine.energy
         summary["grid_doubling_rel"] = rel
     return EngineOutput("spectral", res.t, res.waveform, summary,
@@ -271,16 +272,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None, engines=None,
             raise ValueError(f"unknown engines {bad}")
     engines = tuple(engines) if engines else config.engines
     if grid_check is not None and grid_check != config.grid.grid_check:
-        grid = config.grid
-        config = ScenarioConfig(
-            scheme=config.scheme, units=config.units,
-            protocol=config.protocol, engines=config.engines,
-            grid=GridSpec(n_z=grid.n_z, n_t=grid.n_t, n_omega=grid.n_omega,
-                          omega_max=grid.omega_max,
-                          ramp_fraction=grid.ramp_fraction,
-                          grid_check=grid_check),
-            out_dir=config.out_dir, base_dir=config.base_dir,
-            raw=config.raw)
+        config = replace(config,
+                         grid=replace(config.grid, grid_check=grid_check))
     scheme = config.build_scheme()
     controls = config.controls(scheme)
     units = config.units.system()

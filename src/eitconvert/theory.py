@@ -19,7 +19,6 @@ internally consistent with Parseval energy ratios.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -37,6 +36,7 @@ __all__ = [
     "ConvertedSpectrum",
     "EfficiencyReport",
     "pulse_bandwidth",
+    "pulse_energy",
     "control_for_eta",
     "write_channel",
     "read_channel",
@@ -58,6 +58,11 @@ _16LN2 = 16.0 * LN2
 def pulse_bandwidth(T_p: float) -> float:
     """Spectral intensity FWHM of the Gaussian probe, Delta_omega_0 = 4 ln2 / T_p."""
     return 4.0 * LN2 / T_p
+
+
+def pulse_energy(T_p: float, E0: complex = 1.0) -> float:
+    """Integral of |E0 exp(-2 ln2 (t/T_p)^2)|^2 over all time."""
+    return abs(E0) ** 2 * T_p * math.sqrt(math.pi / (4.0 * LN2))
 
 
 def _channel_sums(scheme: ConversionScheme, channel: str):
@@ -395,10 +400,9 @@ def converted_spectrum(scheme: ConversionScheme, write: WriteChannelParams,
     S = ((write.L_w * write.beta_w_mid) ** 2 * read.beta_r_L ** 2
          / (8.0 * LN2 * read.v_r ** 2))
     t0 = (scheme.length - write.z_mid) / read.v_r
-    input_energy = abs(E0) ** 2 * write.T_p * math.sqrt(math.pi / (4.0 * LN2))
     unit_ratio = (scheme.alpha_p * scheme.Gamma_w) / (scheme.alpha_c * scheme.Gamma_r)
     return ConvertedSpectrum(C=complex(C), t0=t0, S=S,
-                             input_energy=input_energy,
+                             input_energy=pulse_energy(write.T_p, E0),
                              energy_unit_ratio=unit_ratio)
 
 

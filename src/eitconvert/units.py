@@ -46,16 +46,3 @@ class UnitSystem:
     def time_out(self, t_internal: float) -> float:
         """Internal time -> microseconds."""
         return t_internal / self.gamma_rad_per_us
-
-    # -- rates and angular frequencies -------------------------------------
-
-    def rate_in(self, omega_rad_per_us: float) -> float:
-        """Angular rate in rad/us -> internal (units of Gamma)."""
-        return omega_rad_per_us / self.gamma_rad_per_us
-
-    def rate_out(self, omega_internal: float) -> float:
-        return omega_internal * self.gamma_rad_per_us
-
-    def rabi_in_units_of_gamma(self, ratio: float) -> float:
-        """A Rabi frequency quoted as a multiple of Gamma is already internal."""
-        return ratio

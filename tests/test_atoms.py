@@ -99,6 +99,12 @@ class TestCGTable:
         np.testing.assert_allclose(self.tab.a_minus, self.tab.a_plus[::-1],
                                    rtol=1e-12)
 
+    def test_built_once_and_read_only(self):
+        assert CGTable.cesium_d1() is self.tab
+        for arr in (self.tab.j, self.tab.a_plus, self.tab.a_minus,
+                    self.tab.r_plus, self.tab.r_minus):
+            assert not arr.flags.writeable
+
     def test_strength_values_exact(self):
         # a_plus,j^2 = (4+j)(5+j)/56 in the unit-peak normalization
         for i, j in enumerate(range(-3, 4)):

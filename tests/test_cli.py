@@ -136,6 +136,18 @@ class TestComparison:
         summary = load_manifest(out)["engines"]["spectral"]
         assert summary["grid_doubling_rel"] < 1e-4
 
+    def test_spectral_grid_check_keeps_storage_decay(self, tmp_path):
+        """The refined pass decays the stored coherence like the main one."""
+        doc = minimal_doc(engines=["spectral"])
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 100.0,
+                         "D_c": 100.0, "gamma_sg": 0.02}
+        doc["protocol"] = {"eta": 4.0, "kappa": 1.35, "t_s_us": 0.5}
+        f = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["scenario", f, "--out", str(out), "--grid-check"]) == 0
+        summary = load_manifest(out)["engines"]["spectral"]
+        assert summary["grid_doubling_rel"] < 1e-4
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical_up_to_timestamp(self, tmp_path):

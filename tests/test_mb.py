@@ -17,6 +17,7 @@ kappa = 1.35, T_p = 5.7303, matched controls, default 0.2 T_p ramps):
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from eitconvert import (
     SpectralGrid,
     StiffnessError,
     UnitSystem,
+    ValidityWarning,
     control_for_eta,
     converted_field_exact,
     efficiency_from_record,
@@ -306,6 +308,18 @@ class TestNumerics:
                            grid_check=True)
         assert rec.diagnostics["grid_converged"]
         assert rec.diagnostics["grid_doubling_rel"] < 1e-3
+
+    def test_run_length_sizing_emits_no_validity_warning(self):
+        """A read control twice the write control is outside the closed-form
+        read regime; the closed form only sizes the run, so mb stays quiet."""
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, ETA, T_P)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_protocol(sch, GaussianPulse(T_p=T_P),
+                         timeline_for_protocol(Om, 2.0 * Om, T_P, KAPPA))
+        assert not [w for w in caught
+                    if issubclass(w.category, ValidityWarning)]
 
 
 class TestRecordIO:
