@@ -101,6 +101,19 @@ def _number(block, key, path, issues, default=None, required=False,
     return value
 
 
+def _integer(block, key, path, issues, default=None, required=False,
+             minimum=None):
+    """_number for count fields: a non-integral value is an issue."""
+    value = _number(block, key, path, issues, default=None,
+                    required=required, minimum=minimum)
+    if value is None:
+        return default
+    if not value.is_integer():
+        issues.add(path, "must be an integer")
+        return default
+    return int(value)
+
+
 def _check_known(block, known, path, issues):
     for key in block:
         if key not in known:
@@ -341,19 +354,15 @@ class GridSpec:
         _check_known(block, ("n_z", "n_t", "n_omega", "omega_max",
                              "ramp_fraction", "grid_check"), path, issues)
 
-        def _int(key, minimum):
-            value = _number(block, key, f"{path}.{key}", issues,
-                            minimum=minimum)
-            return None if value is None else int(value)
-
         grid_check = block.get("grid_check", False)
         if not isinstance(grid_check, bool):
             issues.add(f"{path}.grid_check", "must be true or false")
             grid_check = False
         return cls(
-            n_z=_int("n_z", 8),
-            n_t=_int("n_t", 2),
-            n_omega=_int("n_omega", 16),
+            n_z=_integer(block, "n_z", f"{path}.n_z", issues, minimum=8),
+            n_t=_integer(block, "n_t", f"{path}.n_t", issues, minimum=2),
+            n_omega=_integer(block, "n_omega", f"{path}.n_omega", issues,
+                             minimum=16),
             omega_max=_number(block, "omega_max", f"{path}.omega_max",
                               issues, minimum=0.0, exclusive=True),
             ramp_fraction=_number(block, "ramp_fraction",
@@ -488,15 +497,14 @@ class SweepAxis:
         start = _number(block, "start", f"{path}.start", issues,
                         required=True)
         stop = _number(block, "stop", f"{path}.stop", issues, required=True)
-        count = _number(block, "count", f"{path}.count", issues,
-                        required=True, minimum=1.0)
+        count = _integer(block, "count", f"{path}.count", issues,
+                         required=True, minimum=1)
         scale = block.get("scale", "linear")
         if scale not in ("linear", "log"):
             issues.add(f"{path}.scale", "must be linear or log")
             scale = "linear"
         if None in (start, stop, count):
             return cls(path=name, values=(0.0,))
-        count = int(count)
         if scale == "log":
             if start <= 0 or stop <= 0:
                 issues.add(f"{path}.scale",
@@ -537,15 +545,15 @@ class SweepSpec:
                     issues.add(f"axes[{i}]", "must be an object")
                     continue
                 axes.append(SweepAxis.from_dict(axis, issues, f"axes[{i}]"))
-        parallelism = _number(doc, "parallelism", "parallelism", issues,
-                              default=1.0, minimum=1.0)
+        parallelism = _integer(doc, "parallelism", "parallelism", issues,
+                               default=1, minimum=1)
         out_dir = doc.get("out_dir", "sweep")
         if not isinstance(out_dir, str) or not out_dir:
             issues.add("out_dir", "must be a nonempty path")
             out_dir = "sweep"
         issues.raise_if_any("sweep")
         spec = cls(template=template, axes=tuple(axes),
-                   parallelism=int(parallelism), out_dir=out_dir)
+                   parallelism=parallelism, out_dir=out_dir)
         first = spec.point(0)
         ScenarioConfig.from_dict(first, base_dir=base_dir)
         return spec
@@ -647,8 +655,8 @@ class PumpSpec:
                                   issues, default=UnitSystem().gamma_2pi_MHz,
                                   minimum=0.0, exclusive=True),
             initial=initial,
-            n_samples=int(_number(doc, "n_samples", "n_samples", issues,
-                                  default=201.0, minimum=2.0)),
+            n_samples=_integer(doc, "n_samples", "n_samples", issues,
+                               default=201, minimum=2),
             gamma_gg=_number(doc, "gamma_gg", "gamma_gg", issues,
                              default=0.0, minimum=0.0),
             steady=steady,

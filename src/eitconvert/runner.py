@@ -420,6 +420,8 @@ def run_pump(spec: PumpSpec, out_dir=None, fmt="json") -> dict:
         "duration_us": spec.duration_us,
         "final_excited_fraction": float(trajectory.excited_fraction[-1]),
         "final_m_expectation": final.mean_m(),
+        "dt": trajectory.dt,
+        "substeps_per_sample": trajectory.substeps,
     }
     for i, m in enumerate(range(-3, 4)):
         report[f"final_p_m{m:+d}"] = float(final.p[i])

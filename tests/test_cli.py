@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eitconvert import relative_efficiency_single
+from eitconvert import UnitSystem, relative_efficiency_single
 from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
 
@@ -282,10 +282,26 @@ class TestPumpCommand:
         assert header[0] == "t"
         assert cols["p_m+3"][-1] > 0.99
 
+    def test_report_names_step(self, tmp_path):
+        f = write_json(tmp_path / "p.json", self.pump_doc())
+        out = tmp_path / "pump"
+        assert main(["pump", f, "--out", str(out)]) == 0
+        report = json.loads((out / "pump_report.json").read_text())
+        interval = UnitSystem().time_in(1.6) / 40
+        substeps = report["substeps_per_sample"]
+        assert substeps == int(np.ceil(interval / (0.05 / 1.2)))
+        assert report["dt"] * substeps == pytest.approx(interval, rel=1e-12)
+
     def test_validation_exits_2(self, tmp_path):
         f = write_json(tmp_path / "p.json",
                        self.pump_doc(polarization="circular"))
         assert main(["pump", f, "--out", str(tmp_path / "pump")]) == 2
+
+    def test_fractional_n_samples_exits_2(self, tmp_path, capsys):
+        f = write_json(tmp_path / "p.json", self.pump_doc(n_samples=40.5))
+        assert main(["pump", f, "--out", str(tmp_path / "pump")]) == 2
+        assert "n_samples: must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "pump").exists()
 
     def test_trajectory_feeds_scenario(self, tmp_path):
         f = write_json(tmp_path / "p.json", self.pump_doc())

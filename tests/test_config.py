@@ -149,6 +149,20 @@ class TestScenarioValidation:
         with pytest.raises(ConfigValidationError):
             ScenarioConfig.from_dict(minimal_doc(**{"grid.ramp_fraction": -0.1}))
 
+    def test_grid_counts_must_be_integers(self):
+        config = ScenarioConfig.from_dict(minimal_doc(**{
+            "grid.n_z": 64.0, "grid.n_t": 900, "grid.n_omega": 4096}))
+        assert (config.grid.n_z, config.grid.n_t, config.grid.n_omega) == (
+            64, 900, 4096)
+        assert isinstance(config.grid.n_z, int)
+        with pytest.raises(ConfigValidationError) as excinfo:
+            ScenarioConfig.from_dict(minimal_doc(**{
+                "grid.n_z": 64.5, "grid.n_t": 900.2,
+                "grid.n_omega": 4096.5}))
+        assert sorted(error_paths(excinfo)) == [
+            "grid.n_omega", "grid.n_t", "grid.n_z"]
+        assert "must be an integer" in str(excinfo.value)
+
     def test_errors_are_collected_not_first_only(self):
         doc = minimal_doc(**{"scheme.D_p": -5.0, "protocol.kappa": -1.0})
         doc["units"] = {}
@@ -323,6 +337,21 @@ class TestSweepSpec:
         with pytest.raises(ConfigValidationError):
             SweepSpec.from_dict(self.sweep_doc([{"values": [1.0]}]))
 
+    def test_count_and_parallelism_must_be_integers(self):
+        axis = {"path": "protocol.eta", "start": 2.0, "stop": 4.0}
+        spec = SweepSpec.from_dict(dict(self.sweep_doc([{**axis,
+                                                         "count": 3.0}]),
+                                        parallelism=2.0))
+        assert spec.shape == (3,)
+        assert spec.parallelism == 2
+        with pytest.raises(ConfigValidationError) as excinfo:
+            SweepSpec.from_dict(self.sweep_doc([{**axis, "count": 2.9}]))
+        assert error_paths(excinfo) == ["axes[0].count"]
+        with pytest.raises(ConfigValidationError) as excinfo:
+            SweepSpec.from_dict(dict(self.sweep_doc([{**axis, "count": 3}]),
+                                     parallelism=1.5))
+        assert error_paths(excinfo) == ["parallelism"]
+
     def test_set_by_path_creates_nested_blocks(self):
         doc = {}
         set_by_path(doc, "grid.n_z", 64)
@@ -365,6 +394,14 @@ class TestPumpSpec:
                                 "Omega_over_Gamma": 1.0,
                                 "duration_us": 1.0,
                                 "initial": [1.0, 0.0]})
+
+    def test_n_samples_must_be_integer(self):
+        doc = {"polarization": "pi", "Omega_over_Gamma": 1.0,
+               "duration_us": 1.0}
+        assert PumpSpec.from_dict({**doc, "n_samples": 40.0}).n_samples == 40
+        with pytest.raises(ConfigValidationError) as excinfo:
+            PumpSpec.from_dict({**doc, "n_samples": 40.5})
+        assert error_paths(excinfo) == ["n_samples"]
 
     def test_initial_is_renormalized(self):
         spec = PumpSpec.from_dict({

@@ -28,6 +28,51 @@ ISO = np.full(7, 1.0 / 7.0)
 FIG6_DURATION = UnitSystem().time_in(1.6)
 
 
+def liouvillian(config):
+    """196x196 matrix of the generator on row-major vec(rho)."""
+    gen = build_pump_generator(config)
+    L = np.zeros((196, 196), dtype=complex)
+    basis = np.zeros((14, 14), dtype=complex)
+    for j in range(196):
+        basis.flat[j] = 1.0
+        L[:, j] = gen(basis).ravel()
+        basis.flat[j] = 0.0
+    return L
+
+
+def reference_trajectory(config, rho, n_samples, dt):
+    """Sample-by-sample RK4 loop on the 14x14 matrix, no step matrix."""
+    gen = build_pump_generator(config)
+    t = np.linspace(0.0, config.duration, n_samples)
+    pops = [rho.diagonal().real.copy()]
+    for k in range(1, n_samples):
+        n_sub = max(1, math.ceil((t[k] - t[k - 1]) / dt - 1e-12))
+        h = (t[k] - t[k - 1]) / n_sub
+        for _ in range(n_sub):
+            k1 = gen(rho)
+            k2 = gen(rho + 0.5 * h * k1)
+            k3 = gen(rho + 0.5 * h * k2)
+            k4 = gen(rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pops.append(rho.diagonal().real.copy())
+    pops = np.array(pops)
+    return pops[:, :7], pops[:, 7:].sum(axis=1), n_sub, h
+
+
+def coherent_ground_state(hermitian=True):
+    """A pure ground superposition: every ground-ground coherence nonzero.
+
+    With hermitian=False the coherences below the diagonal are dropped.
+    """
+    amp = np.sqrt(np.linspace(1.0, 2.0, 7)) * np.exp(1j * np.arange(7))
+    amp /= np.linalg.norm(amp)
+    rho = np.zeros((14, 14), dtype=complex)
+    rho[:7, :7] = np.outer(amp, amp.conj())
+    if not hermitian:
+        rho = np.triu(rho)
+    return DensityMatrix14(rho=rho)
+
+
 class TestCouplings:
     def test_rational_oracle(self):
         b = pump_couplings()
@@ -147,6 +192,27 @@ class TestEvolution:
         # population gathers at m = 0
         assert np.argmax(traj.ground[-1]) == 3
 
+    @pytest.mark.parametrize("config, initial", [
+        (PumpConfig(Omega_r_pump=1.2, duration=6.0), ISO),
+        (PumpConfig(Omega_pi_pump=1.2, duration=6.0), ISO),
+        (PumpConfig(Omega_r_pump=0.7, Omega_pi_pump=1.2, gamma_gg=0.3,
+                    duration=6.0), coherent_ground_state()),
+        (PumpConfig(Omega_r_pump=0.7, Omega_pi_pump=1.2, gamma_gg=0.3,
+                    duration=6.0), coherent_ground_state(hermitian=False)),
+    ], ids=["sigma+", "pi", "coherent-gamma_gg", "non-hermitian"])
+    def test_matches_stepwise_reference(self, config, initial):
+        traj = evolve_pumping(config, initial, n_samples=31)
+        if isinstance(initial, DensityMatrix14):
+            rho = initial.rho
+        else:
+            rho = DensityMatrix14.from_ground_populations(initial).rho
+        ground, excited, n_sub, h = reference_trajectory(config, rho, 31,
+                                                         0.05 / 1.2)
+        assert np.max(np.abs(traj.ground - ground)) < 1e-12
+        assert np.max(np.abs(traj.excited_fraction - excited)) < 1e-12
+        assert traj.substeps == n_sub
+        assert traj.dt == pytest.approx(h, rel=1e-12)
+
     def test_unstable_step_rejected(self):
         cfg = PumpConfig(Omega_r_pump=1.2, duration=50.0)
         with pytest.raises(StiffnessError):
@@ -176,6 +242,23 @@ class TestSteadyState:
         assert np.argmax(ss.p) == 3
         assert np.max(np.abs(ss.p - ss.p[::-1])) < 1e-9
 
+    @pytest.mark.parametrize("config", [
+        PumpConfig(Omega_r_pump=1.2, duration=1.0),
+        PumpConfig(Omega_pi_pump=1.2, duration=1.0),
+        PumpConfig(Omega_pi_pump=1.2, gamma_gg=0.3, duration=1.0),
+    ], ids=["sigma+", "pi", "pi-gamma_gg"])
+    def test_matches_null_space(self, config):
+        """Exact steady state: L vec(rho) = 0 with unit trace."""
+        trace_row = np.eye(14).ravel()
+        A = np.vstack([liouvillian(config), trace_row])
+        b = np.zeros(197, dtype=complex)
+        b[-1] = 1.0
+        vec = np.linalg.lstsq(A, b, rcond=None)[0]
+        p = vec[::15].real[:7]
+        # the loop stops once a 1/Gamma window moves p by less than 1e-8
+        ss = steady_state(config, ISO)
+        assert np.max(np.abs(ss.p - p / p.sum())) < 1e-6
+
     def test_zero_pump_returns_input(self):
         start = np.array([0.3, 0.0, 0.1, 0.2, 0.1, 0.0, 0.3])
         ss = steady_state(PumpConfig(duration=1.0), start)
@@ -185,6 +268,13 @@ class TestSteadyState:
         with pytest.raises(ConvergenceError):
             steady_state(PumpConfig(Omega_r_pump=1.2, duration=1.0), ISO,
                          tol=1e-16, max_time=3.0)
+
+    def test_budget_exhaustion_reports_last_change(self):
+        with pytest.raises(ConvergenceError) as excinfo:
+            steady_state(PumpConfig(Omega_r_pump=1.2, duration=1.0), ISO,
+                         tol=1e-16, max_time=3.0)
+        change = float(str(excinfo.value).rsplit(" ", 1)[1].rstrip(")"))
+        assert change > 1e-3
 
 
 class TestValidation:
