@@ -37,6 +37,7 @@ from .errors import (
     SchemeError,
     DegenerateSchemeError,
     GridError,
+    GridBudgetError,
     AliasingError,
     StiffnessError,
     ConvergenceError,
@@ -138,6 +139,7 @@ __all__ = [
     "SchemeError",
     "DegenerateSchemeError",
     "GridError",
+    "GridBudgetError",
     "AliasingError",
     "StiffnessError",
     "ConvergenceError",

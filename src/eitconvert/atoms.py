@@ -145,6 +145,8 @@ class PopulationDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (7,):
             raise SchemeError(f"expected 7 populations, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise SchemeError("populations must be finite")
         if np.any(p < -1e-12):
             raise SchemeError("populations must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-9:

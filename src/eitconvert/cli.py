@@ -10,7 +10,8 @@ Flags: --out overrides the configured output directory, --engine picks
 engines (repeatable, scenario and sweep only), --grid-check turns on
 doubling validation, --format csv|json selects the scalar-report
 format.  Exit codes: 0 on success, 2 for invalid configuration or
-arguments, 3 for a numerical-convergence failure.
+arguments, 3 for a numerical failure (no convergence, aliasing, or an
+automatically sized grid over its budget).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .config import ENGINES, load_pump, load_scenario, load_sweep
 from .errors import (AliasingError, ConfigValidationError, ConvergenceError,
-                     GridError, SchemeError, StiffnessError)
+                     GridBudgetError, GridError, SchemeError, StiffnessError)
 from .figures import FIGURES, run_figure
 from .runner import run_pump, run_scenario, run_sweep
 
@@ -134,7 +135,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StiffnessError, AliasingError, ConvergenceError) as exc:
+    except (StiffnessError, AliasingError, ConvergenceError,
+            GridBudgetError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigValidationError, SchemeError, GridError, ValueError) as exc:

@@ -176,8 +176,8 @@ class SchemeSpec:
                        "give exactly one of populations and pump_trajectory")
         if populations is not None:
             arr = np.asarray(populations, dtype=float)
-            if arr.shape != (7,):
-                issues.add(f"{path}.populations", "must be 7 numbers")
+            if arr.shape != (7,) or not np.isfinite(arr).all():
+                issues.add(f"{path}.populations", "must be 7 finite numbers")
                 populations = None
             else:
                 populations = tuple(float(x) for x in arr)
@@ -630,8 +630,9 @@ class PumpSpec:
             initial = tuple([1.0 / 7.0] * 7)
         else:
             arr = np.asarray(initial, dtype=float)
-            if arr.shape != (7,) or arr.min() < 0 or arr.sum() <= 0:
-                issues.add("initial", "must be 7 nonnegative numbers")
+            if (arr.shape != (7,) or not np.isfinite(arr).all()
+                    or arr.min() < 0 or arr.sum() <= 0):
+                issues.add("initial", "must be 7 finite nonnegative numbers")
                 initial = tuple([1.0 / 7.0] * 7)
             else:
                 initial = tuple(float(x) for x in arr / arr.sum())

@@ -6,6 +6,7 @@ __all__ = [
     "SchemeError",
     "DegenerateSchemeError",
     "GridError",
+    "GridBudgetError",
     "AliasingError",
     "StiffnessError",
     "ConvergenceError",
@@ -25,6 +26,10 @@ class DegenerateSchemeError(SchemeError):
 
 class GridError(ValueError):
     """Numerical grid that cannot represent the requested problem."""
+
+
+class GridBudgetError(GridError):
+    """Automatically sized grid larger than its allocation budget."""
 
 
 class AliasingError(GridError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -115,13 +115,12 @@ def _run_analytic(scheme: ConversionScheme, config: ScenarioConfig,
 
 def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
                   controls: ResolvedControls) -> EngineOutput:
-    grid = SpectralGrid.for_protocol(scheme, controls.Omega_w, controls.T_p,
-                                     controls.Omega_r)
     over = config.grid
-    if over.n_omega or over.omega_max or over.n_z:
-        grid = SpectralGrid(omega_max=over.omega_max or grid.omega_max,
-                            n_omega=over.n_omega or grid.n_omega,
-                            n_z=over.n_z or grid.n_z)
+    grid = SpectralGrid.for_protocol(scheme, controls.Omega_w, controls.T_p,
+                                     controls.Omega_r, n_omega=over.n_omega)
+    if over.omega_max or over.n_z:
+        grid = replace(grid, omega_max=over.omega_max or grid.omega_max,
+                       n_z=over.n_z or grid.n_z)
     decay = math.exp(-scheme.gamma_sg * controls.t_s)
 
     def convert(grid):
@@ -343,15 +342,21 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
     """
     jobs = [(i, spec.point(i), str(base_dir), engines, grid_check)
             for i in range(spec.size)]
+    results = []
+
+    def done(result):
+        results.append(result)
+        if progress is not None:
+            progress(f"sweep point {result[0] + 1}/{spec.size}")
+
     if spec.parallelism > 1 and spec.size > 1:
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+            for future in as_completed([pool.submit(_sweep_point, job)
+                                        for job in jobs]):
+                done(future.result())
     else:
-        results = []
         for job in jobs:
-            results.append(_sweep_point(job))
-            if progress is not None:
-                progress(f"sweep point {job[0] + 1}/{spec.size}")
+            done(_sweep_point(job))
     results.sort(key=lambda item: item[0])
 
     summary_cols = []

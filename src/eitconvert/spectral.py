@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import ConversionScheme
-from .errors import AliasingError, GridError
+from .errors import AliasingError, GridBudgetError, GridError
 from .fields import CoherenceField
 from .theory import LN2, pulse_bandwidth
 
@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# largest n_omega SpectralGrid.for_protocol sizes on its own: 2**22 bins
+# admit a read/write control ratio of 0.1 (2**21) and refuse 0.05 (2**23),
+# whose complex spectra alone would take 128 MB each
+MAX_N_OMEGA = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,8 @@ class SpectralGrid:
         it is chosen so the narrowest spectral feature (the input bandwidth,
         shrunk by the control-intensity ratio when the read control is the
         weaker one) keeps samples_per_feature points across its FWHM.
+        An automatic size above MAX_N_OMEGA raises GridBudgetError before
+        anything is allocated; a forced n_omega is taken as given.
         """
         mask = scheme.p > 0
         domega0 = pulse_bandwidth(T_p)
@@ -118,6 +124,11 @@ class SpectralGrid:
         if n_omega is None:
             need = 2.0 * omega_max * samples_per_feature / finest
             n_omega = max(4096, 1 << math.ceil(math.log2(need)))
+            if n_omega > MAX_N_OMEGA:
+                raise GridBudgetError(
+                    f"spectral grid needs n_omega = {n_omega} bins to "
+                    f"resolve the narrowest feature, above the budget of "
+                    f"{MAX_N_OMEGA}; set grid.n_omega to force a size")
         return cls(omega_max=omega_max, n_omega=n_omega, n_z=n_z)
 
     def refined(self) -> "SpectralGrid":
@@ -334,25 +345,40 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     """
     tf = read_transfer(scheme, Omega_r, grid, truncate_A, truncate_f)
     L = scheme.length
+    # 1/sqrt(2 pi): the stored coherence enters the one-sided transform
+    # as an initial-condition source, which carries this factor in the
+    # unitary convention
+    pref = (scheme.alpha_c * scheme.Gamma_r
+            / (_SQRT_2PI * L * np.conj(Omega_r)))
+    # omega block whose (M, block) accumulator stays near 1 MB, in cache
+    block = max(1, (1 << 16) // scheme.R_c.size)
 
     def _spectrum_on(z, sigma):
-        weights = _trapezoid_weights(z)
-        weighted = sigma * weights[None, :]
-        # 1/sqrt(2 pi): the stored coherence enters the one-sided transform
-        # as an initial-condition source, which carries this factor in the
-        # unitary convention
-        pref = (scheme.alpha_c * scheme.Gamma_r
-                / (_SQRT_2PI * L * np.conj(Omega_r)))
-        out = np.empty(grid.omega.size, dtype=complex)
-        # chunk the (n_omega, n_z) kernel so fine grids stay in cache-sized
-        # blocks instead of one multi-GB table
-        step = max(1, (8 << 20) // max(1, z.size))
-        for lo in range(0, grid.omega.size, step):
-            sl = slice(lo, min(lo + step, grid.omega.size))
-            kern = np.exp(-tf.f_r[sl][:, None] * (L - z)[None, :])
-            inner = weighted @ kern.T                      # (M, chunk)
+        # Horner's rule over z: acc <- acc q_k + w_k sigma_k with
+        # q_k = exp(-f_r (z_k - z_{k-1})) leaves
+        # sum_k w_k sigma_k exp(-f_r (z_last - z_k)) in acc, one complex
+        # multiply-add per (subsystem, bin, sample) and no (n_omega, n_z)
+        # exp table.  |q_k| <= 1 in an absorbing channel.
+        columns = (sigma * _trapezoid_weights(z)[None, :]).T[:, :, None]
+        steps = np.diff(z)
+        # linspace steps differ in their last bits: steps equal to within
+        # 16 ulps of the z extent share one exp, taken at their mean
+        keys = np.round(steps / (16 * np.finfo(float).eps * np.abs(z).max()))
+        _, which = np.unique(keys, return_inverse=True)
+        spacing = np.append(np.bincount(which, weights=steps)
+                            / np.bincount(which), L - z[-1])
+        out = np.empty(grid.n_omega, dtype=complex)
+        for lo in range(0, grid.n_omega, block):
+            sl = slice(lo, min(lo + block, grid.n_omega))
+            # last row carries the remaining path from z_last to L
+            q = np.exp(-tf.f_r[sl][None, :] * spacing[:, None])
+            acc = np.repeat(columns[0], q.shape[1], axis=1)
+            for k in range(1, z.size):
+                acc *= q[which[k - 1]]
+                acc += columns[k]
+            acc *= q[-1]
             out[sl] = pref * (scheme.R_c[:, None] * tf.A_r[:, sl]
-                              * inner).sum(axis=0)
+                              * acc).sum(axis=0)
         return out
 
     spec = _spectrum_on(stored.z, stored.sigma)

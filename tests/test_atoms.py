@@ -24,6 +24,7 @@ from eitconvert import (
     effective_depth_factor,
     single_lambda_scheme,
     DegenerateSchemeError,
+    SchemeError,
 )
 
 
@@ -147,6 +148,12 @@ class TestPopulationDistribution:
         p = np.array([-0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2])
         with pytest.raises(ValueError):
             PopulationDistribution(p=p)
+
+    def test_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf):
+            p = np.array([bad, 0.2, 0.2, 0.2, 0.2, 0.1, 0.1])
+            with pytest.raises(SchemeError, match="finite"):
+                PopulationDistribution(p=p)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):

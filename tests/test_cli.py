@@ -108,6 +108,25 @@ class TestScenarioCommand:
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_frequency_grid_over_budget_exits_3(self, tmp_path, capsys):
+        doc = minimal_doc(engines=["spectral"])
+        doc["protocol"]["control_ratio"] = 0.02
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "n_omega = 33554432" in err and "4194304" in err
+
+    def test_nonfinite_populations_exit_2(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["scheme"] = {"kind": "cesium-d1", "direction": "sigma-->sigma+",
+                         "populations": [float("nan")] + [1.0 / 6.0] * 6,
+                         "alpha_p": 270.0, "alpha_c": 270.0}
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "scheme.populations" in err and "finite" in err
+
     def test_undersized_frequency_grid_exits_3(self, tmp_path):
         doc = minimal_doc(engines=["spectral"],
                           grid={"omega_max": 0.5, "n_omega": 256})
@@ -151,15 +170,18 @@ class TestComparison:
 
 class TestDeterminism:
     def test_rerun_is_byte_identical_up_to_timestamp(self, tmp_path):
-        f = write_json(tmp_path / "s.json", minimal_doc())
+        doc = minimal_doc(engines=["analytic", "spectral"])
+        doc["scheme"]["ccp2"] = 1.0      # matched read: n_omega 16384
+        f = write_json(tmp_path / "s.json", doc)
         out = tmp_path / "out"
+        names = ("converted_analytic.csv", "efficiency_analytic.json",
+                 "converted_spectral.csv", "probe_spectral.csv")
         main(["scenario", f, "--out", str(out)])
-        first_csv = (out / "converted_analytic.csv").read_bytes()
-        first_eff = (out / "efficiency_analytic.json").read_bytes()
+        first = {name: (out / name).read_bytes() for name in names}
         first_man = load_manifest(out)
         main(["scenario", f, "--out", str(out)])
-        assert (out / "converted_analytic.csv").read_bytes() == first_csv
-        assert (out / "efficiency_analytic.json").read_bytes() == first_eff
+        for name in names:
+            assert (out / name).read_bytes() == first[name], name
         second_man = load_manifest(out)
         first_man.pop("created_unix")
         second_man.pop("created_unix")
@@ -221,6 +243,18 @@ class TestSweepCommand:
         expected = [relative_efficiency_single(4.0, 1.35, 500.0, 500.0 * ri)
                     for ri in r]
         assert np.max(np.abs(xi - expected)) < 1e-9
+
+    def test_parallel_sweep_reports_progress(self, tmp_path, capsys):
+        f = write_json(tmp_path / "w.json", self.sweep_doc(
+            [{"path": "protocol.eta", "values": [2.5, 4.0, 6.0]}],
+            parallelism=2))
+        out = tmp_path / "sweep"
+        assert main(["sweep", f, "--out", str(out)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("sweep point")]
+        assert sorted(lines) == [f"sweep point {i}/3" for i in (1, 2, 3)]
+        header, cols = read_csv(out / "sweep.csv")
+        assert list(cols["protocol.eta"]) == [2.5, 4.0, 6.0]
 
     def test_partial_failure_keeps_good_rows(self, tmp_path, capsys):
         f = write_json(tmp_path / "w.json", self.sweep_doc(
@@ -296,6 +330,14 @@ class TestPumpCommand:
         f = write_json(tmp_path / "p.json",
                        self.pump_doc(polarization="circular"))
         assert main(["pump", f, "--out", str(tmp_path / "pump")]) == 2
+
+    def test_nonfinite_initial_exits_2(self, tmp_path, capsys):
+        f = write_json(tmp_path / "p.json",
+                       self.pump_doc(initial=[float("nan")] + [1.0] * 6))
+        assert main(["pump", f, "--out", str(tmp_path / "pump")]) == 2
+        err = capsys.readouterr().err
+        assert "initial" in err and "finite" in err
+        assert not (tmp_path / "pump").exists()
 
     def test_fractional_n_samples_exits_2(self, tmp_path, capsys):
         f = write_json(tmp_path / "p.json", self.pump_doc(n_samples=40.5))

@@ -24,6 +24,8 @@ import pytest
 
 from eitconvert import (
     AliasingError,
+    CoherenceField,
+    GridBudgetError,
     GridError,
     PopulationDistribution,
     SpectralGrid,
@@ -338,6 +340,66 @@ class TestConvertedField:
                                            rel=1e-14)
 
 
+def _direct_readout(sch, stored, Om_r, grid):
+    """Read-out quadrature through the full (n_omega, n_z) exp table."""
+    tf = read_transfer(sch, Om_r, grid)
+    z, L = stored.z, sch.length
+    w = np.empty_like(z)
+    w[0] = 0.5 * (z[1] - z[0])
+    w[-1] = 0.5 * (z[-1] - z[-2])
+    w[1:-1] = 0.5 * (z[2:] - z[:-2])
+    kern = np.exp(-tf.f_r[:, None] * (L - z)[None, :])
+    inner = (stored.sigma * w[None, :]) @ kern.T
+    pref = sch.alpha_c * sch.Gamma_r / (math.sqrt(2.0 * math.pi) * L
+                                        * np.conj(Om_r))
+    return pref * (sch.R_c[:, None] * tf.A_r * inner).sum(axis=0)
+
+
+def _readout_case(kind):
+    if kind == "cesium":
+        sch = build_cesium_d1_scheme("plus_to_minus",
+                                     PopulationDistribution.isotropic(),
+                                     200.0, 200.0)
+    else:
+        sch = single_lambda_scheme(D, D)
+    Om = control_for_eta(sch, ETA, T_P)
+    Om_r = 0.8 * Om
+    w = write_channel(sch, Om, T_P, KAPPA)
+    full = SpectralGrid.for_protocol(sch, Om, T_P, Om_r)
+    grid = SpectralGrid(omega_max=full.omega_max, n_omega=4096)
+    stored = stored_coherence_exact(
+        sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
+    z = stored.z
+    if kind == "half-density":
+        # the quadrature check's subsample of an even n_z: steps 2h, then h
+        idx = np.append(np.arange(0, z.size, 2), z.size - 1)
+        stored = CoherenceField(z=z[idx], sigma=stored.sigma[:, idx],
+                                t=stored.t, j=stored.j)
+    elif kind == "jittered":
+        # arbitrary spacings, last sample short of the exit face
+        rng = np.random.default_rng(5)
+        zj = np.sort(0.97 * z + rng.uniform(-0.3, 0.3, z.size) * z[1])
+        stored = CoherenceField(z=np.clip(zj, 0.0, None), sigma=stored.sigma,
+                                t=stored.t, j=stored.j)
+    return sch, Om_r, grid, stored
+
+
+class TestHornerReadout:
+    @pytest.mark.parametrize("kind", ["uniform", "half-density", "cesium",
+                                      "jittered"])
+    def test_matches_direct_table(self, kind):
+        sch, Om_r, grid, stored = _readout_case(kind)
+        if kind == "half-density":
+            assert stored.z.size == 257 and grid.n_z % 2 == 0
+        if kind == "cesium":
+            assert sch.n_subsystems == 7
+        res = converted_field_exact(sch, stored, Om_r, grid,
+                                    quadrature_check=False)
+        ref = _direct_readout(sch, stored, Om_r, grid)
+        assert np.abs(ref).max() > 0
+        assert np.max(np.abs(res.spectrum - ref)) < 1e-12 * np.abs(ref).max()
+
+
 class TestTransmission:
     def test_truncated_energy_ratio_equals_inverse_broadening(self):
         sch, Om, w, grid = _fig2_setup()
@@ -381,6 +443,17 @@ class TestGridSizing:
         g1 = SpectralGrid.for_protocol(sch, Om, T_P, Om)
         g2 = SpectralGrid.for_protocol(sch, Om, T_P, 0.3 * Om)
         assert g2.n_omega > g1.n_omega
+
+    def test_auto_size_over_budget_refused(self):
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, ETA, T_P)
+        ok = SpectralGrid.for_protocol(sch, Om, T_P, 0.1 * Om)
+        assert ok.n_omega == 1 << 21
+        with pytest.raises(GridBudgetError, match="33554432.*4194304"):
+            SpectralGrid.for_protocol(sch, Om, T_P, 0.02 * Om)
+        forced = SpectralGrid.for_protocol(sch, Om, T_P, 0.02 * Om,
+                                           n_omega=1 << 23)
+        assert forced.n_omega == 1 << 23
 
     def test_bad_grids_rejected(self):
         with pytest.raises(GridError):
