@@ -68,8 +68,8 @@ from .theory import (
     relative_efficiency_multi,
 )
 from .units import UnitSystem
-from .fields import CoherenceField, FieldGrid
-from .arrayio import read_arrays, read_csv, write_arrays, write_csv
+from .fields import CoherenceField
+from .arrayio import read_csv, write_csv
 from .spectral import (
     SpectralGrid,
     TransferFunctions,
@@ -168,10 +168,7 @@ __all__ = [
     "relative_efficiency_multi",
     "UnitSystem",
     "CoherenceField",
-    "FieldGrid",
-    "read_arrays",
     "read_csv",
-    "write_arrays",
     "write_csv",
     "SpectralGrid",
     "TransferFunctions",

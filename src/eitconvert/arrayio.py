@@ -1,35 +1,21 @@
-"""Deterministic CSV and binary array persistence.
+"""Deterministic CSV persistence.
 
-Two formats cover every export in the package:
-
-* CSV with a single header row.  Floats are written with ``repr``, the
-  shortest digit string that round-trips in IEEE double, so re-running a
-  scenario with identical inputs yields a byte-identical file body.
-  Complex columns are split into ``<name>_re`` / ``<name>_im`` pairs.
-
-* A binary bundle: one UTF-8 JSON header line followed by raw array bytes.
-  Layout is little-endian float64 throughout; complex arrays are stored as
-  interleaved (real, imaginary) float64 pairs, which is the native memory
-  layout of complex128.  The header records, per array, the name, logical
-  dtype ("float64" or "complex128"), shape, byte offset into the data block
-  and byte count.
+Every export in the package is CSV with a single header row.  Floats are
+written with ``repr``, the shortest digit string that round-trips in IEEE
+double, so re-running a scenario with identical inputs yields a
+byte-identical file body.  Complex columns are split into ``<name>_re`` /
+``<name>_im`` pairs.
 """
 
 from __future__ import annotations
 
-import json
 import numpy as np
 
 __all__ = [
     "format_float",
     "write_csv",
     "read_csv",
-    "write_arrays",
-    "read_arrays",
 ]
-
-_MAGIC = "eitconvert-arrays"
-_VERSION = 1
 
 
 def format_float(x) -> str:
@@ -75,48 +61,3 @@ def read_csv(path):
     if data.size == 0:
         return header, {name: np.empty(0) for name in header}
     return header, {name: data[:, i] for i, name in enumerate(header)}
-
-
-def write_arrays(path, arrays: dict) -> None:
-    """Persist named arrays to a single binary file with a JSON header line."""
-    entries = []
-    blobs = []
-    offset = 0
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        if np.iscomplexobj(arr):
-            dtype = "complex128"
-            raw = np.ascontiguousarray(arr, dtype="<c16").tobytes()
-        else:
-            dtype = "float64"
-            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        entries.append({
-            "name": name,
-            "dtype": dtype,
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        blobs.append(raw)
-        offset += len(raw)
-    header = {"magic": _MAGIC, "version": _VERSION, "arrays": entries,
-              "layout": "little-endian float64; complex128 = interleaved re,im"}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for raw in blobs:
-            fh.write(raw)
-
-
-def read_arrays(path) -> dict:
-    """Read a binary bundle written by write_arrays."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("magic") != _MAGIC:
-            raise ValueError(f"{path}: not an array bundle")
-        data = fh.read()
-    out = {}
-    for ent in header["arrays"]:
-        dt = "<c16" if ent["dtype"] == "complex128" else "<f8"
-        raw = data[ent["offset"]:ent["offset"] + ent["nbytes"]]
-        out[ent["name"]] = np.frombuffer(raw, dtype=dt).reshape(ent["shape"]).copy()
-    return out

@@ -1,9 +1,9 @@
-"""Shared containers for sampled fields and coherences.
+"""Shared container for a sampled ground-state coherence.
 
-Both the frequency-domain propagator and the time-domain solver produce the
-same two shapes of data: a ground-state coherence sampled over z at one
-instant, and a field envelope sampled over (z, t).  They are kept here so
-records from either engine can be exported and compared uniformly.
+Both the frequency-domain propagator and the time-domain solver produce a
+ground-state coherence sampled over z at one instant.  It is kept here so
+the stored excitation of either engine is computed and exported the same
+way.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .arrayio import write_csv
 
-__all__ = ["CoherenceField", "FieldGrid"]
+__all__ = ["CoherenceField"]
 
 
 @dataclass(frozen=True)
@@ -59,29 +59,3 @@ class CoherenceField:
             header.append(f"sigma_{tag}")
             cols.append(row)
         write_csv(path, header, cols)
-
-
-@dataclass(frozen=True)
-class FieldGrid:
-    """Complex field envelope sampled on a (z, t) grid; values[i, k] = E(z_i, t_k)."""
-
-    z: np.ndarray
-    t: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.z.size, self.t.size):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match "
-                f"(n_z={self.z.size}, n_t={self.t.size})")
-
-    def at_exit(self) -> np.ndarray:
-        return self.values[-1]
-
-    def at_entry(self) -> np.ndarray:
-        return self.values[0]
-
-    def to_csv(self, path, where: str = "exit") -> None:
-        """Waveform CSV (t, Re, Im) at the entry or exit face."""
-        wave = self.at_exit() if where == "exit" else self.at_entry()
-        write_csv(path, ["t", "re", "im"], [self.t, wave.real, wave.imag])

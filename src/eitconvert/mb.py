@@ -24,21 +24,40 @@ through the control envelopes, so the same integrator covers slow light
 (write control never switched), storage, and retrieval with finite ramps.
 Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage.
+
+Numpy call overhead, not arithmetic, sets the cost of a step on grids of a
+few hundred z samples, so the loop is laid out to make few calls:
+
+- The coherences of all subsystems form one stacked state of shape
+  (M, 3, n_z), rows (sigma_eg, sigma_sg, sigma_e'g).  The local coupling
+  (decays and controls) is one (M, 3, 3) matrix applied by a batched
+  product, and both fields feed back through one (M, 3, 2) product.
+- With sigma_sg in the middle row, the four control entries of the 3x3
+  coupling sit at flat indices 1, 3, 5, 7 and are refreshed from four
+  scalars through one strided view.
+- Both field integrals come from one cumulative sum over a (2, n_z)
+  trapezoid source whose first column holds the entry-face values.
+- The control envelopes and the input pulse are evaluated vectorized at
+  every stage time, a block of steps at a time.  Only those scalars are
+  stored: per-stage coupling matrices would hold M * 9 complex numbers per
+  stage.
+
+There is no dense (3M, 3M) product over all subsystems.  OpenBLAS threads
+it across cores, and at M = 7, n_z = 200 it took about 20 times as long as
+the batched 3x3 products (2-core x86 host).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .atoms import ConversionScheme
 from .errors import MissingCompanionError, StiffnessError, ValidityWarning
-from .fields import CoherenceField, FieldGrid
+from .fields import CoherenceField
 from .theory import (LN2, _channel_sums, pulse_bandwidth, pulse_energy,
                      read_channel, write_channel)
 
@@ -55,12 +74,9 @@ __all__ = [
 ]
 
 
-def _smoothstep(x: float) -> float:
+def _smoothstep(x):
     """Quintic smoothstep: C2-continuous, exactly 0 below 0 and 1 above 1."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
+    x = np.clip(x, 0.0, 1.0)
     return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
 
 
@@ -109,19 +125,23 @@ class ControlTimeline:
     def t_r(self) -> float | None:
         return None if self.t_w is None else self.t_w + self.t_s
 
-    def Omega_w(self, t: float) -> complex:
+    def Omega_w(self, t):
+        """Write-control envelope at time(s) t."""
+        t = np.asarray(t, dtype=float)
         if self.t_w is None:
-            return self.Omega_w0
+            return np.full(t.shape, self.Omega_w0)
         if self.ramp == 0.0:
-            return self.Omega_w0 if t < self.t_w else 0.0
+            return np.where(t < self.t_w, self.Omega_w0, 0.0)
         return self.Omega_w0 * (1.0 - _smoothstep((t - self.t_w) / self.ramp + 1.0))
 
-    def Omega_r(self, t: float) -> complex:
+    def Omega_r(self, t):
+        """Read-control envelope at time(s) t."""
+        t = np.asarray(t, dtype=float)
         t_r = self.t_r
         if t_r is None or self.Omega_r0 == 0:
-            return 0.0
+            return np.zeros(t.shape)
         if self.ramp == 0.0:
-            return self.Omega_r0 if t >= t_r else 0.0
+            return np.where(t >= t_r, self.Omega_r0, 0.0)
         return self.Omega_r0 * _smoothstep((t - t_r) / self.ramp)
 
 
@@ -143,84 +163,19 @@ def timeline_for_protocol(Omega_w: complex, Omega_r: complex, T_p: float,
 class SimulationRecord:
     """Everything a protocol run produces.
 
-    Exit waveforms are kept at full time resolution; the in-medium field
-    grids are decimated in time to keep records small.  Energies are in
-    input-field units: the converted energy already carries the coupling
-    ratio alpha_p Gamma_w / (alpha_c Gamma_r), so ratios against the input
-    are photon-flux-consistent.
+    Exit waveforms are kept at full time resolution, plus the ground-state
+    coherence at the write cutoff.  Energies are in input-field units: the
+    converted energy already carries the coupling ratio
+    alpha_p Gamma_w / (alpha_c Gamma_r), so ratios against the input are
+    photon-flux-consistent.
     """
 
-    probe: FieldGrid
-    converted: FieldGrid
     stored_write: CoherenceField | None
-    stored_read: CoherenceField | None
     t_exit: np.ndarray
     probe_exit: np.ndarray
     converted_exit: np.ndarray
     energies: dict
     diagnostics: dict
-
-    def save(self, directory) -> None:
-        """Persist as a directory: JSON manifest plus binary arrays."""
-        from .arrayio import write_arrays, write_csv
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "energies": self.energies,
-            "diagnostics": self.diagnostics,
-            "has_snapshots": self.stored_write is not None,
-        }
-        (d / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        arrays = {
-            "probe_z": self.probe.z, "probe_t": self.probe.t,
-            "probe_values": self.probe.values,
-            "converted_z": self.converted.z, "converted_t": self.converted.t,
-            "converted_values": self.converted.values,
-            "t_exit": self.t_exit,
-            "probe_exit": self.probe_exit,
-            "converted_exit": self.converted_exit,
-        }
-        if self.stored_write is not None:
-            arrays["stored_write_z"] = self.stored_write.z
-            arrays["stored_write_sigma"] = self.stored_write.sigma
-        if self.stored_read is not None:
-            arrays["stored_read_z"] = self.stored_read.z
-            arrays["stored_read_sigma"] = self.stored_read.sigma
-        write_arrays(d / "fields.bin", arrays)
-        write_csv(d / "exit_waveforms.csv",
-                  ["t", "probe_re", "probe_im", "converted_re", "converted_im"],
-                  [self.t_exit, self.probe_exit.real, self.probe_exit.imag,
-                   self.converted_exit.real, self.converted_exit.imag])
-
-    @classmethod
-    def load(cls, directory) -> "SimulationRecord":
-        from .arrayio import read_arrays
-        d = Path(directory)
-        manifest = json.loads((d / "manifest.json").read_text())
-        arrays = read_arrays(d / "fields.bin")
-        t_w = manifest["diagnostics"].get("t_w")
-        t_r = manifest["diagnostics"].get("t_r")
-        stored_write = stored_read = None
-        if manifest.get("has_snapshots"):
-            stored_write = CoherenceField(z=arrays["stored_write_z"],
-                                          sigma=arrays["stored_write_sigma"],
-                                          t=t_w)
-            if "stored_read_sigma" in arrays:
-                stored_read = CoherenceField(z=arrays["stored_read_z"],
-                                             sigma=arrays["stored_read_sigma"],
-                                             t=t_r)
-        return cls(
-            probe=FieldGrid(z=arrays["probe_z"], t=arrays["probe_t"],
-                            values=arrays["probe_values"]),
-            converted=FieldGrid(z=arrays["converted_z"],
-                                t=arrays["converted_t"],
-                                values=arrays["converted_values"]),
-            stored_write=stored_write, stored_read=stored_read,
-            t_exit=arrays["t_exit"], probe_exit=arrays["probe_exit"],
-            converted_exit=arrays["converted_exit"],
-            energies=manifest["energies"],
-            diagnostics=manifest["diagnostics"])
 
 
 def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
@@ -247,16 +202,30 @@ def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
     return (timeline.t_r + timeline.ramp + (L - z_mid) / read.v_r + 6.0 * t_out)
 
 
+# Steps per block of tabulated envelopes.  Whole-run tables (hundreds of kB
+# at n_t ~ 10^4) raised the peak resident memory of later runs in the same
+# process by about 2.5 MB; blocks of this size stay off that path.
+_TABLE_STEPS = 256
+
+
+def _control_table(timeline: ControlTimeline, t: np.ndarray) -> np.ndarray:
+    """Per time: (Omega_w, Omega_w*, Omega_r*, Omega_r), in the order of the
+    coupling entries (0, 1), (1, 0), (1, 2), (2, 1) of the stacked state."""
+    Ow = timeline.Omega_w(t)
+    Or = timeline.Omega_r(t)
+    return np.stack([Ow, np.conj(Ow), np.conj(Or), Or], axis=-1)
+
+
 def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
                  timeline: ControlTimeline,
                  grid: tuple[int, int] | None = None,
                  t_end: float | None = None,
-                 grid_check: bool = False,
-                 max_kept_slices: int = 512) -> SimulationRecord:
+                 grid_check: bool = False) -> SimulationRecord:
     """Integrate the write/store/read protocol and return the full record.
 
     grid is (n_z, n_t); n_t = 0 or a missing grid picks the step count from
     the stiffness rule dt <= 0.1 / max{Gamma, |a Omega|, pulse bandwidth}.
+    The rate that set the bound is recorded as diagnostics["dt_limit"].
     A forced n_t that violates that rule raises StiffnessError.  grid_check
     reruns at doubled resolution and stores the relative change of the
     converted (or transmitted) energy in the diagnostics.
@@ -271,13 +240,17 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
         raise ValueError("t_end must exceed the padding start")
 
     populated = scheme.p > 0
-    rates = [scheme.Gamma_w, scheme.Gamma_r, pulse_bandwidth(pulse.T_p)]
-    rates.append(np.max(np.abs(scheme.a_w[populated] * timeline.Omega_w0)))
+    rates = {"Gamma_w": scheme.Gamma_w, "Gamma_r": scheme.Gamma_r,
+             "bandwidth": pulse_bandwidth(pulse.T_p),
+             "write_control": float(np.max(np.abs(
+                 scheme.a_w[populated] * timeline.Omega_w0)))}
     if timeline.Omega_r0 != 0:
-        rates.append(np.max(np.abs(scheme.a_r[populated] * timeline.Omega_r0)))
+        rates["read_control"] = float(np.max(np.abs(
+            scheme.a_r[populated] * timeline.Omega_r0)))
     if scheme.gamma_sg > 0:
-        rates.append(scheme.gamma_sg)
-    dt_max = 0.1 / max(rates)
+        rates["gamma_sg"] = scheme.gamma_sg
+    dt_limit = max(rates, key=rates.get)
+    dt_max = 0.1 / rates[dt_limit]
     if n_t <= 0:
         n_t = int(math.ceil((t_end - t_start) / dt_max)) + 1
     dt = (t_end - t_start) / (n_t - 1)
@@ -290,92 +263,97 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     dz = z[1] - z[0]
     M = scheme.p.size
 
-    a_p = scheme.a_p
-    a_c = scheme.a_c
-    c_p = 0.5j * scheme.alpha_p * scheme.Gamma_w / scheme.length
-    c_c = 0.5j * scheme.alpha_c * scheme.Gamma_r / scheme.length
-    drive_p = 0.5j * (scheme.a_p * scheme.p)[:, None]
-    drive_c = 0.5j * (scheme.a_c * scheme.p)[:, None]
-    g_eg = 0.5 * scheme.Gamma_w
-    g_e2g = 0.5 * scheme.Gamma_r
-    g_sg = scheme.gamma_sg
+    # Local coupling of subsystem j on its rows (sigma_eg, sigma_sg,
+    # sigma_e'g); the control entries (0, 1), (1, 0), (1, 2), (2, 1) are
+    # the strided view flat[1::2] and are refreshed at every stage.
+    A = np.zeros((M, 3, 3), dtype=complex)
+    A[:, 0, 0] = -0.5 * scheme.Gamma_w
+    A[:, 1, 1] = -scheme.gamma_sg
+    A[:, 2, 2] = -0.5 * scheme.Gamma_r
+    controls = A.reshape(M, 9)[:, 1::2]
+    control_coef = 0.5j * np.stack([scheme.a_w, scheme.a_w,
+                                    scheme.a_r, scheme.a_r], axis=1)
+    # Drive of each optical coherence by its field (E_p, E_c).
+    D = np.zeros((M, 3, 2), dtype=complex)
+    D[:, 0, 0] = 0.5j * scheme.a_p * scheme.p
+    D[:, 2, 1] = 0.5j * scheme.a_c * scheme.p
+    # Field sources as trapezoid increments over the flattened state.
+    P = np.zeros((2, M, 3), dtype=complex)
+    P[0, :, 0] = (0.25j * dz * scheme.alpha_p * scheme.Gamma_w
+                  / scheme.length) * scheme.a_p
+    P[1, :, 2] = (0.25j * dz * scheme.alpha_c * scheme.Gamma_r
+                  / scheme.length) * scheme.a_c
+    P = P.reshape(2, 3 * M)
 
-    def _cumtrapz(src):
-        out = np.empty_like(src)
-        out[0] = 0.0
-        np.cumsum((src[1:] + src[:-1]) * (0.5 * dz), out=out[1:])
-        return out
+    source = np.empty((2, n_z), dtype=complex)
+    increments = np.zeros((2, n_z), dtype=complex)
+    fields = np.empty((2, n_z), dtype=complex)
+    drive = np.empty((M, 3, n_z), dtype=complex)
 
-    def _fields(sig_eg, sig_e2g, t):
-        E_p = pulse(t) + c_p * _cumtrapz(a_p @ sig_eg)
-        E_c = c_c * _cumtrapz(a_c @ sig_e2g)
-        return E_p, E_c
-
-    def _deriv(sig_eg, sig_e2g, sig_sg, t):
-        Ow = timeline.Omega_w(t)
-        Or = timeline.Omega_r(t)
-        E_p, E_c = _fields(sig_eg, sig_e2g, t)
-        d_eg = (0.5j * (scheme.a_w * Ow))[:, None] * sig_sg \
-            + drive_p * E_p[None, :] - g_eg * sig_eg
-        d_e2g = (0.5j * (scheme.a_r * Or))[:, None] * sig_sg \
-            + drive_c * E_c[None, :] - g_e2g * sig_e2g
-        d_sg = (0.5j * (scheme.a_w * np.conj(Ow)))[:, None] * sig_eg \
-            + (0.5j * (scheme.a_r * np.conj(Or)))[:, None] * sig_e2g \
-            - g_sg * sig_sg
-        return d_eg, d_e2g, d_sg, E_p, E_c
-
-    sig_eg = np.zeros((M, n_z), dtype=complex)
-    sig_e2g = np.zeros((M, n_z), dtype=complex)
-    sig_sg = np.zeros((M, n_z), dtype=complex)
+    def rate(y, ctrl, entry, out):
+        """d(state)/dt at y into out; refreshes the fields."""
+        np.matmul(P, y.reshape(3 * M, n_z), out=source)
+        np.add(source[:, 1:], source[:, :-1], out=increments[:, 1:])
+        increments[0, 0] = entry
+        np.cumsum(increments, axis=1, out=fields)
+        np.multiply(control_coef, ctrl, out=controls)
+        np.matmul(A, y, out=out)
+        np.matmul(D, fields, out=drive)
+        out += drive
 
     t_axis = t_start + dt * np.arange(n_t)
-    probe_exit = np.empty(n_t, dtype=complex)
-    conv_exit = np.empty(n_t, dtype=complex)
-    stride = max(1, -(-n_t // max_kept_slices))
-    kept = list(range(0, n_t, stride))
-    if kept[-1] != n_t - 1:
-        kept.append(n_t - 1)
-    kept_set = {k: i for i, k in enumerate(kept)}
-    probe_grid = np.empty((n_z, len(kept)), dtype=complex)
-    conv_grid = np.empty((n_z, len(kept)), dtype=complex)
+    stage_offsets = np.array([0.0, 0.5 * dt, dt])
 
-    snap_w = snap_r = None
-    idx_w = idx_r = None
-    if timeline.t_w is not None:
-        idx_w = int(round((timeline.t_w - t_start) / dt))
-        idx_r = int(round((timeline.t_r - t_start) / dt))
+    def stage_tables(k0):
+        """Controls and entry-face values at t_k, t_k + dt/2 and t_k + dt
+        for the block of steps starting at k0."""
+        t = t_axis[k0:k0 + _TABLE_STEPS, None] + stage_offsets
+        return _control_table(timeline, t), pulse(t)
+
+    exits = np.empty((n_t, 2), dtype=complex)
+    state = np.zeros((M, 3, n_z), dtype=complex)
+    stage = np.empty_like(state)
+    acc = np.empty_like(state)
+    k_buf = np.empty_like(state)
+    scaled = np.empty_like(state)
+    idx_w = (None if timeline.t_w is None
+             else int(round((timeline.t_w - t_start) / dt)))
+    snap_w = None
 
     for k in range(n_t):
-        t = t_axis[k]
-        k1 = _deriv(sig_eg, sig_e2g, sig_sg, t)
-        probe_exit[k] = k1[3][-1]
-        conv_exit[k] = k1[4][-1]
-        if k in kept_set:
-            col = kept_set[k]
-            probe_grid[:, col] = k1[3]
-            conv_grid[:, col] = k1[4]
-        if idx_w is not None and k == idx_w:
-            snap_w = CoherenceField(z=z, sigma=sig_sg.copy(), t=t,
-                                    j=scheme.j)
-        if idx_r is not None and k == idx_r:
-            snap_r = CoherenceField(z=z, sigma=sig_sg.copy(), t=t,
-                                    j=scheme.j)
+        j = k % _TABLE_STEPS
+        if j == 0:
+            ctrl, entry = stage_tables(k)
+        if k == idx_w:
+            snap_w = CoherenceField(z=z, sigma=state[:, 1].copy(),
+                                    t=t_axis[k], j=scheme.j)
+        rate(state, ctrl[j, 0], entry[j, 0], k_buf)
+        exits[k] = fields[:, -1]
         if k == n_t - 1:
             break
-        h = dt
-        k2 = _deriv(sig_eg + 0.5 * h * k1[0], sig_e2g + 0.5 * h * k1[1],
-                    sig_sg + 0.5 * h * k1[2], t + 0.5 * h)
-        k3 = _deriv(sig_eg + 0.5 * h * k2[0], sig_e2g + 0.5 * h * k2[1],
-                    sig_sg + 0.5 * h * k2[2], t + 0.5 * h)
-        k4 = _deriv(sig_eg + h * k3[0], sig_e2g + h * k3[1],
-                    sig_sg + h * k3[2], t + h)
-        sig_eg = sig_eg + (h / 6.0) * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        sig_e2g = sig_e2g + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        sig_sg = sig_sg + (h / 6.0) * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+        # classical RK4: acc collects state + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+        np.multiply(k_buf, dt / 6.0, out=acc)
+        acc += state
+        np.multiply(k_buf, 0.5 * dt, out=scaled)
+        np.add(state, scaled, out=stage)
+        rate(stage, ctrl[j, 1], entry[j, 1], k_buf)
+        np.multiply(k_buf, dt / 3.0, out=scaled)
+        acc += scaled
+        np.multiply(k_buf, 0.5 * dt, out=scaled)
+        np.add(state, scaled, out=stage)
+        rate(stage, ctrl[j, 1], entry[j, 1], k_buf)
+        np.multiply(k_buf, dt / 3.0, out=scaled)
+        acc += scaled
+        np.multiply(k_buf, dt, out=scaled)
+        np.add(state, scaled, out=stage)
+        rate(stage, ctrl[j, 2], entry[j, 2], k_buf)
+        np.multiply(k_buf, dt / 6.0, out=scaled)
+        np.add(acc, scaled, out=state)
 
+    probe_exit = exits[:, 0].copy()
+    conv_exit = exits[:, 1].copy()
     unit_ratio = (scheme.alpha_p * scheme.Gamma_w) / (scheme.alpha_c * scheme.Gamma_r)
-    boundary = pulse(t_axis)
-    e_in = float(np.trapezoid(np.abs(boundary) ** 2, t_axis))
+    e_in = float(np.trapezoid(np.abs(pulse(t_axis)) ** 2, t_axis))
     e_trans = float(np.trapezoid(np.abs(probe_exit) ** 2, t_axis))
     if timeline.t_w is not None:
         pre = t_axis <= timeline.t_w
@@ -390,8 +368,8 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
                      * np.trapezoid(stored.excitation_density(scheme.p), z))
 
     e_stored = _stored_energy(snap_w) if snap_w is not None else 0.0
-    e_resid = _stored_energy(CoherenceField(z=z, sigma=sig_sg, t=t_axis[-1],
-                                            j=scheme.j))
+    e_resid = _stored_energy(CoherenceField(z=z, sigma=state[:, 1],
+                                            t=t_axis[-1], j=scheme.j))
     energies = {
         "input": e_in,
         "transmitted": e_trans,
@@ -404,6 +382,7 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     }
     diagnostics = {
         "n_z": n_z, "n_t": n_t, "dt": dt, "dt_max": dt_max,
+        "dt_limit": dt_limit,
         "t_start": t_start, "t_end": t_end,
         "t_w": timeline.t_w, "t_r": timeline.t_r, "ramp": timeline.ramp,
         "Omega_w0": repr(complex(timeline.Omega_w0)),
@@ -412,16 +391,12 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     }
 
     record = SimulationRecord(
-        probe=FieldGrid(z=z, t=t_axis[kept], values=probe_grid),
-        converted=FieldGrid(z=z, t=t_axis[kept], values=conv_grid),
-        stored_write=snap_w, stored_read=snap_r,
-        t_exit=t_axis, probe_exit=probe_exit, converted_exit=conv_exit,
-        energies=energies, diagnostics=diagnostics)
+        stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
+        converted_exit=conv_exit, energies=energies, diagnostics=diagnostics)
 
     if grid_check:
         fine = run_protocol(scheme, pulse, timeline,
-                            grid=(2 * n_z, 2 * n_t - 1), t_end=t_end,
-                            grid_check=False, max_kept_slices=2)
+                            grid=(2 * n_z, 2 * n_t - 1), t_end=t_end)
         key = "converted" if timeline.Omega_r0 != 0 else "transmitted"
         ref = fine.energies[key]
         rel = abs(record.energies[key] - ref) / ref if ref > 0 else 0.0

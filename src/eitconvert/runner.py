@@ -2,9 +2,9 @@
 
 All three engines report a converted waveform on a shared time axis
 whose origin is the read-control turn-on, so pointwise comparisons need
-no further alignment.  Scalar summaries are flat string-to-float dicts;
-a sweep row is the axis values followed by those summaries flattened as
-"engine.key" columns.
+no further alignment.  Summaries are flat dicts of numbers, plus the
+name of the rate that bounded the mb step; a sweep row is the axis
+values followed by the numeric entries flattened as "engine.key" columns.
 
 Per-engine summary keys:
   analytic: xi1, xi2, xi_total, xi_relative, delta_omega_c, eta, kappa,
@@ -13,7 +13,9 @@ Per-engine summary keys:
   spectral: converted_energy, input_energy, xi_total, transmission,
             quadrature_delta, peak_time, peak_amplitude, fwhm
   mb:       converted_energy, input_energy, xi_total, xi_relative,
-            leakage, transmitted_energy, peak_time, peak_amplitude, fwhm
+            leakage, transmitted_energy, peak_time, peak_amplitude, fwhm,
+            n_t, dt, t_end, dt_limit (Gamma_w, Gamma_r, bandwidth,
+            write_control, read_control or gamma_sg)
 """
 
 from __future__ import annotations
@@ -133,6 +135,7 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
             stored = replace(stored, sigma=decay * stored.sigma)
         return converted_field_exact(scheme, stored, controls.Omega_r, grid)
 
+    fine_grid = grid.refined() if config.grid.grid_check else None
     res = convert(grid)
     trans = transmitted_probe(scheme, controls.Omega_w,
                               gaussian_probe_spectrum(grid, controls.T_p),
@@ -146,8 +149,8 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
         "quadrature_delta": res.quadrature_delta,
     }
     summary.update(_waveform_stats(res.t, res.waveform))
-    if config.grid.grid_check:
-        fine = convert(grid.refined())
+    if fine_grid is not None:
+        fine = convert(fine_grid)
         rel = abs(res.energy - fine.energy) / fine.energy
         summary["grid_doubling_rel"] = rel
     return EngineOutput("spectral", res.t, res.waveform, summary,
@@ -180,6 +183,8 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
         "leakage": leakage_energy(record),
     }
     summary.update(_waveform_stats(t, record.converted_exit))
+    for key in ("n_t", "dt", "t_end", "dt_limit"):
+        summary[key] = record.diagnostics[key]
     for key in ("grid_doubling_rel", "grid_converged"):
         if key in record.diagnostics:
             summary[key] = float(record.diagnostics[key])

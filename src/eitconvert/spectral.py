@@ -132,9 +132,17 @@ class SpectralGrid:
         return cls(omega_max=omega_max, n_omega=n_omega, n_z=n_z)
 
     def refined(self) -> "SpectralGrid":
-        """Grid with half the frequency spacing and half the z spacing."""
-        return SpectralGrid(omega_max=self.omega_max,
-                            n_omega=2 * self.n_omega,
+        """Grid with half the frequency spacing and half the z spacing.
+
+        A doubled n_omega above MAX_N_OMEGA raises GridBudgetError.
+        """
+        n_omega = 2 * self.n_omega
+        if n_omega > MAX_N_OMEGA:
+            raise GridBudgetError(
+                f"grid check needs n_omega = {n_omega} bins, above the "
+                f"budget of {MAX_N_OMEGA}; run without the grid check or "
+                f"set a smaller grid.n_omega")
+        return SpectralGrid(omega_max=self.omega_max, n_omega=n_omega,
                             n_z=2 * self.n_z - 1)
 
 

@@ -81,6 +81,25 @@ class TestScenarioCommand:
         assert (out / "converted_mb.csv").exists()
         assert (out / "probe_mb.csv").exists()
 
+    @pytest.mark.parametrize("D_p, limit", [(20.0, "write_control"),
+                                            (5.0, "Gamma_w")])
+    def test_mb_summary_names_time_grid(self, tmp_path, D_p, limit):
+        doc = minimal_doc(engines=["mb"])
+        doc["scheme"] = {"kind": "single-lambda", "D_p": D_p, "ccp2": 1.0}
+        doc["protocol"] = {"eta": 2.5, "kappa": 1.35}
+        f = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["scenario", f, "--out", str(out)]) == 0
+        report = json.loads((out / "efficiency_mb.json").read_text())
+        assert report["dt_limit"] == limit
+        t = read_csv(out / "converted_mb.csv")[1]["t"]
+        assert report["n_t"] == t.size
+        assert report["dt"] == pytest.approx(t[1] - t[0], rel=1e-9)
+        # the run starts two pulse durations before the peak enters
+        t_start = -2.0 * UnitSystem(gamma_2pi_MHz=4.56).time_in(0.2)
+        assert report["t_end"] == pytest.approx(
+            t_start + report["dt"] * (report["n_t"] - 1), rel=1e-12)
+
     def test_engine_flag_overrides_config(self, tmp_path):
         f = write_json(tmp_path / "s.json",
                        minimal_doc(engines=["analytic", "spectral"]))
@@ -116,6 +135,16 @@ class TestScenarioCommand:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "n_omega = 33554432" in err and "4194304" in err
+
+    def test_grid_check_over_budget_exits_3(self, tmp_path, capsys):
+        """The doubled grid is refused before the coarse one is built."""
+        doc = minimal_doc(engines=["spectral"], grid={"n_omega": 1 << 22})
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out"),
+                     "--grid-check"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "n_omega = 8388608" in err and "4194304" in err
 
     def test_nonfinite_populations_exit_2(self, tmp_path, capsys):
         doc = minimal_doc()

@@ -472,3 +472,10 @@ class TestGridSizing:
         z1 = g.z_samples(1.0)
         z2 = r.z_samples(1.0)
         assert np.max(np.abs(z2[::2] - z1)) < 1e-14
+
+    def test_refined_over_budget_refused(self):
+        at_budget = SpectralGrid(omega_max=10.0, n_omega=1 << 22)
+        with pytest.raises(GridBudgetError, match="8388608.*4194304"):
+            at_budget.refined()
+        assert SpectralGrid(omega_max=10.0,
+                            n_omega=1 << 21).refined().n_omega == 1 << 22
