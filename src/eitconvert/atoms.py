@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -34,6 +33,7 @@ __all__ = [
     "Direction",
     "CGTable",
     "PopulationDistribution",
+    "EITChannel",
     "ConversionScheme",
     "build_cesium_d1_scheme",
     "single_lambda_scheme",
@@ -168,13 +168,6 @@ class PopulationDistribution:
         p[m + 3] = 1.0
         return cls(p)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PopulationDistribution":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise SchemeError("population JSON must be an array of 7 numbers")
-        return cls(np.asarray(data, dtype=float))
-
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.p - self.p[::-1])) <= tol)
 
@@ -183,11 +176,34 @@ class PopulationDistribution:
 
 
 @dataclass(frozen=True)
+class EITChannel:
+    """Constants of one EIT channel: a signal field and its control.
+
+    The write channel pairs the probe with the write control (alpha_p,
+    Gamma_w, R^p, a_w); the read channel pairs the converted field with the
+    read control (alpha_c, Gamma_r, R^c, a_r).  R and a_ctrl hold every
+    subsystem; the sums and the |a_ctrl| extremes run over the populated
+    ones:
+        S2 = sum_j p_j R_j^2          (group-delay sum)
+        S4 = sum_j p_j R_j^4 / a_j^2  (bandwidth sum, a_j the signal CG)
+    """
+
+    alpha: float
+    Gamma: float
+    R: np.ndarray
+    a_ctrl: np.ndarray
+    S2: float
+    S4: float
+    a_ctrl_min: float
+    a_ctrl_max: float
+
+
+@dataclass(frozen=True)
 class ConversionScheme:
     """Array-of-subsystems description of one conversion configuration.
 
     All rates are in units of Gamma_w and the medium length is normalized to
-    length = 1; c = inf selects the retarded-frame convention where vacuum
+    length = 1.  Fields propagate in the retarded frame, so the vacuum
     transit time drops out.
     """
 
@@ -203,7 +219,6 @@ class ConversionScheme:
     Gamma_r: float = 1.0
     gamma_sg: float = 0.0
     length: float = 1.0
-    c: float = math.inf
     label: str = ""
 
     def __post_init__(self):
@@ -260,6 +275,33 @@ class ConversionScheme:
     def n_subsystems(self) -> int:
         return int(self.j.size)
 
+    @property
+    def energy_unit_ratio(self) -> float:
+        """(g_p/g_c)^2 = alpha_p Gamma_w / (alpha_c Gamma_r): converts a
+        converted-field energy into input-field units."""
+        return (self.alpha_p * self.Gamma_w) / (self.alpha_c * self.Gamma_r)
+
+    def channel(self, name: str) -> EITChannel:
+        """The constants of the "write" or the "read" channel."""
+        if name == "write":
+            alpha, Gamma, R, a, a_ctrl = (self.alpha_p, self.Gamma_w,
+                                          self.R_p, self.a_p, self.a_w)
+        elif name == "read":
+            alpha, Gamma, R, a, a_ctrl = (self.alpha_c, self.Gamma_r,
+                                          self.R_c, self.a_c, self.a_r)
+        else:
+            raise SchemeError(f"channel must be 'write' or 'read', got {name!r}")
+        # __post_init__ guarantees a populated subsystem with nonzero a_ctrl
+        mask = self.p > 0
+        p, R_pop = self.p[mask], R[mask]
+        a_ctrl_pop = np.abs(a_ctrl[mask])
+        return EITChannel(
+            alpha=alpha, Gamma=Gamma, R=R, a_ctrl=a_ctrl,
+            S2=math.fsum(p * R_pop * R_pop),
+            S4=math.fsum(p * R_pop**4 / a[mask]**2),
+            a_ctrl_min=float(a_ctrl_pop.min()),
+            a_ctrl_max=float(a_ctrl_pop.max()))
+
     # -- transformations -----------------------------------------------
 
     def with_original_readout(self) -> "ConversionScheme":
@@ -272,56 +314,6 @@ class ConversionScheme:
         return replace(self, a_c=self.a_p.copy(), a_r=self.a_w.copy(),
                        alpha_c=self.alpha_p, Gamma_r=self.Gamma_w,
                        label=(self.label + "+original-readout").lstrip("+"))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "label": self.label,
-            "alpha_p": self.alpha_p,
-            "alpha_c": self.alpha_c,
-            "Gamma_w": self.Gamma_w,
-            "Gamma_r": self.Gamma_r,
-            "gamma_sg": self.gamma_sg,
-            "length": self.length,
-            "c": "inf" if math.isinf(self.c) else self.c,
-            "subsystems": [
-                {
-                    "j": float(self.j[i]),
-                    "p": float(self.p[i]),
-                    "a_p": float(self.a_p[i]),
-                    "a_w": float(self.a_w[i]),
-                    "a_c": float(self.a_c[i]),
-                    "a_r": float(self.a_r[i]),
-                    "R_p": float(self.R_p[i]),
-                    "R_c": float(self.R_c[i]),
-                }
-                for i in range(self.n_subsystems)
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConversionScheme":
-        data = json.loads(text)
-        subs = data["subsystems"]
-        c = data.get("c", "inf")
-        return cls(
-            j=np.array([s["j"] for s in subs]),
-            p=np.array([s["p"] for s in subs]),
-            a_p=np.array([s["a_p"] for s in subs]),
-            a_w=np.array([s["a_w"] for s in subs]),
-            a_c=np.array([s["a_c"] for s in subs]),
-            a_r=np.array([s["a_r"] for s in subs]),
-            alpha_p=data["alpha_p"],
-            alpha_c=data["alpha_c"],
-            Gamma_w=data.get("Gamma_w", 1.0),
-            Gamma_r=data.get("Gamma_r", 1.0),
-            gamma_sg=data.get("gamma_sg", 0.0),
-            length=data.get("length", 1.0),
-            c=math.inf if c == "inf" else float(c),
-            label=data.get("label", ""),
-        )
 
 
 def build_cesium_d1_scheme(

@@ -160,11 +160,17 @@ class SchemeSpec:
                            "give exactly one of D_c and ccp2")
             if D_p is not None and D_c is None and ccp2 is not None:
                 D_c = ccp2 * D_p
+            ratios = {}
+            for key in ("R_p", "R_c"):
+                # the control CG is 1/R, so R = 0 leaves no control coupling
+                ratios[key] = _number(block, key, f"{path}.{key}", issues,
+                                      default=1.0)
+                if ratios[key] == 0:
+                    issues.add(f"{path}.{key}", "must be nonzero")
+                    ratios[key] = 1.0
             return cls(
                 kind=kind, D_p=D_p or 0.0, D_c=D_c or 0.0, ccp2=ccp2,
-                R_p=_number(block, "R_p", f"{path}.R_p", issues, default=1.0),
-                R_c=_number(block, "R_c", f"{path}.R_c", issues, default=1.0),
-                gamma_sg=gamma_sg,
+                gamma_sg=gamma_sg, **ratios,
             )
         _check_known(block, ("kind", "direction", "populations",
                              "pump_trajectory", "pump_time_us",

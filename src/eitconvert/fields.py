@@ -2,8 +2,7 @@
 
 Both the frequency-domain propagator and the time-domain solver produce a
 ground-state coherence sampled over z at one instant.  It is kept here so
-the stored excitation of either engine is computed and exported the same
-way.
+the stored excitation of either engine is computed the same way.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .arrayio import write_csv
 
 __all__ = ["CoherenceField"]
 
@@ -34,10 +31,6 @@ class CoherenceField:
         if self.sigma.ndim != 2 or self.sigma.shape[1] != self.z.size:
             raise ValueError("sigma must have shape (n_subsystems, n_z)")
 
-    @property
-    def n_subsystems(self) -> int:
-        return self.sigma.shape[0]
-
     def excitation_density(self, populations: np.ndarray) -> np.ndarray:
         """Population-normalized excitation density sum_j |sigma_j|^2 / p_j.
 
@@ -48,14 +41,3 @@ class CoherenceField:
             if pj > 0:
                 out += np.abs(row) ** 2 / pj
         return out
-
-    def to_csv(self, path) -> None:
-        labels = (self.j if self.j is not None
-                  else np.arange(self.n_subsystems))
-        header = ["z"]
-        cols = [self.z]
-        for lab, row in zip(labels, self.sigma):
-            tag = f"m{int(lab)}" if float(lab) == int(lab) else f"j{lab}"
-            header.append(f"sigma_{tag}")
-            cols.append(row)
-        write_csv(path, header, cols)

@@ -136,8 +136,7 @@ def fig3(out: Path, progress=None) -> list:
         points = []
         for r in CCP2_POINTS:
             scheme = single_lambda_scheme(depth, r * depth)
-            Omega_w = math.sqrt(scheme.alpha_p * scheme.Gamma_w
-                                / (ETA * T_P))
+            Omega_w = control_for_eta(scheme, ETA, T_P)
             timeline = timeline_for_protocol(Omega_w,
                                              math.sqrt(r) * Omega_w,
                                              T_P, KAPPA)

@@ -58,8 +58,8 @@ import numpy as np
 from .atoms import ConversionScheme
 from .errors import MissingCompanionError, StiffnessError, ValidityWarning
 from .fields import CoherenceField
-from .theory import (LN2, _channel_sums, pulse_bandwidth, pulse_energy,
-                     read_channel, write_channel)
+from .theory import (LN2, pulse_bandwidth, pulse_energy, read_channel,
+                     write_channel)
 
 __all__ = [
     "GaussianPulse",
@@ -166,7 +166,7 @@ class SimulationRecord:
     Exit waveforms are kept at full time resolution, plus the ground-state
     coherence at the write cutoff.  Energies are in input-field units: the
     converted energy already carries the coupling ratio
-    alpha_p Gamma_w / (alpha_c Gamma_r), so ratios against the input are
+    scheme.energy_unit_ratio, so ratios against the input are
     photon-flux-consistent.
     """
 
@@ -181,25 +181,23 @@ class SimulationRecord:
 def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
                 timeline: ControlTimeline) -> float:
     """Run length long enough to catch the slow or converted pulse tail."""
-    L = scheme.length
-    S2w, _, _ = _channel_sums(scheme, "write")
-    v_w = L * abs(timeline.Omega_w0) ** 2 / (scheme.alpha_p * scheme.Gamma_w * S2w)
-    T_d = L / v_w
-    if timeline.t_w is None:
-        return T_d + 6.0 * pulse.T_p
-    z_mid = min(v_w * timeline.t_w, L)
-    if timeline.Omega_r0 == 0:
-        return timeline.t_w + timeline.t_s + 6.0 * pulse.T_p
+    if timeline.t_w is not None and timeline.Omega_r0 == 0:
+        return timeline.t_r + 6.0 * pulse.T_p
     # The closed form only sizes the run here; its validity flags describe
     # a model this engine does not report.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
+        if timeline.t_w is None:
+            # slow light: the group delay does not depend on the cutoff
+            write = write_channel(scheme, timeline.Omega_w0, pulse.T_p, 1.0)
+            return write.T_d + 6.0 * pulse.T_p
         write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
                               timeline.t_w / pulse.T_p)
         read = read_channel(scheme, timeline.Omega_r0, write)
     stretch = write.beta_w_mid * read.beta_r_L
     t_out = pulse.T_p * stretch * max(1.0, write.v_w / read.v_r)
-    return (timeline.t_r + timeline.ramp + (L - z_mid) / read.v_r + 6.0 * t_out)
+    return (timeline.t_r + timeline.ramp
+            + (scheme.length - write.z_mid) / read.v_r + 6.0 * t_out)
 
 
 # Steps per block of tabulated envelopes.  Whole-run tables (hundreds of kB
@@ -239,14 +237,12 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     if not t_end > t_start:
         raise ValueError("t_end must exceed the padding start")
 
-    populated = scheme.p > 0
-    rates = {"Gamma_w": scheme.Gamma_w, "Gamma_r": scheme.Gamma_r,
+    write, read = scheme.channel("write"), scheme.channel("read")
+    rates = {"Gamma_w": write.Gamma, "Gamma_r": read.Gamma,
              "bandwidth": pulse_bandwidth(pulse.T_p),
-             "write_control": float(np.max(np.abs(
-                 scheme.a_w[populated] * timeline.Omega_w0)))}
+             "write_control": write.a_ctrl_max * abs(timeline.Omega_w0)}
     if timeline.Omega_r0 != 0:
-        rates["read_control"] = float(np.max(np.abs(
-            scheme.a_r[populated] * timeline.Omega_r0)))
+        rates["read_control"] = read.a_ctrl_max * abs(timeline.Omega_r0)
     if scheme.gamma_sg > 0:
         rates["gamma_sg"] = scheme.gamma_sg
     dt_limit = max(rates, key=rates.get)
@@ -267,21 +263,21 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     # sigma_e'g); the control entries (0, 1), (1, 0), (1, 2), (2, 1) are
     # the strided view flat[1::2] and are refreshed at every stage.
     A = np.zeros((M, 3, 3), dtype=complex)
-    A[:, 0, 0] = -0.5 * scheme.Gamma_w
+    A[:, 0, 0] = -0.5 * write.Gamma
     A[:, 1, 1] = -scheme.gamma_sg
-    A[:, 2, 2] = -0.5 * scheme.Gamma_r
+    A[:, 2, 2] = -0.5 * read.Gamma
     controls = A.reshape(M, 9)[:, 1::2]
-    control_coef = 0.5j * np.stack([scheme.a_w, scheme.a_w,
-                                    scheme.a_r, scheme.a_r], axis=1)
+    control_coef = 0.5j * np.stack([write.a_ctrl, write.a_ctrl,
+                                    read.a_ctrl, read.a_ctrl], axis=1)
     # Drive of each optical coherence by its field (E_p, E_c).
     D = np.zeros((M, 3, 2), dtype=complex)
     D[:, 0, 0] = 0.5j * scheme.a_p * scheme.p
     D[:, 2, 1] = 0.5j * scheme.a_c * scheme.p
     # Field sources as trapezoid increments over the flattened state.
     P = np.zeros((2, M, 3), dtype=complex)
-    P[0, :, 0] = (0.25j * dz * scheme.alpha_p * scheme.Gamma_w
+    P[0, :, 0] = (0.25j * dz * write.alpha * write.Gamma
                   / scheme.length) * scheme.a_p
-    P[1, :, 2] = (0.25j * dz * scheme.alpha_c * scheme.Gamma_r
+    P[1, :, 2] = (0.25j * dz * read.alpha * read.Gamma
                   / scheme.length) * scheme.a_c
     P = P.reshape(2, 3 * M)
 
@@ -352,7 +348,6 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
 
     probe_exit = exits[:, 0].copy()
     conv_exit = exits[:, 1].copy()
-    unit_ratio = (scheme.alpha_p * scheme.Gamma_w) / (scheme.alpha_c * scheme.Gamma_r)
     e_in = float(np.trapezoid(np.abs(pulse(t_axis)) ** 2, t_axis))
     e_trans = float(np.trapezoid(np.abs(probe_exit) ** 2, t_axis))
     if timeline.t_w is not None:
@@ -361,10 +356,10 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     else:
         e_leak = e_trans
     e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
-    e_conv = unit_ratio * e_conv_scaled
+    e_conv = scheme.energy_unit_ratio * e_conv_scaled
 
     def _stored_energy(stored: CoherenceField) -> float:
-        return float(scheme.alpha_p * scheme.Gamma_w / scheme.length
+        return float(write.alpha * write.Gamma / scheme.length
                      * np.trapezoid(stored.excitation_density(scheme.p), z))
 
     e_stored = _stored_energy(snap_w) if snap_w is not None else 0.0

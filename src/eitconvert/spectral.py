@@ -8,8 +8,9 @@ contributes an adiabatic amplitude
 and the field accumulates exp(-f(omega) z) with the population-weighted
 propagation exponent
 
-    f(omega) = -i omega / c + i omega (alpha Gamma / L |Omega|^2)
-               * sum_j p_j R_j^2 A_j(omega).
+    f(omega) = i omega (alpha Gamma / L |Omega|^2) sum_j p_j R_j^2 A_j(omega)
+
+in the retarded frame, where the vacuum transit time drops out.
 
 This module evaluates those kernels exactly on a discrete frequency grid:
 storage is an inverse transform of the filtered input spectrum at the write
@@ -110,15 +111,13 @@ class SpectralGrid:
         An automatic size above MAX_N_OMEGA raises GridBudgetError before
         anything is allocated; a forced n_omega is taken as given.
         """
-        mask = scheme.p > 0
         domega0 = pulse_bandwidth(T_p)
-        scales = [domega0]
-        scales.append(np.max(np.abs(scheme.a_w[mask] * Omega_w)) ** 2
-                      / scheme.Gamma_w)
+        w = scheme.channel("write")
+        scales = [domega0, (w.a_ctrl_max * abs(Omega_w)) ** 2 / w.Gamma]
         finest = domega0
         if Omega_r is not None:
-            scales.append(np.max(np.abs(scheme.a_r[mask] * Omega_r)) ** 2
-                          / scheme.Gamma_r)
+            r = scheme.channel("read")
+            scales.append((r.a_ctrl_max * abs(Omega_r)) ** 2 / r.Gamma)
             finest = min(finest, domega0 * abs(Omega_r / Omega_w) ** 2)
         omega_max = margin * max(scales)
         if n_omega is None:
@@ -205,36 +204,27 @@ class TransferFunctions:
 
 def _channel_transfer(scheme, channel, Omega, omega, truncate_A, truncate_f):
     """Build (A, f) for one channel on the omega grid."""
-    if channel == "write":
-        R, a_ctrl = scheme.R_p, scheme.a_w
-        alpha, Gamma = scheme.alpha_p, scheme.Gamma_w
-    else:
-        R, a_ctrl = scheme.R_c, scheme.a_r
-        alpha, Gamma = scheme.alpha_c, scheme.Gamma_r
+    ch = scheme.channel(channel)
     absW2 = abs(Omega) ** 2
     if absW2 == 0:
         raise ValueError("control Rabi frequency must be nonzero")
     L = scheme.length
-    inv_c = 0.0 if math.isinf(scheme.c) else 1.0 / scheme.c
 
-    s = (a_ctrl * abs(Omega)) ** 2                      # per-j |a Omega|^2
+    s = (ch.a_ctrl * abs(Omega)) ** 2                   # per-j |a Omega|^2
     safe = np.where(s > 0, s, 1.0)
-    x = (2j * Gamma * omega[None, :] + 4.0 * omega[None, :] ** 2) / safe[:, None]
+    x = (2j * ch.Gamma * omega[None, :] + 4.0 * omega[None, :] ** 2) / safe[:, None]
     A_full = -1.0 / (1.0 - x)
     A_full[s == 0] = -1.0
     A = np.full_like(A_full, -1.0) if truncate_A else A_full
 
     if truncate_f:
-        S2 = math.fsum(scheme.p * R * R)
-        mask = (scheme.p > 0) & (a_ctrl != 0)
-        S4 = math.fsum(scheme.p[mask] * (R[mask] / a_ctrl[mask]) ** 2)
         # second-order Taylor: linear group delay + Gaussian window curvature
-        f = (-1j * omega * (inv_c + alpha * Gamma * S2 / (L * absW2))
-             + 2.0 * alpha * Gamma**2 * S4 / (L * absW2**2) * omega**2)
+        f = (-1j * omega * (ch.alpha * ch.Gamma * ch.S2 / (L * absW2))
+             + 2.0 * ch.alpha * ch.Gamma**2 * ch.S4 / (L * absW2**2) * omega**2)
     else:
-        weighted = (scheme.p * R * R)[:, None] * A_full
-        f = -1j * omega * inv_c + 1j * omega * (
-            alpha * Gamma / (L * absW2)) * weighted.sum(axis=0)
+        weighted = (scheme.p * ch.R * ch.R)[:, None] * A_full
+        f = (1j * omega * (ch.alpha * ch.Gamma / (L * absW2))
+             * weighted.sum(axis=0))
     return A, f
 
 
@@ -321,7 +311,7 @@ class ConvertedFieldResult:
     """Converted field at the exit face, in both domains.
 
     t is measured from the read turn-on; energies are reported in scaled
-    units and in input-field units (ratio alpha_p Gamma_w / alpha_c Gamma_r).
+    units and in input-field units (scheme.energy_unit_ratio times the first).
     """
 
     omega: np.ndarray
@@ -332,11 +322,6 @@ class ConvertedFieldResult:
     energy: float
     quadrature_delta: float
     converged: bool
-
-    def to_csv(self, path) -> None:
-        from .arrayio import write_csv
-        write_csv(path, ["t", "re", "im"],
-                  [self.t, self.waveform.real, self.waveform.imag])
 
 
 def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
@@ -407,10 +392,10 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
             converged = delta < 5e-3
 
     t, wave = time_from_spectrum(grid.omega, spec)
-    unit_ratio = (scheme.alpha_p * scheme.Gamma_w) / (scheme.alpha_c * scheme.Gamma_r)
     return ConvertedFieldResult(
         omega=grid.omega, spectrum=spec, t=t, waveform=wave,
-        energy_scaled=energy_scaled, energy=unit_ratio * energy_scaled,
+        energy_scaled=energy_scaled,
+        energy=scheme.energy_unit_ratio * energy_scaled,
         quadrature_delta=delta, converged=converged)
 
 

@@ -65,25 +65,6 @@ def pulse_energy(T_p: float, E0: complex = 1.0) -> float:
     return abs(E0) ** 2 * T_p * math.sqrt(math.pi / (4.0 * LN2))
 
 
-def _channel_sums(scheme: ConversionScheme, channel: str):
-    """Population-weighted ratio sums for one channel.
-
-    Returns (S2, S4) with S2 = sum_j p_j R_j^2 (group-delay sum) and
-    S4 = sum_j p_j R_j^4 / a_j^2 (bandwidth sum), plus the smallest
-    nonvanishing |a_ctrl| CG over populated subsystems for validity checks.
-    """
-    if channel == "write":
-        R, a_weak, a_ctrl = scheme.R_p, scheme.a_p, scheme.a_w
-    else:
-        R, a_weak, a_ctrl = scheme.R_c, scheme.a_c, scheme.a_r
-    mask = scheme.p > 0
-    p, R, a_weak = scheme.p[mask], R[mask], a_weak[mask]
-    S2 = math.fsum(p * R * R)
-    S4 = math.fsum(p * R**4 / a_weak**2)
-    a_ctrl_min = float(np.min(np.abs(a_ctrl[mask]))) if mask.any() else 0.0
-    return S2, S4, a_ctrl_min
-
-
 @dataclass(frozen=True)
 class WriteChannelParams:
     """Write-channel slow-light and storage quantities."""
@@ -126,12 +107,32 @@ def control_for_eta(scheme: ConversionScheme, eta: float, T_p: float,
     """Rabi frequency giving a group delay of eta * T_p in the chosen channel."""
     if eta <= 0 or T_p <= 0:
         raise ValueError("eta and T_p must be positive")
-    S2, _, _ = _channel_sums(scheme, channel)
-    alpha = scheme.alpha_p if channel == "write" else scheme.alpha_c
-    Gamma = scheme.Gamma_w if channel == "write" else scheme.Gamma_r
-    if S2 <= 0:
+    ch = scheme.channel(channel)
+    if ch.S2 <= 0:
         raise ValueError("channel has no populated subsystems")
-    return math.sqrt(alpha * Gamma * S2 / (eta * T_p))
+    return math.sqrt(ch.alpha * ch.Gamma * ch.S2 / (eta * T_p))
+
+
+def _slow_light(scheme: ConversionScheme, channel: str, Omega: complex):
+    """Slow-light core shared by write_channel and read_channel.
+
+    Returns (T_d, v, delta_omega, adiab) of the channel at control Rabi
+    frequency Omega: the group delay T_d = alpha Gamma S2 / |Omega|^2, the
+    group velocity L / T_d, the transparency bandwidth from
+    1/delta_omega^2 = alpha Gamma^2 S4 / (ln2 |Omega|^4), and the adiabatic
+    rate scale min(Gamma, |a_ctrl,min Omega|^2 / Gamma).
+    """
+    ch = scheme.channel(channel)
+    absW2 = abs(Omega) ** 2
+    if absW2 == 0:
+        raise ValueError("control Rabi frequency must be nonzero")
+    T_d = ch.alpha * ch.Gamma * ch.S2 / absW2
+    inv_v = T_d / scheme.length
+    v = 1.0 / inv_v if inv_v > 0 else math.inf
+    bw_inv_sq = ch.alpha * ch.Gamma**2 * ch.S4 / (LN2 * absW2 * absW2)
+    delta_omega = 1.0 / math.sqrt(bw_inv_sq) if bw_inv_sq > 0 else math.inf
+    adiab = min(ch.Gamma, (ch.a_ctrl_min * abs(Omega)) ** 2 / ch.Gamma)
+    return T_d, v, delta_omega, adiab
 
 
 def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
@@ -140,7 +141,7 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
 
     Implements the population-weighted group velocity and transparency
     bandwidth
-        1/v_w  = 1/c + (alpha_p Gamma_w / L |Omega_w|^2) sum_j p_j (R_j^p)^2
+        1/v_w  = (alpha_p Gamma_w / L |Omega_w|^2) sum_j p_j (R_j^p)^2
         1/dw^2 = (alpha_p Gamma_w^2 / ln2 |Omega_w|^4) sum_j p_j (R_j^p)^4 / a_p,j^2
     and evaluates the pulse-broadening factor at the stored-pulse center
     z_mid = v_w t_w.
@@ -149,21 +150,8 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
         raise ValueError("T_p must be positive")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    absW2 = abs(Omega_w) ** 2
-    if absW2 == 0:
-        raise ValueError("Omega_w must be nonzero")
-
-    S2, S4, a_ctrl_min = _channel_sums(scheme, "write")
+    T_d, v_w, delta_omega_w, adiab = _slow_light(scheme, "write", Omega_w)
     L = scheme.length
-    inv_c = 0.0 if math.isinf(scheme.c) else 1.0 / scheme.c
-
-    T_d = scheme.alpha_p * scheme.Gamma_w * S2 / absW2
-    inv_vw = inv_c + T_d / L
-    v_w = 1.0 / inv_vw if inv_vw > 0 else math.inf
-
-    bw_inv_sq = scheme.alpha_p * scheme.Gamma_w**2 * S4 / (LN2 * absW2 * absW2)
-    delta_omega_w = 1.0 / math.sqrt(bw_inv_sq) if bw_inv_sq > 0 else math.inf
-
     t_w = kappa * T_p
     L_w = v_w * T_p
     z_mid = v_w * t_w
@@ -172,9 +160,7 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
     flags = []
     if T_p * delta_omega_w <= 1.0:
         flags.append("pulse-bandwidth: T_p * delta_omega_w <= 1")
-    domega0 = pulse_bandwidth(T_p)
-    adiab = min(scheme.Gamma_w, (a_ctrl_min * abs(Omega_w)) ** 2 / scheme.Gamma_w)
-    if domega0 >= adiab:
+    if pulse_bandwidth(T_p) >= adiab:
         flags.append("adiabaticity: pulse bandwidth not small against the "
                      "EIT linewidth scale")
     for f in flags:
@@ -212,19 +198,8 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
     against the model by about 11-13% per unit of Delta_omega_c / Gamma_r
     (single lambda system, D = 500, eta = 4, kappa = 1.35).
     """
-    absR2 = abs(Omega_r) ** 2
-    if absR2 == 0:
-        raise ValueError("Omega_r must be nonzero")
-    S2, S4, a_ctrl_min = _channel_sums(scheme, "read")
+    T_d_read, v_r, delta_omega_r, adiab = _slow_light(scheme, "read", Omega_r)
     L = scheme.length
-    inv_c = 0.0 if math.isinf(scheme.c) else 1.0 / scheme.c
-
-    T_d_read = scheme.alpha_c * scheme.Gamma_r * S2 / absR2
-    inv_vr = inv_c + T_d_read / L
-    v_r = 1.0 / inv_vr if inv_vr > 0 else math.inf
-
-    bw_inv_sq = scheme.alpha_c * scheme.Gamma_r**2 * S4 / (LN2 * absR2 * absR2)
-    delta_omega_r = 1.0 / math.sqrt(bw_inv_sq) if bw_inv_sq > 0 else math.inf
 
     if write.z_mid >= L:
         raise ValueError("write cutoff places the stored pulse beyond the medium "
@@ -242,7 +217,6 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
         delta_omega_r=delta_omega_r, beta_r_L=beta_r,
     )
     flags = []
-    adiab = min(scheme.Gamma_r, (a_ctrl_min * abs(Omega_r)) ** 2 / scheme.Gamma_r)
     if converted_bandwidth(scheme, write, read) >= adiab:
         flags.append("adiabaticity: converted bandwidth not small against the "
                      "read-channel EIT linewidth scale")
@@ -348,7 +322,7 @@ class ConvertedSpectrum:
     t0: float
     S: float
     input_energy: float        # integral |E_p(0,t)|^2 dt of the Gaussian probe
-    energy_unit_ratio: float   # (g_p/g_c)^2 = alpha_p Gamma_w / (alpha_c Gamma_r)
+    energy_unit_ratio: float   # ConversionScheme.energy_unit_ratio, (g_p/g_c)^2
 
     def spectrum(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -400,10 +374,9 @@ def converted_spectrum(scheme: ConversionScheme, write: WriteChannelParams,
     S = ((write.L_w * write.beta_w_mid) ** 2 * read.beta_r_L ** 2
          / (8.0 * LN2 * read.v_r ** 2))
     t0 = (scheme.length - write.z_mid) / read.v_r
-    unit_ratio = (scheme.alpha_p * scheme.Gamma_w) / (scheme.alpha_c * scheme.Gamma_r)
     return ConvertedSpectrum(C=complex(C), t0=t0, S=S,
                              input_energy=pulse_energy(write.T_p, E0),
-                             energy_unit_ratio=unit_ratio)
+                             energy_unit_ratio=scheme.energy_unit_ratio)
 
 
 def converted_bandwidth(scheme: ConversionScheme, write: WriteChannelParams,
@@ -418,11 +391,10 @@ def converted_bandwidth(scheme: ConversionScheme, write: WriteChannelParams,
     """
     if Delta_omega_0 is None:
         Delta_omega_0 = pulse_bandwidth(write.T_p)
-    S2w, _, _ = _channel_sums(scheme, "write")
-    S2r, _, _ = _channel_sums(scheme, "read")
+    S2w = scheme.channel("write").S2
+    S2r = scheme.channel("read").S2
     ratio = (abs(read.Omega_r) / abs(write.Omega_w)) ** 2
-    g_ratio = (scheme.alpha_p * scheme.Gamma_w) / (scheme.alpha_c * scheme.Gamma_r)
-    return (ratio * g_ratio * (S2w / S2r) * Delta_omega_0
+    return (ratio * scheme.energy_unit_ratio * (S2w / S2r) * Delta_omega_0
             / (write.beta_w_mid * read.beta_r_L))
 
 
@@ -510,10 +482,9 @@ def relative_efficiency_multi(scheme: ConversionScheme, eta: float,
         raise ValueError("eta must exceed kappa")
     _check_validity(eta, kappa)
     xi2 = coherence_mismatch(scheme)
-    S2w, S4w, _ = _channel_sums(scheme, "write")
-    S2r, S4r, _ = _channel_sums(scheme, "read")
-    qw = S4w / (scheme.alpha_p * S2w * S2w)
-    qr = S4r / (scheme.alpha_c * S2r * S2r)
+    w, r = scheme.channel("write"), scheme.channel("read")
+    qw = w.S4 / (w.alpha * w.S2 * w.S2)
+    qr = r.S4 / (r.alpha * r.S2 * r.S2)
     bw2 = 1.0 + _16LN2 * eta * kappa * qw
     X = _16LN2 * eta * (eta - kappa) / bw2
     return xi2 * math.sqrt((1.0 + X * qw) / (1.0 + X * qr))

@@ -6,7 +6,6 @@ for the sigma+ ladder the probe/write strength ratios obey
 R_j^+ R_j^- = -1.
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -136,10 +135,6 @@ class TestPopulationDistribution:
         assert pop.p[-1] == 1.0
         assert pop.mean_m() == pytest.approx(3.0)
 
-    def test_from_json(self):
-        pop = PopulationDistribution.from_json(json.dumps([0, 0, 0, 1, 0, 0, 0]))
-        assert pop.p[3] == 1.0
-
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             PopulationDistribution(p=np.ones(6) / 6.0)
@@ -193,16 +188,39 @@ class TestConversionScheme:
         assert orig.Gamma_r == sch.Gamma_w
         assert coherence_mismatch(orig) == pytest.approx(1.0, abs=1e-12)
 
-    def test_json_round_trip(self):
-        sch = build_cesium_d1_scheme("minus_to_plus",
-                                     PopulationDistribution.single_state(0),
-                                     alpha_p=120.0, alpha_c=80.0,
-                                     gamma_sg=1e-4)
-        back = ConversionScheme.from_json(sch.to_json())
-        np.testing.assert_allclose(back.a_w, sch.a_w, rtol=0, atol=0)
-        assert back.alpha_c == sch.alpha_c
-        assert back.gamma_sg == sch.gamma_sg
-        assert math.isinf(back.c)
+    @pytest.mark.parametrize("name", ["write", "read"])
+    def test_channel_constants(self, name):
+        """Each channel carries its own depth, linewidth and CG arrays,
+        with sums and |a_ctrl| extremes over populated subsystems only."""
+        # only m = -2 and m = +2 populated: both channels' largest and
+        # smallest control CGs sit on empty subsystems
+        pop = PopulationDistribution(p=np.array([0, 0.4, 0, 0, 0, 0.6, 0]))
+        sch = build_cesium_d1_scheme("plus_to_minus", pop, alpha_p=500.0,
+                                     alpha_c=300.0, Gamma_r=1.7)
+        alpha, Gamma, R, a, a_ctrl = {
+            "write": (500.0, 1.0, sch.R_p, sch.a_p, sch.a_w),
+            "read": (300.0, 1.7, sch.R_c, sch.a_c, sch.a_r)}[name]
+        ch = sch.channel(name)
+        mask = sch.p > 0
+        assert (ch.alpha, ch.Gamma) == (alpha, Gamma)
+        np.testing.assert_array_equal(ch.R, R)
+        np.testing.assert_array_equal(ch.a_ctrl, a_ctrl)
+        p, Rm = sch.p[mask], R[mask]
+        assert ch.S2 == pytest.approx(math.fsum(p * Rm**2), rel=1e-15)
+        assert ch.S4 == pytest.approx(math.fsum(p * Rm**4 / a[mask]**2),
+                                      rel=1e-15)
+        assert ch.a_ctrl_min == np.abs(a_ctrl[mask]).min()
+        assert ch.a_ctrl_max == np.abs(a_ctrl[mask]).max()
+        assert np.abs(a_ctrl).min() < ch.a_ctrl_min
+        assert ch.a_ctrl_max < np.abs(a_ctrl).max()
+
+    def test_unknown_channel_rejected(self):
+        with pytest.raises(SchemeError, match="write.*read"):
+            single_lambda_scheme(500.0, 500.0).channel("probe")
+
+    def test_energy_unit_ratio(self):
+        sch = single_lambda_scheme(500.0, 200.0, Gamma_w=1.0, Gamma_r=2.0)
+        assert sch.energy_unit_ratio == pytest.approx(500.0 / 400.0, rel=1e-15)
 
     def test_arrays_read_only(self):
         sch = single_lambda_scheme(500.0, 500.0)

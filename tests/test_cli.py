@@ -156,6 +156,15 @@ class TestScenarioCommand:
         err = capsys.readouterr().err
         assert "scheme.populations" in err and "finite" in err
 
+    @pytest.mark.parametrize("key", ["R_p", "R_c"])
+    def test_zero_cg_ratio_exits_2(self, tmp_path, capsys, key):
+        doc = minimal_doc()
+        doc["scheme"][key] = 0
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"scheme.{key}" in err and "nonzero" in err
+
     def test_undersized_frequency_grid_exits_3(self, tmp_path):
         doc = minimal_doc(engines=["spectral"],
                           grid={"omega_max": 0.5, "n_omega": 256})

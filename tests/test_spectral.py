@@ -73,6 +73,30 @@ def _fig2_setup(kappa=KAPPA):
     return sch, Om, w, grid
 
 
+def _truncated_channel(channel):
+    """Truncated exponent of one channel with its closed-form group delay
+    and bandwidth: (scheme, grid, f, T_d, delta_omega).
+
+    The read case runs a cesium scheme with alpha_c != alpha_p and
+    Gamma_r != Gamma_w, so an exponent built from write-channel constants
+    misses both references.
+    """
+    if channel == "write":
+        sch, Om, w, grid = _fig2_setup()
+        tf = probe_transfer(sch, Om, grid, truncate_f=True)
+        return sch, grid, tf.f_w, w.T_d, w.delta_omega_w
+    pop = PopulationDistribution(p=np.array([0.3, 0, 0.1, 0.2, 0, 0.1, 0.3]))
+    sch = build_cesium_d1_scheme("plus_to_minus", pop, 500.0, 300.0,
+                                 Gamma_r=1.7)
+    Om = control_for_eta(sch, ETA, T_P)
+    Om_r = 0.8 * Om
+    w = write_channel(sch, Om, T_P, KAPPA)
+    r = read_channel(sch, Om_r, w)
+    grid = SpectralGrid.for_protocol(sch, Om, T_P, Om_r)
+    tf = read_transfer(sch, Om_r, grid, truncate_f=True)
+    return sch, grid, tf.f_r, r.T_d_read, r.delta_omega_r
+
+
 class TestFourierHelpers:
     def test_gaussian_spectrum_pairs_with_gaussian_pulse(self):
         grid = SpectralGrid(omega_max=40.0, n_omega=4096)
@@ -162,19 +186,19 @@ class TestTransferFunctions:
         tf = probe_transfer(sch, Om, grid)
         assert np.min(tf.f_w.real) > -1e-15
 
-    def test_truncated_window_is_exact_gaussian(self):
-        sch, Om, w, grid = _fig2_setup()
-        tf = probe_transfer(sch, Om, grid, truncate_f=True)
-        window = -2.0 * tf.f_w.real * sch.length
-        expect = -4.0 * LN2 * (grid.omega / w.delta_omega_w) ** 2
+    @pytest.mark.parametrize("channel", ["write", "read"])
+    def test_truncated_window_is_exact_gaussian(self, channel):
+        sch, grid, f, _, bandwidth = _truncated_channel(channel)
+        window = -2.0 * f.real * sch.length
+        expect = -4.0 * LN2 * (grid.omega / bandwidth) ** 2
         assert np.max(np.abs(window - expect)) < 1e-12 * np.abs(expect).max()
 
-    def test_truncated_group_delay(self):
-        sch, Om, w, grid = _fig2_setup()
-        tf = probe_transfer(sch, Om, grid, truncate_f=True)
+    @pytest.mark.parametrize("channel", ["write", "read"])
+    def test_truncated_group_delay(self, channel):
+        sch, grid, f, T_d, _ = _truncated_channel(channel)
         k = grid.n_omega // 2 + 1
-        delay = -tf.f_w[k].imag * sch.length / grid.omega[k]
-        assert delay == pytest.approx(w.T_d, rel=1e-12)
+        delay = -f[k].imag * sch.length / grid.omega[k]
+        assert delay == pytest.approx(T_d, rel=1e-12)
 
     def test_exact_window_near_gaussian_in_core(self):
         sch, Om, w, grid = _fig2_setup()
