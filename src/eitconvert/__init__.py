@@ -40,7 +40,6 @@ from .errors import (
     GridBudgetError,
     AliasingError,
     StiffnessError,
-    ConvergenceError,
     MissingCompanionError,
     ConfigValidationError,
     ValidityWarning,
@@ -142,7 +141,6 @@ __all__ = [
     "GridBudgetError",
     "AliasingError",
     "StiffnessError",
-    "ConvergenceError",
     "MissingCompanionError",
     "ConfigValidationError",
     "ValidityWarning",

@@ -377,6 +377,10 @@ def single_lambda_scheme(
     branches; the CG ratios default to 1 so the control-ratio knob is just
     Omega_r/Omega_w.
     """
+    for name, ratio in (("R_p", R_p), ("R_c", R_c)):
+        if ratio == 0:
+            raise SchemeError(f"{name} must be nonzero: the control CG "
+                              f"is 1/{name}")
     return ConversionScheme(
         j=np.array([0.0]),
         p=np.array([1.0]),

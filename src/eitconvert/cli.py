@@ -10,8 +10,8 @@ Flags: --out overrides the configured output directory, --engine picks
 engines (repeatable, scenario and sweep only), --grid-check turns on
 doubling validation, --format csv|json selects the scalar-report
 format.  Exit codes: 0 on success, 2 for invalid configuration or
-arguments, 3 for a numerical failure (no convergence, aliasing, or an
-automatically sized grid over its budget).
+arguments, 3 for a numerical failure (a stiff time grid, aliasing, or an
+automatically sized grid over its budget); see errors.exit_code.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 
 from .config import ENGINES, load_pump, load_scenario, load_sweep
-from .errors import (AliasingError, ConfigValidationError, ConvergenceError,
-                     GridBudgetError, GridError, SchemeError, StiffnessError)
+from .errors import exit_code
 from .figures import FIGURES, run_figure
 from .runner import run_pump, run_scenario, run_sweep
 
@@ -109,10 +108,7 @@ def _cmd_sweep(args) -> int:
     for failure in manifest["failures"]:
         print(f"  failed {failure['assignments']}: {failure['error']}")
     if manifest["n_ok"] == 0 and manifest["failures"]:
-        first = manifest["failures"][0]["error"]
-        if first.startswith(("ConfigValidationError", "SchemeError")):
-            return 2
-        return 3
+        return manifest["failures"][0]["exit_code"]
     return 0
 
 
@@ -135,13 +131,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StiffnessError, AliasingError, ConvergenceError,
-            GridBudgetError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigValidationError, SchemeError, GridError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        code = exit_code(exc)
+        kind = "numerical failure: " if code == 3 else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -245,7 +245,9 @@ def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
     internal units) or a hand-made file with a t_us column.  The excited
     fraction still present at that instant is dropped and the seven
     ground populations are renormalized, matching a conversion run that
-    starts after the pump light is switched off.
+    starts after the pump light is switched off.  The nearest row is
+    taken; a time more than half the mean sample interval outside the
+    trajectory's span is rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -273,6 +275,12 @@ def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
             paths=["scheme.pump_trajectory"])
     index = t.size - 1
     if pump_time_us is not None:
+        half = 0.5 * (t.max() - t.min()) / max(t.size - 1, 1)
+        if not t.min() - half <= pump_time_us <= t.max() + half:
+            raise ConfigValidationError(
+                f"pump time {pump_time_us:g} us lies outside the trajectory "
+                f"{path}, which spans {t.min():g} to {t.max():g} us",
+                paths=["scheme.pump_time_us"])
         index = int(np.argmin(np.abs(t - pump_time_us)))
     p = np.array([cols[n][index] for n in names], dtype=float)
     p = np.maximum(p, 0.0)

@@ -9,10 +9,10 @@ __all__ = [
     "GridBudgetError",
     "AliasingError",
     "StiffnessError",
-    "ConvergenceError",
     "MissingCompanionError",
     "ConfigValidationError",
     "ValidityWarning",
+    "exit_code",
 ]
 
 
@@ -40,10 +40,6 @@ class StiffnessError(GridError):
     """Time step too large for the fastest rate in the problem."""
 
 
-class ConvergenceError(RuntimeError):
-    """Numerical result failed an internal convergence check."""
-
-
 class MissingCompanionError(ValueError):
     """Relative efficiency requested without a reference run."""
 
@@ -60,3 +56,12 @@ class ConfigValidationError(ValueError):
 
 class ValidityWarning(UserWarning):
     """Parameter regime outside the stated validity of an approximation."""
+
+
+def exit_code(exc: BaseException) -> int:
+    """Command-line exit status of a failed run: 3 for a numerical failure
+    on a valid input, 2 for any other ValueError (invalid input)."""
+    if isinstance(exc, ValueError) and not isinstance(
+            exc, (StiffnessError, AliasingError, GridBudgetError)):
+        return 2
+    return 3

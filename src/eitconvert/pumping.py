@@ -24,7 +24,7 @@ import numpy as np
 from .arrayio import write_csv
 from .atoms import ZEEMAN_M, PopulationDistribution
 from .cg import clebsch_gordan
-from .errors import ConvergenceError, SchemeError, StiffnessError
+from .errors import SchemeError, StiffnessError
 
 __all__ = [
     "PumpConfig",
@@ -220,27 +220,27 @@ def _rk4_step(generator, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_step_matrix(generator, h: float) -> np.ndarray:
-    """One RK4 step of length h as a real 196x196 matrix.
+def _real_matrix(linear_map) -> np.ndarray:
+    """A linear map of Hermitian rho as a real 196x196 matrix.
 
     A Hermitian rho is stored as X = Re(rho) + Im(rho), flattened row by
     row (see _real_form); the diagonal of X holds the populations, and
-    rho = (X + X^T)/2 + i (X - X^T)/2.  The generator maps Hermitian
-    matrices to Hermitian matrices, so the step is real-linear in X and
-    column j is the step applied to the rho of the j-th unit X.  Real
-    arithmetic halves the work of the complex form, and the real product
-    stays in one BLAS thread, where a complex one of this size is split
-    across threads that stall when the cores are busy.
+    rho = (X + X^T)/2 + i (X - X^T)/2.  The generator, and so an RK4 step
+    of it, maps Hermitian matrices to Hermitian matrices, so the map is
+    real-linear in X and column j is the map applied to the rho of the
+    j-th unit X.  Real arithmetic halves the work of the complex form,
+    and the real product stays in one BLAS thread, where a complex one of
+    this size is split across threads that stall when the cores are busy.
     """
-    step = np.empty((_N * _N, _N * _N))
+    out = np.empty((_N * _N, _N * _N))
     unit = np.zeros((_N, _N))
     for j in range(_N * _N):
         unit.flat[j] = 1.0
         rho = 0.5 * (unit + unit.T) + 0.5j * (unit - unit.T)
-        out = _rk4_step(generator, rho, h)
-        step[:, j] = (out.real + out.imag).ravel()
+        image = linear_map(rho)
+        out[:, j] = (image.real + image.imag).ravel()
         unit.flat[j] = 0.0
-    return step
+    return out
 
 
 def _real_form(rho: np.ndarray) -> np.ndarray:
@@ -251,6 +251,15 @@ def _real_form(rho: np.ndarray) -> np.ndarray:
     """
     herm = 0.5 * (rho + rho.conj().T)
     return (herm.real + herm.imag).ravel()
+
+
+def _initial_vector(initial) -> np.ndarray:
+    """Real form of an initial state, checked to have unit trace."""
+    if not isinstance(initial, DensityMatrix14):
+        initial = DensityMatrix14.from_ground_populations(initial)
+    if abs(initial.trace - 1.0) > 1e-9:
+        raise SchemeError("initial state must have unit trace")
+    return _real_form(initial.rho)
 
 
 def _max_rate(config: PumpConfig) -> float:
@@ -272,12 +281,7 @@ def evolve_pumping(config: PumpConfig, initial,
     aborts with StiffnessError, since the generator conserves trace
     exactly and any drift is integration error.
     """
-    if isinstance(initial, DensityMatrix14):
-        state = initial
-    else:
-        state = DensityMatrix14.from_ground_populations(initial)
-    if abs(state.trace - 1.0) > 1e-9:
-        raise SchemeError("initial state must have unit trace")
+    vec = _initial_vector(initial)
     if n_samples < 2:
         raise SchemeError("n_samples must be at least 2")
 
@@ -287,11 +291,11 @@ def evolve_pumping(config: PumpConfig, initial,
     interval = config.duration / (n_samples - 1)
     n_sub = max(1, math.ceil(interval / dt - 1e-12))
     h = interval / n_sub
-    step = _rk4_step_matrix(build_pump_generator(config), h)
+    generator = build_pump_generator(config)
+    step = _real_matrix(lambda rho: _rk4_step(generator, rho, h))
     ground = np.empty((n_samples, _N_G))
     excited = np.empty(n_samples)
 
-    vec = _real_form(state.rho)
     diagonal = slice(None, None, _N + 1)
     ground[0] = vec[diagonal][:_N_G]
     excited[0] = vec[diagonal][_N_G:].sum()
@@ -313,45 +317,27 @@ def evolve_pumping(config: PumpConfig, initial,
                           dt=h, substeps=n_sub)
 
 
-def steady_state(config: PumpConfig, initial,
-                 tol: float = 1e-8,
-                 max_time: float | None = None) -> PopulationDistribution:
-    """Pump until the ground populations stop changing.
+def steady_state(config: PumpConfig, initial) -> PopulationDistribution:
+    """Ground populations that pumping from initial settles into.
 
-    The state advances in windows of one Gamma^-1, each split into the
-    fewest RK4 substeps no longer than 0.05 over the fastest rate; the
-    substep is built once as a real 196x196 matrix on the 196 real
-    numbers of rho, so every substep is one matrix-vector product.
-    Convergence: the maximum ground-population change over one window
-    falls below tol.  Raises ConvergenceError when max_time (default
-    2000 Gamma^-1) passes first.
+    The generator is built once as a real 196x196 matrix L on the real
+    form of rho (see _real_matrix), and the state is the weighted time
+    average s * integral of exp(-s t) x(t) dt = s (sI - L)^-1 x(0), one
+    linear solve, with s = 1e-14 times the fastest rate.  sI - L is
+    invertible for every s > 0 and s (sI - L)^-1 preserves the trace, so
+    there is no branch: with no pump a dark initial state comes back
+    unchanged, and otherwise the average is the long-time limit (the
+    projection of x(0) onto the kernel of L) up to terms of order s over
+    the slowest nonzero relaxation rate.  Against the exact projection
+    (from an SVD of L) the populations agree to 4e-13 at Omega 1.2 Gamma
+    and 1e-9 at 0.01 Gamma.
     """
-    if isinstance(initial, DensityMatrix14):
-        rho = initial.rho
-    else:
-        rho = DensityMatrix14.from_ground_populations(initial).rho
-    if max_time is None:
-        max_time = 2000.0 / config.Gamma
-
-    dt = 0.05 / _max_rate(config)
-    window = 1.0 / config.Gamma
-    n_sub = max(1, math.ceil(window / dt))
-    step = _rk4_step_matrix(build_pump_generator(config), window / n_sub)
-
-    vec = _real_form(rho)
-    ground = slice(None, _N_G * (_N + 1), _N + 1)
-    t_now = 0.0
-    p_prev = vec[ground]
-    while t_now < max_time:
-        for _ in range(n_sub):
-            vec = step @ vec
-        t_now += window
-        p_now = vec[ground]
-        change = np.max(np.abs(p_now - p_prev))
-        if change < tol:
-            p = np.maximum(p_now, 0.0)
-            return PopulationDistribution(p=p / p.sum())
-        p_prev = p_now
-    raise ConvergenceError(
-        f"pumping did not settle within {max_time:g} time units "
-        f"(last change {change:.2e})")
+    x0 = _initial_vector(initial)
+    shifted = _real_matrix(build_pump_generator(config))
+    s = 1e-14 * _max_rate(config)
+    # sI - L in place: a second 196x196 copy shows in the peak memory
+    np.negative(shifted, out=shifted)
+    shifted.flat[::_N * _N + 1] += s
+    vec = s * np.linalg.solve(shifted, x0)
+    p = np.maximum(vec[:_N_G * (_N + 1):_N + 1], 0.0)
+    return PopulationDistribution(p=p / p.sum())

@@ -33,6 +33,7 @@ from . import __version__
 from .arrayio import write_csv
 from .atoms import ConversionScheme
 from .config import PumpSpec, ResolvedControls, ScenarioConfig, SweepSpec
+from .errors import exit_code
 from .mb import (GaussianPulse, efficiency_from_record, leakage_energy,
                  run_original_readout, run_protocol, timeline_for_protocol)
 from .pumping import evolve_pumping, steady_state
@@ -333,7 +334,7 @@ def _sweep_point(args):
                                 grid_check=grid_check, persist=False)
         return index, {"ok": True, "engines": manifest["engines"]}
     except Exception as exc:
-        return index, {"ok": False,
+        return index, {"ok": False, "exit_code": exit_code(exc),
                        "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -384,7 +385,8 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
             rows[index, k] = assignments[name]
         if not payload["ok"]:
             failures.append({"index": index, "assignments": assignments,
-                             "error": payload["error"]})
+                             "error": payload["error"],
+                             "exit_code": payload["exit_code"]})
             continue
         flat = {}
         for engine, summary in payload["engines"].items():

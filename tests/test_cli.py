@@ -323,6 +323,21 @@ class TestSweepCommand:
         f = write_json(tmp_path / "w.json", doc)
         assert main(["sweep", f, "--out", str(tmp_path / "sweep")]) == 2
 
+    def test_failing_sweep_exits_like_scenario(self, tmp_path, capsys):
+        # the stored pulse would sit past the medium: invalid, not numerical
+        doc = minimal_doc()
+        doc["scheme"]["ccp2"] = 1.0
+        doc["protocol"]["kappa"] = 5.0
+        doc["engines"] = ["analytic"]
+        scen = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", scen, "--out", str(tmp_path / "s")]) == 2
+        f = write_json(tmp_path / "w.json", {
+            "template": doc,
+            "axes": [{"path": "protocol.kappa", "values": [5.0, 6.0]}]})
+        assert main(["sweep", f, "--out", str(tmp_path / "sweep")]) == 2
+        manifest = load_manifest(tmp_path / "sweep")
+        assert [x["exit_code"] for x in manifest["failures"]] == [2, 2]
+
     def test_invalid_template_exits_2(self, tmp_path):
         doc = self.sweep_doc([{"path": "protocol.eta", "values": [4.0]}])
         doc["template"]["units"] = {}
@@ -363,6 +378,18 @@ class TestPumpCommand:
         substeps = report["substeps_per_sample"]
         assert substeps == int(np.ceil(interval / (0.05 / 1.2)))
         assert report["dt"] * substeps == pytest.approx(interval, rel=1e-12)
+
+    @pytest.mark.parametrize("polarization, Omega, index", [
+        ("sigma+", 0.1, 6), ("pi", 0.05, 3)])
+    def test_weak_pump_reaches_steady_state(self, tmp_path, polarization,
+                                            Omega, index):
+        f = write_json(tmp_path / "p.json", self.pump_doc(
+            polarization=polarization, Omega_over_Gamma=Omega))
+        out = tmp_path / "pump"
+        assert main(["pump", f, "--out", str(out)]) == 0
+        report = json.loads((out / "pump_report.json").read_text())
+        m = index - 3
+        assert report[f"steady_p_m{m:+d}"] > 1.0 - 1e-6
 
     def test_validation_exits_2(self, tmp_path):
         f = write_json(tmp_path / "p.json",

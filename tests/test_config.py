@@ -256,6 +256,23 @@ class TestTrajectoryPopulations:
         p = populations_from_trajectory(path, 1.0, units)
         assert np.max(np.abs(p - 1 / 7)) < 1e-12
 
+    @pytest.mark.parametrize("time_us, inside", [
+        (1.4, True), (-0.4, True), (1.6, False), (-0.6, False), (5.0, False),
+    ])
+    def test_time_outside_span_rejected(self, tmp_path, time_us, inside):
+        # the two rows are 1 us apart: half an interval of slack each side
+        path = tmp_path / "traj.csv"
+        early = [0.9] + [0.0] * 6 + [0.1]
+        late = [0.0] * 6 + [0.8] + [0.2]
+        self.write_trajectory(path, "t_us", [0.0, 1.0], [early, late])
+        units = UnitSystem(gamma_2pi_MHz=4.56)
+        if inside:
+            populations_from_trajectory(path, time_us, units)
+            return
+        with pytest.raises(ConfigValidationError) as excinfo:
+            populations_from_trajectory(path, time_us, units)
+        assert excinfo.value.paths == ["scheme.pump_time_us"]
+
     def test_missing_file_reports_field_path(self, tmp_path):
         units = UnitSystem(gamma_2pi_MHz=4.56)
         with pytest.raises(ConfigValidationError) as excinfo:

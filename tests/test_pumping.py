@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eitconvert import ConvergenceError, SchemeError, StiffnessError, UnitSystem
+from eitconvert import SchemeError, StiffnessError, UnitSystem
 from eitconvert.atoms import ZEEMAN_M
 from eitconvert.pumping import (
     DensityMatrix14,
@@ -246,7 +246,9 @@ class TestSteadyState:
         PumpConfig(Omega_r_pump=1.2, duration=1.0),
         PumpConfig(Omega_pi_pump=1.2, duration=1.0),
         PumpConfig(Omega_pi_pump=1.2, gamma_gg=0.3, duration=1.0),
-    ], ids=["sigma+", "pi", "pi-gamma_gg"])
+        PumpConfig(Omega_r_pump=0.1, duration=1.0),
+        PumpConfig(Omega_r_pump=1.2, Omega_l_pump=1.2, duration=1.0),
+    ], ids=["sigma+", "pi", "pi-gamma_gg", "weak-sigma+", "sigma+sigma-"])
     def test_matches_null_space(self, config):
         """Exact steady state: L vec(rho) = 0 with unit trace."""
         trace_row = np.eye(14).ravel()
@@ -255,7 +257,6 @@ class TestSteadyState:
         b[-1] = 1.0
         vec = np.linalg.lstsq(A, b, rcond=None)[0]
         p = vec[::15].real[:7]
-        # the loop stops once a 1/Gamma window moves p by less than 1e-8
         ss = steady_state(config, ISO)
         assert np.max(np.abs(ss.p - p / p.sum())) < 1e-6
 
@@ -263,18 +264,6 @@ class TestSteadyState:
         start = np.array([0.3, 0.0, 0.1, 0.2, 0.1, 0.0, 0.3])
         ss = steady_state(PumpConfig(duration=1.0), start)
         assert np.max(np.abs(ss.p - start)) < 1e-12
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(ConvergenceError):
-            steady_state(PumpConfig(Omega_r_pump=1.2, duration=1.0), ISO,
-                         tol=1e-16, max_time=3.0)
-
-    def test_budget_exhaustion_reports_last_change(self):
-        with pytest.raises(ConvergenceError) as excinfo:
-            steady_state(PumpConfig(Omega_r_pump=1.2, duration=1.0), ISO,
-                         tol=1e-16, max_time=3.0)
-        change = float(str(excinfo.value).rsplit(" ", 1)[1].rstrip(")"))
-        assert change > 1e-3
 
 
 class TestValidation:
@@ -302,3 +291,5 @@ class TestValidation:
         rho[0, 0] = 0.7
         with pytest.raises(SchemeError):
             evolve_pumping(PumpConfig(duration=1.0), DensityMatrix14(rho=rho))
+        with pytest.raises(SchemeError):
+            steady_state(PumpConfig(duration=1.0), DensityMatrix14(rho=rho))
