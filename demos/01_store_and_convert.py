@@ -20,7 +20,6 @@ from eitconvert import (
     control_for_eta,
     converted_field_exact,
     converted_spectrum,
-    efficiency_from_record,
     gaussian_probe_spectrum,
     pulse_energy,
     read_channel,
@@ -73,11 +72,9 @@ pulse = GaussianPulse(T_p=T_p)
 timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
 record = run_protocol(scheme, pulse, timeline)
 companion = run_original_readout(scheme, pulse, timeline)
-xi_total = efficiency_from_record(record)
-xi_rel = efficiency_from_record(record, "original-channel-readout",
-                                companion=companion)
-print("mb:       xi_total %.4f  xi_relative %.4f"
-      % (xi_total.value, xi_rel.value))
+xi_total = record.energies["converted"] / record.energies["input"]
+xi_rel = record.energies["converted"] / companion.energies["converted"]
+print("mb:       xi_total %.4f  xi_relative %.4f" % (xi_total, xi_rel))
 
 # The converted pulse leaves faster than it entered: the read channel is
 # deeper, so the retrieved pulse is compressed and its peak grows.

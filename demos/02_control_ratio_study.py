@@ -16,7 +16,6 @@ from eitconvert import (
     GaussianPulse,
     UnitSystem,
     control_for_eta,
-    efficiency_from_record,
     relative_efficiency_single,
     run_original_readout,
     run_protocol,
@@ -45,8 +44,7 @@ for r in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
     timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
     record = run_protocol(scheme, pulse, timeline)
     companion = run_original_readout(scheme, pulse, timeline)
-    mb = efficiency_from_record(record, "original-channel-readout",
-                                companion=companion).value
+    mb = record.energies["converted"] / companion.energies["converted"]
 
     print("%8g  %10.4f  %10.4f  %+7.2f%%" % (r, model, mb,
                                              100.0 * (mb / model - 1.0)))

@@ -21,195 +21,28 @@ Layers:
   end.
 """
 
-from .atoms import (
-    Direction,
-    CGTable,
-    PopulationDistribution,
-    ConversionScheme,
-    build_cesium_d1_scheme,
-    single_lambda_scheme,
-    effective_depth_factor,
-    coherence_mismatch,
-    ZEEMAN_M,
-)
-from .cg import clebsch_gordan
-from .errors import (
-    SchemeError,
-    DegenerateSchemeError,
-    GridError,
-    GridBudgetError,
-    AliasingError,
-    StiffnessError,
-    MissingCompanionError,
-    ConfigValidationError,
-    ValidityWarning,
-)
-from .theory import (
-    LN2,
-    WriteChannelParams,
-    ReadChannelParams,
-    StoredCoherenceProfile,
-    ConvertedSpectrum,
-    EfficiencyReport,
-    pulse_bandwidth,
-    pulse_energy,
-    control_for_eta,
-    write_channel,
-    read_channel,
-    beta_w_simple,
-    beta_r_simple,
-    xi1_simple,
-    stored_coherence_profile,
-    converted_spectrum,
-    converted_bandwidth,
-    total_efficiency,
-    relative_efficiency_single,
-    relative_efficiency_multi,
-)
-from .units import UnitSystem
-from .fields import CoherenceField
-from .arrayio import read_csv, write_csv
-from .spectral import (
-    SpectralGrid,
-    TransferFunctions,
-    ConvertedFieldResult,
-    TransmittedFieldResult,
-    spectrum_from_time,
-    time_from_spectrum,
-    gaussian_probe_spectrum,
-    probe_transfer,
-    read_transfer,
-    stored_coherence_exact,
-    converted_field_exact,
-    transmitted_probe,
-)
-from .mb import (
-    GaussianPulse,
-    ControlTimeline,
-    SimulationRecord,
-    ConversionEfficiency,
-    timeline_for_protocol,
-    run_protocol,
-    run_original_readout,
-    efficiency_from_record,
-    leakage_energy,
-)
-from .pumping import (
-    PumpConfig,
-    DensityMatrix14,
-    PumpTrajectory,
-    pump_couplings,
-    build_pump_generator,
-    evolve_pumping,
-    steady_state,
-)
+# runner reads __version__, so it is bound before runner is imported.
 __version__ = "0.1.0"
 
-from .config import (
-    ENGINES,
-    ScenarioConfig,
-    SweepSpec,
-    PumpSpec,
-    load_scenario,
-    load_sweep,
-    load_pump,
-)
-from .runner import (
-    EngineOutput,
-    run_engine,
-    run_scenario,
-    run_sweep,
-    run_pump,
-    compare_outputs,
-)
-from .figures import FIGURES, run_figure
+from . import (arrayio, atoms, cg, config, errors, fields, figures, mb,
+               pumping, runner, spectral, theory, units)
+from .atoms import *  # noqa: F403
+from .cg import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .theory import *  # noqa: F403
+from .units import *  # noqa: F403
+from .fields import *  # noqa: F403
+from .arrayio import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .mb import *  # noqa: F403
+from .pumping import *  # noqa: F403
+from .config import *  # noqa: F403
+from .runner import *  # noqa: F403
+from .figures import *  # noqa: F403
 
-__all__ = [
-    "Direction",
-    "CGTable",
-    "PopulationDistribution",
-    "ConversionScheme",
-    "build_cesium_d1_scheme",
-    "single_lambda_scheme",
-    "effective_depth_factor",
-    "coherence_mismatch",
-    "ZEEMAN_M",
-    "clebsch_gordan",
-    "SchemeError",
-    "DegenerateSchemeError",
-    "GridError",
-    "GridBudgetError",
-    "AliasingError",
-    "StiffnessError",
-    "MissingCompanionError",
-    "ConfigValidationError",
-    "ValidityWarning",
-    "LN2",
-    "WriteChannelParams",
-    "ReadChannelParams",
-    "StoredCoherenceProfile",
-    "ConvertedSpectrum",
-    "EfficiencyReport",
-    "pulse_bandwidth",
-    "pulse_energy",
-    "control_for_eta",
-    "write_channel",
-    "read_channel",
-    "beta_w_simple",
-    "beta_r_simple",
-    "xi1_simple",
-    "stored_coherence_profile",
-    "converted_spectrum",
-    "converted_bandwidth",
-    "total_efficiency",
-    "relative_efficiency_single",
-    "relative_efficiency_multi",
-    "UnitSystem",
-    "CoherenceField",
-    "read_csv",
-    "write_csv",
-    "SpectralGrid",
-    "TransferFunctions",
-    "ConvertedFieldResult",
-    "TransmittedFieldResult",
-    "spectrum_from_time",
-    "time_from_spectrum",
-    "gaussian_probe_spectrum",
-    "probe_transfer",
-    "read_transfer",
-    "stored_coherence_exact",
-    "converted_field_exact",
-    "transmitted_probe",
-    "GaussianPulse",
-    "ControlTimeline",
-    "SimulationRecord",
-    "ConversionEfficiency",
-    "timeline_for_protocol",
-    "run_protocol",
-    "run_original_readout",
-    "efficiency_from_record",
-    "leakage_energy",
-    "PumpConfig",
-    "DensityMatrix14",
-    "PumpTrajectory",
-    "pump_couplings",
-    "build_pump_generator",
-    "evolve_pumping",
-    "steady_state",
-    "ENGINES",
-    "ScenarioConfig",
-    "SweepSpec",
-    "PumpSpec",
-    "load_scenario",
-    "load_sweep",
-    "load_pump",
-    "EngineOutput",
-    "run_engine",
-    "run_scenario",
-    "run_sweep",
-    "run_pump",
-    "compare_outputs",
-    "FIGURES",
-    "run_figure",
-    "__version__",
-]
+# The public API is the union of the submodule lists.
+__all__ = ["__version__"]
+for _module in (atoms, cg, errors, theory, units, fields, arrayio, spectral,
+                mb, pumping, config, runner, figures):
+    __all__ += _module.__all__
+del _module

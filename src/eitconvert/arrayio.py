@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "format_float",
     "write_csv",
     "read_csv",
 ]

@@ -39,6 +39,7 @@ __all__ = [
     "single_lambda_scheme",
     "effective_depth_factor",
     "coherence_mismatch",
+    "ZEEMAN_M",
 ]
 
 ZEEMAN_M = np.arange(-3, 4)

@@ -44,6 +44,16 @@ from .pumping import PumpConfig
 from .theory import control_for_eta, write_channel
 from .units import UnitSystem
 
+__all__ = [
+    "ENGINES",
+    "ScenarioConfig",
+    "SweepSpec",
+    "PumpSpec",
+    "load_scenario",
+    "load_sweep",
+    "load_pump",
+]
+
 ENGINES = ("analytic", "spectral", "mb")
 SCHEME_KINDS = ("cesium-d1", "single-lambda")
 POLARIZATIONS = ("sigma+", "pi", "sigma-")
@@ -180,6 +190,9 @@ class SchemeSpec:
         if (populations is None) == (trajectory is None):
             issues.add(f"{path}.populations",
                        "give exactly one of populations and pump_trajectory")
+        if trajectory is None and "pump_time_us" in block:
+            issues.add(f"{path}.pump_time_us",
+                       "has no effect without pump_trajectory")
         if populations is not None:
             arr = np.asarray(populations, dtype=float)
             if arr.shape != (7,) or not np.isfinite(arr).all():
@@ -499,6 +512,9 @@ class SweepAxis:
             issues.add(f"{path}.path", "must be a dotted field path")
             name = "?"
         if "values" in block:
+            for key in ("start", "stop", "count", "scale"):
+                if key in block:
+                    issues.add(f"{path}.{key}", "has no effect next to values")
             values = block["values"]
             if (not isinstance(values, list) or not values
                     or not all(isinstance(v, (int, float))

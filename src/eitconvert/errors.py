@@ -9,7 +9,6 @@ __all__ = [
     "GridBudgetError",
     "AliasingError",
     "StiffnessError",
-    "MissingCompanionError",
     "ConfigValidationError",
     "ValidityWarning",
     "exit_code",
@@ -38,10 +37,6 @@ class AliasingError(GridError):
 
 class StiffnessError(GridError):
     """Time step too large for the fastest rate in the problem."""
-
-
-class MissingCompanionError(ValueError):
-    """Relative efficiency requested without a reference run."""
 
 
 class ConfigValidationError(ValueError):

@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atoms import ConversionScheme
-from .errors import MissingCompanionError, StiffnessError, ValidityWarning
+from .errors import StiffnessError, ValidityWarning
 from .fields import CoherenceField
 from .theory import (LN2, pulse_bandwidth, pulse_energy, read_channel,
                      write_channel)
@@ -68,9 +68,6 @@ __all__ = [
     "SimulationRecord",
     "run_protocol",
     "run_original_readout",
-    "ConversionEfficiency",
-    "efficiency_from_record",
-    "leakage_energy",
 ]
 
 
@@ -167,7 +164,10 @@ class SimulationRecord:
     coherence at the write cutoff.  Energies are in input-field units: the
     converted energy already carries the coupling ratio
     scheme.energy_unit_ratio, so ratios against the input are
-    photon-flux-consistent.
+    photon-flux-consistent.  The figures of merit are ratios of entries:
+    converted / input is the total efficiency, leaked / input the leakage,
+    and converted over the converted energy of run_original_readout the
+    relative efficiency.
     """
 
     stored_write: CoherenceField | None
@@ -193,6 +193,15 @@ def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
             return write.T_d + 6.0 * pulse.T_p
         write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
                               timeline.t_w / pulse.T_p)
+        if write.z_mid >= scheme.length:
+            # The stored-pulse centre lies past the medium, where
+            # read_channel is undefined; bound the read-out by the read
+            # group delay through the whole medium.
+            ch = scheme.channel("read")
+            T_d_read = (ch.alpha * ch.Gamma * ch.S2
+                        / abs(timeline.Omega_r0) ** 2)
+            return (timeline.t_r + timeline.ramp + T_d_read
+                    + 6.0 * pulse.T_p)
         read = read_channel(scheme, timeline.Omega_r0, write)
     stretch = write.beta_w_mid * read.beta_r_L
     t_out = pulse.T_p * stretch * max(1.0, write.v_w / read.v_r)
@@ -382,7 +391,6 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
         "t_w": timeline.t_w, "t_r": timeline.t_r, "ramp": timeline.ramp,
         "Omega_w0": repr(complex(timeline.Omega_w0)),
         "Omega_r0": repr(complex(timeline.Omega_r0)),
-        "leakage_fraction": e_leak / e_in if e_in > 0 else 0.0,
     }
 
     record = SimulationRecord(
@@ -408,64 +416,3 @@ def run_original_readout(scheme: ConversionScheme, pulse: GaussianPulse,
     tl = replace(timeline, Omega_r0=timeline.Omega_w0)
     return run_protocol(scheme.with_original_readout(), pulse, tl, grid=grid,
                         t_end=t_end)
-
-
-@dataclass(frozen=True)
-class ConversionEfficiency:
-    """Energy ratio from a protocol run, with its reference convention."""
-
-    reference: str
-    value: float
-    converted_energy: float
-    reference_energy: float
-    leakage: float
-    degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "reference": self.reference,
-            "value": self.value,
-            "converted_energy": self.converted_energy,
-            "reference_energy": self.reference_energy,
-            "leakage": self.leakage,
-            "degenerate": self.degenerate,
-        }
-
-
-def efficiency_from_record(record: SimulationRecord, reference: str = "input",
-                           companion: SimulationRecord | None = None
-                           ) -> ConversionEfficiency:
-    """Conversion efficiency against the input pulse or a companion readout.
-
-    reference = "input" gives the total efficiency; reference =
-    "original-channel-readout" divides by the converted energy of the
-    companion record (same write phase, read channel equal to the write
-    channel) and requires that record.
-    """
-    e_conv = record.energies["converted"]
-    e_in = record.energies["input"]
-    leak = record.energies["leaked"] / e_in if e_in > 0 else 0.0
-    if reference == "input":
-        if e_in <= 0:
-            return ConversionEfficiency("input", 0.0, e_conv, e_in, 0.0,
-                                        degenerate=True)
-        return ConversionEfficiency("input", e_conv / e_in, e_conv, e_in, leak)
-    if reference == "original-channel-readout":
-        if companion is None:
-            raise MissingCompanionError(
-                "relative efficiency needs the original-channel companion run")
-        e_ref = companion.energies["converted"]
-        if e_ref <= 0 or e_in <= 0:
-            return ConversionEfficiency(reference, 0.0, e_conv, e_ref, leak,
-                                        degenerate=True)
-        return ConversionEfficiency(reference, e_conv / e_ref, e_conv, e_ref,
-                                    leak)
-    raise ValueError(f"unknown efficiency reference {reference!r}")
-
-
-def leakage_energy(record: SimulationRecord) -> float:
-    """Probe energy that escaped z = L before the write cutoff, over input."""
-    e_in = record.energies["input"]
-    if e_in <= 0:
-        return 0.0
-    return record.energies["leaked"] / e_in

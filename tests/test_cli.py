@@ -81,6 +81,14 @@ class TestScenarioCommand:
         assert (out / "converted_mb.csv").exists()
         assert (out / "probe_mb.csv").exists()
 
+    def test_mb_runs_when_stored_pulse_overshoots(self, tmp_path):
+        """eta 1.2 < kappa 1.35: spectral runs this protocol, so mb must too."""
+        doc = minimal_doc(engines=["mb"])
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 500.0, "ccp2": 1.0}
+        doc["protocol"] = {"eta": 1.2, "kappa": 1.35}
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("D_p, limit", [(20.0, "write_control"),
                                             (5.0, "Gamma_w")])
     def test_mb_summary_names_time_grid(self, tmp_path, D_p, limit):

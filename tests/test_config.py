@@ -11,6 +11,7 @@ from eitconvert import (
     SweepSpec,
     PumpSpec,
     UnitSystem,
+    exit_code,
     load_scenario,
     write_channel,
 )
@@ -120,6 +121,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigValidationError):
             ScenarioConfig.from_dict(cesium_doc(
                 np.full(7, 1 / 7), **{"scheme.pump_trajectory": "traj.csv"}))
+
+    def test_pump_time_without_trajectory_is_rejected(self):
+        doc = cesium_doc(np.full(7, 1 / 7), **{"scheme.pump_time_us": 0.5})
+        with pytest.raises(ConfigValidationError) as excinfo:
+            ScenarioConfig.from_dict(doc)
+        assert error_paths(excinfo) == ["scheme.pump_time_us"]
+        assert exit_code(excinfo.value) == 2
 
     def test_bad_direction_is_rejected(self):
         with pytest.raises(ConfigValidationError) as excinfo:
@@ -353,6 +361,17 @@ class TestSweepSpec:
             }]))
         with pytest.raises(ConfigValidationError):
             SweepSpec.from_dict(self.sweep_doc([{"values": [1.0]}]))
+
+    @pytest.mark.parametrize("extra", [
+        {"start": 1.0}, {"stop": 2.0}, {"count": 3}, {"scale": "log"},
+        {"start": 1.0, "stop": 2.0, "count": 3, "scale": "linear"},
+    ])
+    def test_values_axis_rejects_range_fields(self, extra):
+        axis = {"path": "protocol.eta", "values": [2.0, 3.0], **extra}
+        with pytest.raises(ConfigValidationError) as excinfo:
+            SweepSpec.from_dict(self.sweep_doc([axis]))
+        assert error_paths(excinfo) == [f"axes[0].{key}" for key in extra]
+        assert exit_code(excinfo.value) == 2
 
     def test_count_and_parallelism_must_be_integers(self):
         axis = {"path": "protocol.eta", "start": 2.0, "stop": 4.0}

@@ -26,16 +26,13 @@ from eitconvert import (
     CoherenceField,
     ControlTimeline,
     GaussianPulse,
-    MissingCompanionError,
     SpectralGrid,
     StiffnessError,
     UnitSystem,
     ValidityWarning,
     control_for_eta,
     converted_field_exact,
-    efficiency_from_record,
     gaussian_probe_spectrum,
-    leakage_energy,
     build_cesium_d1_scheme,
     read_channel,
     run_original_readout,
@@ -249,40 +246,36 @@ class TestCrossValidation:
             res.energy_scaled, rel=0.01)
 
 
+def leakage(record):
+    return record.energies["leaked"] / record.energies["input"]
+
+
 class TestEfficiency:
     def test_identical_channel_ratio_is_one(self, fig2):
         sch, Om, pulse, tl, rec = fig2
         ref = run_original_readout(sch, pulse, tl)
-        eff = efficiency_from_record(rec, "original-channel-readout",
-                                     companion=ref)
-        assert eff.value == pytest.approx(1.0, abs=1e-9)
+        xi_relative = rec.energies["converted"] / ref.energies["converted"]
+        assert xi_relative == pytest.approx(1.0, abs=1e-9)
 
     def test_total_efficiency_near_closed_form(self, fig2):
         sch, Om, pulse, tl, rec = fig2
-        eff = efficiency_from_record(rec, "input")
+        xi_total = rec.energies["converted"] / rec.energies["input"]
         w = write_channel(sch, Om, T_P, KAPPA)
         rep = total_efficiency(sch, w, read_channel(sch, Om, w))
-        assert eff.value == pytest.approx(rep.xi_total, rel=0.03)
-        assert eff.value == pytest.approx(
-            rec.energies["converted"] / rec.energies["input"], rel=1e-12)
-
-    def test_missing_companion_rejected(self, fig2):
-        sch, Om, pulse, tl, rec = fig2
-        with pytest.raises(MissingCompanionError):
-            efficiency_from_record(rec, "original-channel-readout")
+        assert xi_total == pytest.approx(rep.xi_total, rel=0.03)
 
 
 class TestLeakage:
     def test_negligible_when_pulse_fits(self, fig2):
         sch, Om, pulse, tl, rec = fig2
-        assert leakage_energy(rec) < 1e-4
+        assert leakage(rec) < 1e-4
 
     def test_large_when_pulse_does_not_fit(self):
         sch = single_lambda_scheme(D, D)
         Om = control_for_eta(sch, 1.0, T_P)
         rec = run_protocol(sch, GaussianPulse(T_p=T_P),
                            timeline_for_protocol(Om, Om, T_P, 0.5))
-        assert leakage_energy(rec) > 0.01
+        assert leakage(rec) > 0.01
 
 
 class TestNumerics:
@@ -322,6 +315,17 @@ class TestNumerics:
                          timeline_for_protocol(Om, 2.0 * Om, T_P, KAPPA))
         assert not [w for w in caught
                     if issubclass(w.category, ValidityWarning)]
+
+    def test_run_length_when_stored_pulse_overshoots(self):
+        """eta < kappa puts the stored-pulse centre past the medium, where
+        the closed-form read channel is undefined; the run length then
+        comes from the read group delay and must still drain the medium."""
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, 1.2, T_P)
+        rec = run_protocol(sch, GaussianPulse(T_p=T_P),
+                           timeline_for_protocol(Om, Om, T_P, KAPPA))
+        e = rec.energies
+        assert e["residual_stored"] < 1e-8 * e["input"]
 
 
 class TestStepDecision:
