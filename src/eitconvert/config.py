@@ -29,9 +29,10 @@ never both.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,20 +76,27 @@ class _Issues:
                                         paths=[p for p, _ in self.items])
 
 
-def _block(doc, key, path, issues, required=True):
+def _join(path: str, key: str) -> str:
+    """Dotted path of key inside path; a top-level key stands bare."""
+    return f"{path}.{key}" if path else key
+
+
+def _block(doc, key, issues, required=True):
     value = doc.get(key)
     if value is None:
         if required:
-            issues.add(path, "missing block")
+            issues.add(key, "missing block")
         return {}
     if not isinstance(value, dict):
-        issues.add(path, "must be an object")
+        issues.add(key, "must be an object")
         return {}
     return value
 
 
 def _number(block, key, path, issues, default=None, required=False,
-            minimum=None, exclusive=False):
+            minimum=None, exclusive=False, integer=False, nonzero=False):
+    """block[key] as a float (an int if integer), or default when it is
+    missing or rejected; every rejection is added to issues."""
     if key not in block:
         if required:
             issues.add(path, "missing")
@@ -108,26 +116,87 @@ def _number(block, key, path, issues, default=None, required=False,
         if not exclusive and value < minimum:
             issues.add(path, f"must be at least {minimum:g}")
             return default
+    if nonzero and value == 0:
+        issues.add(path, "must be nonzero")
+        return default
+    if integer:
+        if not value.is_integer():
+            issues.add(path, "must be an integer")
+            return default
+        return int(value)
     return value
 
 
-def _integer(block, key, path, issues, default=None, required=False,
-             minimum=None):
-    """_number for count fields: a non-integral value is an issue."""
-    value = _number(block, key, path, issues, default=None,
-                    required=required, minimum=minimum)
-    if value is None:
-        return default
-    if not value.is_integer():
-        issues.add(path, "must be an integer")
-        return default
-    return int(value)
+def _num(default=None, kind=None, **rule):
+    """A numeric document field: default is its value when missing, rule
+    the keywords _number checks it by, kind the one scheme kind it
+    belongs to (None: every kind)."""
+    return field(default=default, metadata={"number": rule, "kind": kind})
+
+
+_CESIUM = {"kind": "cesium-d1"}
+# fields set by the loader, not by the document
+_NOT_IN_DOC = {"key": None}
+
+
+@functools.cache
+def _declared(cls, kind=None) -> dict:
+    """Document key -> field, for each field of cls a document may set.
+
+    The key is the field name unless its metadata names another; a field
+    tagged with a scheme kind belongs to that kind only.  Cached, as the
+    declarations never change: callers must not modify the result."""
+    out = {}
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key is not None and f.metadata.get("kind") in (None, kind):
+            out[key] = f
+    return out
 
 
 def _check_known(block, known, path, issues):
     for key in block:
         if key not in known:
-            issues.add(f"{path}.{key}", "unknown field")
+            issues.add(_join(path, key), "unknown field")
+
+
+def _read(cls, block, path, issues, kind=None) -> dict:
+    """Check block's keys against the fields of cls and read its numbers
+    and flags: field name -> value, or the field default where the value
+    is missing or rejected."""
+    declared = _declared(cls, kind)
+    _check_known(block, declared, path, issues)
+    values = {}
+    for key, f in declared.items():
+        if "number" in f.metadata:
+            values[f.name] = _number(block, key, _join(path, key), issues,
+                                     f.default, **f.metadata["number"])
+        elif isinstance(f.default, bool):
+            values[f.name] = block.get(key, f.default)
+            if not isinstance(values[f.name], bool):
+                issues.add(_join(path, key), "must be true or false")
+    return values
+
+
+def _document(cls, doc, what: str, out_dir: str):
+    """Issues and values of a top-level document of class cls.
+
+    A document that is not an object raises at once.  The values are the
+    declared numbers and flags of cls plus out_dir (default as given)."""
+    issues = _Issues()
+    if not isinstance(doc, dict):
+        issues.add("", "document must be an object")
+        issues.raise_if_any(what)
+    values = _read(cls, doc, "", issues)
+    values["out_dir"] = doc.get("out_dir", out_dir)
+    if not isinstance(values["out_dir"], str) or not values["out_dir"]:
+        issues.add("out_dir", "must be a nonempty path")
+    return issues, values
+
+
+def _spec(cls, doc, key, issues, required=True):
+    """cls from the declared fields of the block doc[key]."""
+    return cls(**_read(cls, _block(doc, key, issues, required), key, issues))
 
 
 @dataclass(frozen=True)
@@ -135,18 +204,23 @@ class SchemeSpec:
     """Medium description; build() returns the unit-free ConversionScheme."""
 
     kind: str
-    direction: str = "sigma-->sigma+"
-    populations: tuple | None = None
-    pump_trajectory: str | None = None
-    pump_time_us: float | None = None
-    alpha_p: float = 1.0
-    alpha_c: float = 1.0
-    D_p: float = 0.0
-    D_c: float = 0.0
-    ccp2: float | None = None
-    R_p: float = 1.0
-    R_c: float = 1.0
-    gamma_sg: float = 0.0
+    direction: str = field(default="sigma-->sigma+", metadata=_CESIUM)
+    populations: tuple | None = field(default=None, metadata=_CESIUM)
+    pump_trajectory: str | None = field(default=None, metadata=_CESIUM)
+    pump_time_us: float | None = _num(kind="cesium-d1", minimum=0.0)
+    alpha_p: float = _num(kind="cesium-d1", required=True, minimum=0.0,
+                          exclusive=True)
+    alpha_c: float = _num(kind="cesium-d1", required=True, minimum=0.0,
+                          exclusive=True)
+    D_p: float = _num(kind="single-lambda", required=True, minimum=0.0,
+                      exclusive=True)
+    D_c: float = _num(kind="single-lambda", minimum=0.0, exclusive=True)
+    ccp2: float | None = _num(kind="single-lambda", minimum=0.0,
+                              exclusive=True)
+    # the control CG is 1/R, so R = 0 leaves no control coupling
+    R_p: float = _num(1.0, kind="single-lambda", nonzero=True)
+    R_c: float = _num(1.0, kind="single-lambda", nonzero=True)
+    gamma_sg: float = _num(0.0, minimum=0.0)
 
     @classmethod
     def from_dict(cls, block: dict, issues: _Issues, path: str = "scheme"):
@@ -154,37 +228,15 @@ class SchemeSpec:
         if kind not in SCHEME_KINDS:
             issues.add(f"{path}.kind", f"must be one of {SCHEME_KINDS}")
             kind = "cesium-d1"
-        gamma_sg = _number(block, "gamma_sg", f"{path}.gamma_sg", issues,
-                           default=0.0, minimum=0.0)
+        values = _read(cls, block, path, issues, kind)
         if kind == "single-lambda":
-            _check_known(block, ("kind", "D_p", "D_c", "ccp2", "R_p", "R_c",
-                                 "gamma_sg"), path, issues)
-            D_p = _number(block, "D_p", f"{path}.D_p", issues, required=True,
-                          minimum=0.0, exclusive=True)
-            D_c = _number(block, "D_c", f"{path}.D_c", issues,
-                          minimum=0.0, exclusive=True)
-            ccp2 = _number(block, "ccp2", f"{path}.ccp2", issues,
-                           minimum=0.0, exclusive=True)
+            D_p, D_c, ccp2 = values["D_p"], values["D_c"], values["ccp2"]
             if (D_c is None) == (ccp2 is None):
                 issues.add(f"{path}.D_c",
                            "give exactly one of D_c and ccp2")
-            if D_p is not None and D_c is None and ccp2 is not None:
-                D_c = ccp2 * D_p
-            ratios = {}
-            for key in ("R_p", "R_c"):
-                # the control CG is 1/R, so R = 0 leaves no control coupling
-                ratios[key] = _number(block, key, f"{path}.{key}", issues,
-                                      default=1.0)
-                if ratios[key] == 0:
-                    issues.add(f"{path}.{key}", "must be nonzero")
-                    ratios[key] = 1.0
-            return cls(
-                kind=kind, D_p=D_p or 0.0, D_c=D_c or 0.0, ccp2=ccp2,
-                gamma_sg=gamma_sg, **ratios,
-            )
-        _check_known(block, ("kind", "direction", "populations",
-                             "pump_trajectory", "pump_time_us",
-                             "alpha_p", "alpha_c", "gamma_sg"), path, issues)
+            elif D_c is None and D_p is not None:
+                values["D_c"] = ccp2 * D_p
+            return cls(kind=kind, **values)
         populations = block.get("populations")
         trajectory = block.get("pump_trajectory")
         if (populations is None) == (trajectory is None):
@@ -197,31 +249,18 @@ class SchemeSpec:
             arr = np.asarray(populations, dtype=float)
             if arr.shape != (7,) or not np.isfinite(arr).all():
                 issues.add(f"{path}.populations", "must be 7 finite numbers")
-                populations = None
             else:
                 populations = tuple(float(x) for x in arr)
         if trajectory is not None and not isinstance(trajectory, str):
             issues.add(f"{path}.pump_trajectory", "must be a file path")
-            trajectory = None
-        direction = str(block.get("direction", "sigma-->sigma+"))
+        direction = str(block.get("direction", cls.direction))
         try:
             Direction.parse(direction)
         except (SchemeError, ValueError):
             issues.add(f"{path}.direction",
                        "unknown conversion direction %r" % direction)
-        return cls(
-            kind=kind,
-            direction=direction,
-            populations=populations,
-            pump_trajectory=trajectory,
-            pump_time_us=_number(block, "pump_time_us",
-                                 f"{path}.pump_time_us", issues, minimum=0.0),
-            alpha_p=_number(block, "alpha_p", f"{path}.alpha_p", issues,
-                            required=True, minimum=0.0, exclusive=True) or 1.0,
-            alpha_c=_number(block, "alpha_c", f"{path}.alpha_c", issues,
-                            required=True, minimum=0.0, exclusive=True) or 1.0,
-            gamma_sg=gamma_sg,
-        )
+        return cls(kind=kind, direction=direction, populations=populations,
+                   pump_trajectory=trajectory, **values)
 
     @property
     def default_control_ratio(self) -> float:
@@ -306,20 +345,8 @@ def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
 
 @dataclass(frozen=True)
 class UnitsSpec:
-    gamma_2pi_MHz: float
-    T_p_us: float
-
-    @classmethod
-    def from_dict(cls, block: dict, issues: _Issues, path: str = "units"):
-        _check_known(block, ("gamma_2pi_MHz", "T_p_us"), path, issues)
-        return cls(
-            gamma_2pi_MHz=_number(block, "gamma_2pi_MHz",
-                                  f"{path}.gamma_2pi_MHz", issues,
-                                  required=True, minimum=0.0, exclusive=True)
-            or 1.0,
-            T_p_us=_number(block, "T_p_us", f"{path}.T_p_us", issues,
-                           required=True, minimum=0.0, exclusive=True) or 1.0,
-        )
+    gamma_2pi_MHz: float = _num(required=True, minimum=0.0, exclusive=True)
+    T_p_us: float = _num(required=True, minimum=0.0, exclusive=True)
 
     def system(self) -> UnitSystem:
         return UnitSystem(gamma_2pi_MHz=self.gamma_2pi_MHz)
@@ -332,71 +359,32 @@ class UnitsSpec:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    kappa: float = 1.35
-    t_s_us: float = 0.0
-    eta: float | None = None
-    Omega_w: float | None = None
-    Omega_r: float | None = None
-    control_ratio: float | None = None
+    kappa: float = _num(1.35, minimum=0.0, exclusive=True)
+    t_s_us: float = _num(0.0, minimum=0.0)
+    eta: float | None = _num(minimum=0.0, exclusive=True)
+    Omega_w: float | None = _num(minimum=0.0, exclusive=True)
+    Omega_r: float | None = _num(minimum=0.0, exclusive=True)
+    control_ratio: float | None = _num(minimum=0.0, exclusive=True)
 
-    @classmethod
-    def from_dict(cls, block: dict, issues: _Issues, path: str = "protocol"):
-        _check_known(block, ("kappa", "t_s_us", "eta", "Omega_w", "Omega_r",
-                             "control_ratio"), path, issues)
-        eta = _number(block, "eta", f"{path}.eta", issues,
-                      minimum=0.0, exclusive=True)
-        Omega_w = _number(block, "Omega_w", f"{path}.Omega_w", issues,
-                          minimum=0.0, exclusive=True)
-        if (eta is None) == (Omega_w is None):
+    def check(self, issues: _Issues, path: str = "protocol") -> None:
+        """The one-of rules between the control fields."""
+        if (self.eta is None) == (self.Omega_w is None):
             issues.add(f"{path}.eta", "give exactly one of eta and Omega_w")
-        Omega_r = _number(block, "Omega_r", f"{path}.Omega_r", issues,
-                          minimum=0.0, exclusive=True)
-        ratio = _number(block, "control_ratio", f"{path}.control_ratio",
-                        issues, minimum=0.0, exclusive=True)
-        if Omega_r is not None and ratio is not None:
+        if self.Omega_r is not None and self.control_ratio is not None:
             issues.add(f"{path}.Omega_r",
                        "give at most one of Omega_r and control_ratio")
-        return cls(
-            kappa=_number(block, "kappa", f"{path}.kappa", issues,
-                          default=1.35, minimum=0.0, exclusive=True),
-            t_s_us=_number(block, "t_s_us", f"{path}.t_s_us", issues,
-                           default=0.0, minimum=0.0),
-            eta=eta, Omega_w=Omega_w, Omega_r=Omega_r, control_ratio=ratio,
-        )
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Engine grid overrides; None keeps every engine's own default."""
 
-    n_z: int | None = None
-    n_t: int | None = None
-    n_omega: int | None = None
-    omega_max: float | None = None
-    ramp_fraction: float = 0.2
+    n_z: int | None = _num(integer=True, minimum=8)
+    n_t: int | None = _num(integer=True, minimum=2)
+    n_omega: int | None = _num(integer=True, minimum=16)
+    omega_max: float | None = _num(minimum=0.0, exclusive=True)
+    ramp_fraction: float = _num(0.2, minimum=0.0)
     grid_check: bool = False
-
-    @classmethod
-    def from_dict(cls, block: dict, issues: _Issues, path: str = "grid"):
-        _check_known(block, ("n_z", "n_t", "n_omega", "omega_max",
-                             "ramp_fraction", "grid_check"), path, issues)
-
-        grid_check = block.get("grid_check", False)
-        if not isinstance(grid_check, bool):
-            issues.add(f"{path}.grid_check", "must be true or false")
-            grid_check = False
-        return cls(
-            n_z=_integer(block, "n_z", f"{path}.n_z", issues, minimum=8),
-            n_t=_integer(block, "n_t", f"{path}.n_t", issues, minimum=2),
-            n_omega=_integer(block, "n_omega", f"{path}.n_omega", issues,
-                             minimum=16),
-            omega_max=_number(block, "omega_max", f"{path}.omega_max",
-                              issues, minimum=0.0, exclusive=True),
-            ramp_fraction=_number(block, "ramp_fraction",
-                                  f"{path}.ramp_fraction", issues,
-                                  default=0.2, minimum=0.0),
-            grid_check=grid_check,
-        )
 
 
 @dataclass(frozen=True)
@@ -419,40 +407,27 @@ class ScenarioConfig:
     engines: tuple
     grid: GridSpec
     out_dir: str
-    base_dir: str
-    raw: dict
+    base_dir: str = field(metadata=_NOT_IN_DOC)
+    raw: dict = field(metadata=_NOT_IN_DOC)
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=".") -> "ScenarioConfig":
-        issues = _Issues()
-        if not isinstance(doc, dict):
-            issues.add("", "document must be an object")
-            issues.raise_if_any("scenario")
-        _check_known(doc, ("scheme", "units", "protocol", "engines", "grid",
-                           "out_dir"), "", issues)
-        scheme = SchemeSpec.from_dict(_block(doc, "scheme", "scheme", issues),
-                                      issues)
-        units = UnitsSpec.from_dict(_block(doc, "units", "units", issues),
-                                    issues)
-        protocol = ProtocolSpec.from_dict(
-            _block(doc, "protocol", "protocol", issues), issues)
-        grid = GridSpec.from_dict(
-            _block(doc, "grid", "grid", issues, required=False), issues)
+        issues, values = _document(cls, doc, "scenario", "runs")
+        scheme = SchemeSpec.from_dict(_block(doc, "scheme", issues), issues)
+        units = _spec(UnitsSpec, doc, "units", issues)
+        protocol = _spec(ProtocolSpec, doc, "protocol", issues)
+        grid = _spec(GridSpec, doc, "grid", issues, required=False)
+        protocol.check(issues)
         engines = doc.get("engines", ["analytic"])
         if (not isinstance(engines, list) or not engines
                 or any(e not in ENGINES for e in engines)
                 or len(set(engines)) != len(engines)):
             issues.add("engines",
                        f"must be a nonempty list drawn from {ENGINES}")
-            engines = ["analytic"]
-        out_dir = doc.get("out_dir", "runs")
-        if not isinstance(out_dir, str) or not out_dir:
-            issues.add("out_dir", "must be a nonempty path")
-            out_dir = "runs"
         issues.raise_if_any("scenario")
         return cls(scheme=scheme, units=units, protocol=protocol,
-                   engines=tuple(engines), grid=grid, out_dir=out_dir,
-                   base_dir=str(base_dir), raw=doc)
+                   engines=tuple(engines), grid=grid, base_dir=str(base_dir),
+                   raw=doc, **values)
 
     def build_scheme(self) -> ConversionScheme:
         return self.scheme.build(self.base_dir, self.units.system())
@@ -498,6 +473,10 @@ def load_scenario(path) -> ScenarioConfig:
                                     base_dir=path.parent)
 
 
+# keys of an axis given as a range instead of a list of values
+_RANGE_KEYS = ("start", "stop", "count", "scale")
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     path: str
@@ -505,14 +484,12 @@ class SweepAxis:
 
     @classmethod
     def from_dict(cls, block: dict, issues: _Issues, path: str):
-        _check_known(block, ("path", "values", "start", "stop", "count",
-                             "scale"), path, issues)
+        _check_known(block, {*_declared(cls), *_RANGE_KEYS}, path, issues)
         name = block.get("path")
         if not isinstance(name, str) or not name:
             issues.add(f"{path}.path", "must be a dotted field path")
-            name = "?"
         if "values" in block:
-            for key in ("start", "stop", "count", "scale"):
+            for key in _RANGE_KEYS:
                 if key in block:
                     issues.add(f"{path}.{key}", "has no effect next to values")
             values = block["values"]
@@ -522,24 +499,23 @@ class SweepAxis:
                                and math.isfinite(v) for v in values)):
                 issues.add(f"{path}.values",
                            "must be a nonempty list of finite numbers")
-                values = [0.0]
+                values = []
             return cls(path=name, values=tuple(float(v) for v in values))
         start = _number(block, "start", f"{path}.start", issues,
                         required=True)
         stop = _number(block, "stop", f"{path}.stop", issues, required=True)
-        count = _integer(block, "count", f"{path}.count", issues,
-                         required=True, minimum=1)
+        count = _number(block, "count", f"{path}.count", issues,
+                        required=True, minimum=1, integer=True)
         scale = block.get("scale", "linear")
         if scale not in ("linear", "log"):
             issues.add(f"{path}.scale", "must be linear or log")
-            scale = "linear"
         if None in (start, stop, count):
-            return cls(path=name, values=(0.0,))
+            return cls(path=name, values=())
         if scale == "log":
             if start <= 0 or stop <= 0:
                 issues.add(f"{path}.scale",
                            "log scale needs positive endpoints")
-                return cls(path=name, values=(1.0,))
+                return cls(path=name, values=())
             values = np.geomspace(start, stop, count)
         else:
             values = np.linspace(start, stop, count)
@@ -550,21 +526,15 @@ class SweepAxis:
 class SweepSpec:
     template: dict
     axes: tuple
-    parallelism: int
     out_dir: str
+    parallelism: int = _num(1, integer=True, minimum=1)
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=".") -> "SweepSpec":
-        issues = _Issues()
-        if not isinstance(doc, dict):
-            issues.add("", "document must be an object")
-            issues.raise_if_any("sweep")
-        _check_known(doc, ("template", "axes", "parallelism", "out_dir"),
-                     "", issues)
+        issues, values = _document(cls, doc, "sweep", "sweep")
         template = doc.get("template")
         if not isinstance(template, dict):
             issues.add("template", "must be a scenario object")
-            template = {}
         axes_doc = doc.get("axes")
         axes = []
         if not isinstance(axes_doc, list) or not axes_doc:
@@ -575,17 +545,9 @@ class SweepSpec:
                     issues.add(f"axes[{i}]", "must be an object")
                     continue
                 axes.append(SweepAxis.from_dict(axis, issues, f"axes[{i}]"))
-        parallelism = _integer(doc, "parallelism", "parallelism", issues,
-                               default=1, minimum=1)
-        out_dir = doc.get("out_dir", "sweep")
-        if not isinstance(out_dir, str) or not out_dir:
-            issues.add("out_dir", "must be a nonempty path")
-            out_dir = "sweep"
         issues.raise_if_any("sweep")
-        spec = cls(template=template, axes=tuple(axes),
-                   parallelism=parallelism, out_dir=out_dir)
-        first = spec.point(0)
-        ScenarioConfig.from_dict(first, base_dir=base_dir)
+        spec = cls(template=template, axes=tuple(axes), **values)
+        ScenarioConfig.from_dict(spec.point(0), base_dir=base_dir)
         return spec
 
     @property
@@ -632,29 +594,22 @@ def load_sweep(path) -> SweepSpec:
 @dataclass(frozen=True)
 class PumpSpec:
     polarization: str
-    Omega_over_Gamma: float
-    duration_us: float
-    gamma_2pi_MHz: float
     initial: tuple
-    n_samples: int
-    gamma_gg: float
-    steady: bool
     out_dir: str
+    Omega_over_Gamma: float = _num(required=True, minimum=0.0)
+    duration_us: float = _num(required=True, minimum=0.0, exclusive=True)
+    gamma_2pi_MHz: float = _num(UnitSystem.gamma_2pi_MHz, minimum=0.0,
+                                exclusive=True)
+    n_samples: int = _num(201, integer=True, minimum=2)
+    gamma_gg: float = _num(0.0, minimum=0.0)
+    steady: bool = field(default=True, metadata={"key": "steady_state"})
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PumpSpec":
-        issues = _Issues()
-        if not isinstance(doc, dict):
-            issues.add("", "document must be an object")
-            issues.raise_if_any("pump run")
-        _check_known(doc, ("polarization", "Omega_over_Gamma", "duration_us",
-                           "gamma_2pi_MHz", "initial", "n_samples",
-                           "gamma_gg", "steady_state", "out_dir"),
-                     "", issues)
+        issues, values = _document(cls, doc, "pump run", "pump")
         polarization = doc.get("polarization")
         if polarization not in POLARIZATIONS:
             issues.add("polarization", f"must be one of {POLARIZATIONS}")
-            polarization = "sigma+"
         initial = doc.get("initial")
         if initial is None:
             initial = tuple([1.0 / 7.0] * 7)
@@ -663,38 +618,10 @@ class PumpSpec:
             if (arr.shape != (7,) or not np.isfinite(arr).all()
                     or arr.min() < 0 or arr.sum() <= 0):
                 issues.add("initial", "must be 7 finite nonnegative numbers")
-                initial = tuple([1.0 / 7.0] * 7)
             else:
                 initial = tuple(float(x) for x in arr / arr.sum())
-        steady = doc.get("steady_state", True)
-        if not isinstance(steady, bool):
-            issues.add("steady_state", "must be true or false")
-            steady = True
-        out_dir = doc.get("out_dir", "pump")
-        if not isinstance(out_dir, str) or not out_dir:
-            issues.add("out_dir", "must be a nonempty path")
-            out_dir = "pump"
-        spec = cls(
-            polarization=polarization,
-            Omega_over_Gamma=_number(doc, "Omega_over_Gamma",
-                                     "Omega_over_Gamma", issues,
-                                     required=True, minimum=0.0) or 0.0,
-            duration_us=_number(doc, "duration_us", "duration_us", issues,
-                                required=True, minimum=0.0, exclusive=True)
-            or 1.0,
-            gamma_2pi_MHz=_number(doc, "gamma_2pi_MHz", "gamma_2pi_MHz",
-                                  issues, default=UnitSystem().gamma_2pi_MHz,
-                                  minimum=0.0, exclusive=True),
-            initial=initial,
-            n_samples=_integer(doc, "n_samples", "n_samples", issues,
-                               default=201, minimum=2),
-            gamma_gg=_number(doc, "gamma_gg", "gamma_gg", issues,
-                             default=0.0, minimum=0.0),
-            steady=steady,
-            out_dir=out_dir,
-        )
         issues.raise_if_any("pump run")
-        return spec
+        return cls(polarization=polarization, initial=initial, **values)
 
     def pump_config(self) -> PumpConfig:
         units = UnitSystem(gamma_2pi_MHz=self.gamma_2pi_MHz)

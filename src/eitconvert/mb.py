@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atoms import ConversionScheme
-from .errors import StiffnessError, ValidityWarning
+from .errors import GridBudgetError, StiffnessError, ValidityWarning
 from .fields import CoherenceField
 from .theory import (LN2, pulse_bandwidth, pulse_energy, read_channel,
                      write_channel)
@@ -69,6 +69,17 @@ __all__ = [
     "run_protocol",
     "run_original_readout",
 ]
+
+# largest n_t run_protocol sizes on its own: tests, figures, demos and
+# benchmark items use at most 11265 steps, and 2**20 steps take about
+# three minutes at n_z = 200 (the (n_t, 2) complex exit table alone is
+# 32 MB).  A read/write control ratio of 0.01 at D_p = 500, ccp2 = 10
+# would ask for about 2.4e8.
+MAX_N_T = 1 << 20
+# a run whose dissipated energy falls below -LEDGER_TOL of the input has
+# diverged; every test, figure, demo and benchmark item dissipates at
+# least +6.9e-4 of its input, diverged runs -0.28 and below
+LEDGER_TOL = 1e-2
 
 
 def _smoothstep(x):
@@ -233,7 +244,11 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     grid is (n_z, n_t); n_t = 0 or a missing grid picks the step count from
     the stiffness rule dt <= 0.1 / max{Gamma, |a Omega|, pulse bandwidth}.
     The rate that set the bound is recorded as diagnostics["dt_limit"].
-    A forced n_t that violates that rule raises StiffnessError.  grid_check
+    A forced n_t that violates that rule raises StiffnessError, and so does
+    a run whose energy ledger shows it diverged (an energy not finite, or
+    dissipated below -LEDGER_TOL of the input).  An automatic n_t, or the
+    doubled one of grid_check, above MAX_N_T raises GridBudgetError before
+    anything is allocated; a forced n_t is taken as given.  grid_check
     reruns at doubled resolution and stores the relative change of the
     converted (or transmitted) energy in the diagnostics.
     """
@@ -258,6 +273,16 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     dt_max = 0.1 / rates[dt_limit]
     if n_t <= 0:
         n_t = int(math.ceil((t_end - t_start) / dt_max)) + 1
+        if n_t > MAX_N_T:
+            raise GridBudgetError(
+                f"time grid needs n_t = {n_t} steps for dt <= {dt_max:.3e} "
+                f"(limit {dt_limit}), above the budget of {MAX_N_T}; set "
+                f"grid.n_t to force a size")
+    if grid_check and 2 * n_t - 1 > MAX_N_T:
+        raise GridBudgetError(
+            f"grid check needs n_t = {2 * n_t - 1} steps, above the budget "
+            f"of {MAX_N_T}; run without the grid check or set a smaller "
+            f"grid.n_t")
     dt = (t_end - t_start) / (n_t - 1)
     if dt > dt_max * (1.0 + 1e-9):
         raise StiffnessError(
@@ -384,6 +409,12 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
         "residual_stored": e_resid,
         "dissipated": e_in - e_trans - e_conv - e_resid,
     }
+    if not (all(map(math.isfinite, energies.values()))
+            and energies["dissipated"] >= -LEDGER_TOL * e_in):
+        raise StiffnessError(
+            f"the run diverged: dissipated energy "
+            f"{energies['dissipated'] / e_in:.3g} of the input at "
+            f"dt = {dt:.3e} (limit {dt_limit}); force a larger n_t")
     diagnostics = {
         "n_z": n_z, "n_t": n_t, "dt": dt, "dt_max": dt_max,
         "dt_limit": dt_limit,

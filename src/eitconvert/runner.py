@@ -24,7 +24,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -298,11 +298,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, engines=None,
         "config": config.raw,
         "version": __version__,
         "created_unix": time.time(),
-        "controls": {
-            "T_p": controls.T_p, "Omega_w": controls.Omega_w,
-            "Omega_r": controls.Omega_r, "eta": controls.eta,
-            "kappa": controls.kappa, "t_s": controls.t_s,
-        },
+        "controls": asdict(controls),
         "engines": {o.engine: o.summary for o in outputs},
         "comparison": comparison,
         "files": [],

@@ -38,14 +38,12 @@ from .theory import LN2, pulse_bandwidth
 
 __all__ = [
     "SpectralGrid",
-    "TransferFunctions",
     "ConvertedFieldResult",
     "TransmittedFieldResult",
     "spectrum_from_time",
     "time_from_spectrum",
     "gaussian_probe_spectrum",
-    "probe_transfer",
-    "read_transfer",
+    "channel_transfer",
     "stored_coherence_exact",
     "converted_field_exact",
     "transmitted_probe",
@@ -187,23 +185,14 @@ def gaussian_probe_spectrum(grid: SpectralGrid, T_p: float,
 # transfer functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransferFunctions:
-    """Per-subsystem adiabatic amplitudes and propagation exponents.
+def channel_transfer(scheme: ConversionScheme, channel: str, Omega: complex,
+                     omega: np.ndarray, truncate_A: bool = False,
+                     truncate_f: bool = False):
+    """Transfer functions of the "write" or "read" channel on omega.
 
-    A arrays have shape (n_subsystems, n_omega); f arrays (n_omega,).
-    Unfilled channel entries are None.
+    Returns (A, f): the per-subsystem adiabatic amplitudes, shape
+    (n_subsystems, n_omega), and the propagation exponent, shape (n_omega,).
     """
-
-    omega: np.ndarray
-    A_w: np.ndarray = None
-    f_w: np.ndarray = None
-    A_r: np.ndarray = None
-    f_r: np.ndarray = None
-
-
-def _channel_transfer(scheme, channel, Omega, omega, truncate_A, truncate_f):
-    """Build (A, f) for one channel on the omega grid."""
     ch = scheme.channel(channel)
     absW2 = abs(Omega) ** 2
     if absW2 == 0:
@@ -226,24 +215,6 @@ def _channel_transfer(scheme, channel, Omega, omega, truncate_A, truncate_f):
         f = (1j * omega * (ch.alpha * ch.Gamma / (L * absW2))
              * weighted.sum(axis=0))
     return A, f
-
-
-def probe_transfer(scheme: ConversionScheme, Omega_w: complex,
-                   grid: SpectralGrid, truncate_A: bool = False,
-                   truncate_f: bool = False) -> TransferFunctions:
-    """Write-channel transfer functions on the grid."""
-    A, f = _channel_transfer(scheme, "write", Omega_w, grid.omega,
-                             truncate_A, truncate_f)
-    return TransferFunctions(omega=grid.omega, A_w=A, f_w=f)
-
-
-def read_transfer(scheme: ConversionScheme, Omega_r: complex,
-                  grid: SpectralGrid, truncate_A: bool = False,
-                  truncate_f: bool = False) -> TransferFunctions:
-    """Read-channel transfer functions on the grid."""
-    A, f = _channel_transfer(scheme, "read", Omega_r, grid.omega,
-                             truncate_A, truncate_f)
-    return TransferFunctions(omega=grid.omega, A_r=A, f_r=f)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +264,15 @@ def stored_coherence_exact(scheme: ConversionScheme, Omega_w: complex,
     """
     spec = _as_spectrum(probe_spectrum, grid)
     _check_aliasing(grid.omega, spec, "input probe")
-    tf = probe_transfer(scheme, Omega_w, grid, truncate_A, truncate_f)
+    A_w, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
+                                truncate_A, truncate_f)
     z = grid.z_samples(scheme.length)
     # Only bins carrying probe amplitude contribute to the integral, and
     # the input spectrum is narrow next to the full grid span, so skip the
     # silent bins instead of building the full (n_omega, n_z) table.
     act = np.abs(spec) > 1e-16 * np.abs(spec).max()
-    propagator = np.exp(-tf.f_w[act][:, None] * z[None, :])
-    kern = (tf.A_w[:, act] * spec[None, act]
+    propagator = np.exp(-f_w[act][:, None] * z[None, :])
+    kern = (A_w[:, act] * spec[None, act]
             * np.exp(-1j * grid.omega[act] * t_w)[None, :]) * (grid.d_omega / _SQRT_2PI)
     sigma = (scheme.p * scheme.R_p / Omega_w)[:, None] * (kern @ propagator)
     return CoherenceField(z=z, sigma=sigma, t=t_w, j=scheme.j)
@@ -336,7 +308,8 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     transform to the time domain.  The quadrature flag compares the full
     z sampling against a half-density subsample (Richardson style).
     """
-    tf = read_transfer(scheme, Omega_r, grid, truncate_A, truncate_f)
+    A_r, f_r = channel_transfer(scheme, "read", Omega_r, grid.omega,
+                                truncate_A, truncate_f)
     L = scheme.length
     # 1/sqrt(2 pi): the stored coherence enters the one-sided transform
     # as an initial-condition source, which carries this factor in the
@@ -364,13 +337,13 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
         for lo in range(0, grid.n_omega, block):
             sl = slice(lo, min(lo + block, grid.n_omega))
             # last row carries the remaining path from z_last to L
-            q = np.exp(-tf.f_r[sl][None, :] * spacing[:, None])
+            q = np.exp(-f_r[sl][None, :] * spacing[:, None])
             acc = np.repeat(columns[0], q.shape[1], axis=1)
             for k in range(1, z.size):
                 acc *= q[which[k - 1]]
                 acc += columns[k]
             acc *= q[-1]
-            out[sl] = pref * (scheme.R_c[:, None] * tf.A_r[:, sl]
+            out[sl] = pref * (scheme.R_c[:, None] * A_r[:, sl]
                               * acc).sum(axis=0)
         return out
 
@@ -418,8 +391,9 @@ def transmitted_probe(scheme: ConversionScheme, Omega_w: complex,
     """Propagate the probe through the whole medium with the control held on."""
     spec_in = _as_spectrum(probe_spectrum, grid)
     _check_aliasing(grid.omega, spec_in, "input probe")
-    tf = probe_transfer(scheme, Omega_w, grid, truncate_A, truncate_f)
-    spec_out = spec_in * np.exp(-tf.f_w * scheme.length)
+    _, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
+                              truncate_A, truncate_f)
+    spec_out = spec_in * np.exp(-f_w * scheme.length)
     t, wave = time_from_spectrum(grid.omega, spec_out)
     return TransmittedFieldResult(
         omega=grid.omega, spectrum=spec_out, t=t, waveform=wave,

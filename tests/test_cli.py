@@ -154,6 +154,26 @@ class TestScenarioCommand:
         assert "numerical failure" in err
         assert "n_omega = 8388608" in err and "4194304" in err
 
+    def test_time_grid_over_budget_exits_3(self, tmp_path, capsys):
+        """Refused before the exit table (7.8 GB here) is allocated."""
+        doc = minimal_doc(engines=["mb"])
+        doc["protocol"]["control_ratio"] = 0.01
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "n_t = 242624541" in err and "1048576" in err
+
+    def test_time_grid_check_over_budget_exits_3(self, tmp_path, capsys):
+        """The doubled time grid is refused before the coarse run."""
+        doc = minimal_doc(engines=["mb"], grid={"n_t": 1 << 20})
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out"),
+                     "--grid-check"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "n_t = 2097151" in err and "1048576" in err
+
     def test_nonfinite_populations_exit_2(self, tmp_path, capsys):
         doc = minimal_doc()
         doc["scheme"] = {"kind": "cesium-d1", "direction": "sigma-->sigma+",

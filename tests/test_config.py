@@ -450,6 +450,114 @@ class TestPumpSpec:
         assert sum(spec.initial) == 1.0
 
 
+def bound_doc(kind, path, value):
+    """A valid document of the given kind with one field set to value.
+
+    A field with a one-of partner (D_c / ccp2, eta / Omega_w) is set next
+    to that partner, so a rejected value leaves no second issue behind.
+    """
+    if kind == "pump":
+        return {"polarization": "pi", "Omega_over_Gamma": 1.0,
+                "duration_us": 1.0, path: value}
+    if kind == "sweep":
+        axis = {"path": "protocol.eta", "start": 2.0, "stop": 4.0,
+                "count": 3}
+        doc = {"template": minimal_doc(), "axes": [axis]}
+        if path == "axes[0].count":
+            axis["count"] = value
+        else:
+            doc[path] = value
+        return doc
+    if kind in ("cesium", "trajectory"):
+        doc = cesium_doc(np.full(7, 1 / 7))
+        if kind == "trajectory":
+            del doc["scheme"]["populations"]
+            doc["scheme"]["pump_trajectory"] = "traj.csv"
+    else:
+        doc = minimal_doc()
+        if kind == "single-dc":
+            del doc["scheme"]["ccp2"]
+            doc["scheme"]["D_c"] = 100.0
+        elif kind == "omega-w":
+            doc["protocol"] = {"Omega_w": 5.0, "kappa": 1.35}
+    set_by_path(doc, path, value)
+    return doc
+
+
+def load_bound_doc(kind, doc):
+    if kind == "pump":
+        return PumpSpec.from_dict(doc)
+    if kind == "sweep":
+        return SweepSpec.from_dict(doc)
+    return ScenarioConfig.from_dict(doc)
+
+
+# (document kind, field path, out-of-bound value, boundary value; None
+# where the bound is exclusive or the rule is "nonzero")
+FIELD_BOUNDS = [
+    ("single", "scheme.D_p", 0.0, None),
+    ("single", "scheme.D_c", 0.0, None),
+    ("single-dc", "scheme.ccp2", 0.0, None),
+    ("single", "scheme.R_p", 0.0, None),
+    ("single", "scheme.R_c", 0.0, None),
+    ("single", "scheme.gamma_sg", -0.1, 0.0),
+    ("cesium", "scheme.gamma_sg", -0.1, 0.0),
+    ("cesium", "scheme.alpha_p", 0.0, None),
+    ("cesium", "scheme.alpha_c", 0.0, None),
+    ("trajectory", "scheme.pump_time_us", -0.1, 0.0),
+    ("single", "units.gamma_2pi_MHz", 0.0, None),
+    ("single", "units.T_p_us", 0.0, None),
+    ("single", "protocol.kappa", 0.0, None),
+    ("single", "protocol.t_s_us", -0.1, 0.0),
+    ("omega-w", "protocol.eta", 0.0, None),
+    ("single", "protocol.Omega_w", 0.0, None),
+    ("single", "protocol.Omega_r", 0.0, None),
+    ("single", "protocol.control_ratio", 0.0, None),
+    ("single", "grid.n_z", 7, 8),
+    ("single", "grid.n_t", 1, 2),
+    ("single", "grid.n_omega", 15, 16),
+    ("single", "grid.omega_max", 0.0, None),
+    ("single", "grid.ramp_fraction", -0.1, 0.0),
+    ("pump", "Omega_over_Gamma", -0.1, 0.0),
+    ("pump", "duration_us", 0.0, None),
+    ("pump", "gamma_2pi_MHz", 0.0, None),
+    ("pump", "n_samples", 1, 2),
+    ("pump", "gamma_gg", -0.1, 0.0),
+    ("sweep", "parallelism", 0, 1),
+    ("sweep", "axes[0].count", 0, 1),
+]
+
+
+class TestFieldBounds:
+    @pytest.mark.parametrize(
+        "kind, path, bad",
+        [(kind, path, bad) for kind, path, bad, _ in FIELD_BOUNDS]
+        + [(kind, path, "x") for kind, path, _, _ in FIELD_BOUNDS])
+    def test_rejected_under_its_path(self, kind, path, bad):
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_bound_doc(kind, bound_doc(kind, path, bad))
+        assert set(error_paths(excinfo)) == {path}
+        assert exit_code(excinfo.value) == 2
+
+    @pytest.mark.parametrize(
+        "kind, path, edge",
+        [(kind, path, edge) for kind, path, _, edge in FIELD_BOUNDS
+         if edge is not None])
+    def test_inclusive_boundary_accepted(self, kind, path, edge):
+        load_bound_doc(kind, bound_doc(kind, path, edge))
+
+
+class TestTopLevelUnknownField:
+    @pytest.mark.parametrize("kind, key", [
+        ("single", "bogus"), ("sweep", "bogus"), ("pump", "steady"),
+    ])
+    def test_reported_under_bare_key(self, kind, key):
+        doc = bound_doc(kind, key, 1)
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_bound_doc(kind, doc)
+        assert error_paths(excinfo) == [key]
+
+
 class TestRoundTrip:
     def test_scenario_json_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -295,6 +295,17 @@ class TestNumerics:
                          timeline_for_protocol(Om, Om, T_P, KAPPA),
                          grid=(4, 0))
 
+    def test_diverged_run_rejected(self):
+        """At high read depth the step rule misses a rate.  Unguarded, this
+        run returned xi_total 2.0 with dissipated -1.02 x input; the
+        energy ledger refuses it."""
+        sch = single_lambda_scheme(100.0, 2500.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        with pytest.raises(StiffnessError, match=r"dt = .* \(limit \w+\)"):
+            run_protocol(sch, GaussianPulse(T_p=T_P),
+                         timeline_for_protocol(Om, Om, T_P, KAPPA),
+                         grid=(16, 0))
+
     def test_grid_doubling_convergence(self):
         sch = single_lambda_scheme(D, D)
         Om = control_for_eta(sch, ETA, T_P)

@@ -35,9 +35,8 @@ from eitconvert import (
     converted_field_exact,
     converted_spectrum,
     gaussian_probe_spectrum,
-    probe_transfer,
+    channel_transfer,
     read_channel,
-    read_transfer,
     single_lambda_scheme,
     spectrum_from_time,
     stored_coherence_exact,
@@ -83,8 +82,8 @@ def _truncated_channel(channel):
     """
     if channel == "write":
         sch, Om, w, grid = _fig2_setup()
-        tf = probe_transfer(sch, Om, grid, truncate_f=True)
-        return sch, grid, tf.f_w, w.T_d, w.delta_omega_w
+        _, f = channel_transfer(sch, "write", Om, grid.omega, truncate_f=True)
+        return sch, grid, f, w.T_d, w.delta_omega_w
     pop = PopulationDistribution(p=np.array([0.3, 0, 0.1, 0.2, 0, 0.1, 0.3]))
     sch = build_cesium_d1_scheme("plus_to_minus", pop, 500.0, 300.0,
                                  Gamma_r=1.7)
@@ -93,8 +92,8 @@ def _truncated_channel(channel):
     w = write_channel(sch, Om, T_P, KAPPA)
     r = read_channel(sch, Om_r, w)
     grid = SpectralGrid.for_protocol(sch, Om, T_P, Om_r)
-    tf = read_transfer(sch, Om_r, grid, truncate_f=True)
-    return sch, grid, tf.f_r, r.T_d_read, r.delta_omega_r
+    _, f = channel_transfer(sch, "read", Om_r, grid.omega, truncate_f=True)
+    return sch, grid, f, r.T_d_read, r.delta_omega_r
 
 
 class TestFourierHelpers:
@@ -138,13 +137,13 @@ class TestFourierHelpers:
 class TestTransferFunctions:
     def test_resonant_bin(self):
         sch, Om, w, grid = _fig2_setup()
-        tf = probe_transfer(sch, Om, grid)
+        A_w, f_w = channel_transfer(sch, "write", Om, grid.omega)
         k0 = grid.n_omega // 2
         assert grid.omega[k0] == 0.0
-        assert tf.A_w[:, k0] == pytest.approx(-1.0, abs=1e-15)
-        assert tf.f_w[k0] == 0.0
-        tr = read_transfer(sch, Om, grid)
-        assert tr.A_r[:, k0] == pytest.approx(-1.0, abs=1e-15)
+        assert A_w[:, k0] == pytest.approx(-1.0, abs=1e-15)
+        assert f_w[k0] == 0.0
+        A_r, _ = channel_transfer(sch, "read", Om, grid.omega)
+        assert A_r[:, k0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_exponent_matches_steady_state_susceptibility(self):
         """f against the stationary weak-probe response, solved by hand.
@@ -167,7 +166,7 @@ class TestTransferFunctions:
                                          Gamma_w=rng.uniform(0.5, 2.0))
             Om = rng.uniform(0.5, 4.0) * np.exp(2j * math.pi * rng.uniform())
             grid = SpectralGrid(omega_max=rng.uniform(5.0, 40.0), n_omega=64)
-            tf = probe_transfer(sch, Om, grid)
+            _, f_w = channel_transfer(sch, "write", Om, grid.omega)
             om = grid.omega
             f = np.zeros_like(om, dtype=complex)
             G = sch.Gamma_w
@@ -179,12 +178,12 @@ class TestTransferFunctions:
                 f += (sch.alpha_p * G / (4.0 * sch.length)
                       * sch.p[j] * sch.a_p[j] ** 2 * (-1j * om) / den)
             scale = np.abs(f).max()
-            assert np.max(np.abs(tf.f_w - f)) < 1e-12 * scale
+            assert np.max(np.abs(f_w - f)) < 1e-12 * scale
 
     def test_passivity(self):
         sch, Om, w, grid = _fig2_setup()
-        tf = probe_transfer(sch, Om, grid)
-        assert np.min(tf.f_w.real) > -1e-15
+        _, f_w = channel_transfer(sch, "write", Om, grid.omega)
+        assert np.min(f_w.real) > -1e-15
 
     @pytest.mark.parametrize("channel", ["write", "read"])
     def test_truncated_window_is_exact_gaussian(self, channel):
@@ -202,8 +201,8 @@ class TestTransferFunctions:
 
     def test_exact_window_near_gaussian_in_core(self):
         sch, Om, w, grid = _fig2_setup()
-        tf = probe_transfer(sch, Om, grid)
-        win = np.abs(np.exp(-tf.f_w * sch.length)) ** 2
+        _, f_w = channel_transfer(sch, "write", Om, grid.omega)
+        win = np.abs(np.exp(-f_w * sch.length)) ** 2
         gauss = np.exp(-4.0 * LN2 * (grid.omega / w.delta_omega_w) ** 2)
         core = np.abs(grid.omega) <= w.delta_omega_w / 3.0
         assert np.max(np.abs(win[core] - gauss[core])) < 0.01
@@ -366,17 +365,17 @@ class TestConvertedField:
 
 def _direct_readout(sch, stored, Om_r, grid):
     """Read-out quadrature through the full (n_omega, n_z) exp table."""
-    tf = read_transfer(sch, Om_r, grid)
+    A_r, f_r = channel_transfer(sch, "read", Om_r, grid.omega)
     z, L = stored.z, sch.length
     w = np.empty_like(z)
     w[0] = 0.5 * (z[1] - z[0])
     w[-1] = 0.5 * (z[-1] - z[-2])
     w[1:-1] = 0.5 * (z[2:] - z[:-2])
-    kern = np.exp(-tf.f_r[:, None] * (L - z)[None, :])
+    kern = np.exp(-f_r[:, None] * (L - z)[None, :])
     inner = (stored.sigma * w[None, :]) @ kern.T
     pref = sch.alpha_c * sch.Gamma_r / (math.sqrt(2.0 * math.pi) * L
                                         * np.conj(Om_r))
-    return pref * (sch.R_c[:, None] * tf.A_r * inner).sum(axis=0)
+    return pref * (sch.R_c[:, None] * A_r * inner).sum(axis=0)
 
 
 def _readout_case(kind):
