@@ -3,8 +3,7 @@
 Every export in the package is CSV with a single header row.  Floats are
 written with ``repr``, the shortest digit string that round-trips in IEEE
 double, so re-running a scenario with identical inputs yields a
-byte-identical file body.  Complex columns are split into ``<name>_re`` /
-``<name>_im`` pairs.
+byte-identical file body.
 """
 
 from __future__ import annotations
@@ -17,39 +16,20 @@ __all__ = [
 ]
 
 
-def format_float(x) -> str:
-    """Shortest round-trip decimal form of a float (deterministic)."""
-    return repr(float(x))
-
-
-def _split_complex(header, columns):
-    """Expand complex columns into _re/_im float pairs."""
-    out_names, out_cols = [], []
-    for name, col in zip(header, columns):
-        col = np.asarray(col)
-        if np.iscomplexobj(col):
-            out_names.extend([name + "_re", name + "_im"])
-            out_cols.extend([col.real.astype(float), col.imag.astype(float)])
-        else:
-            out_names.append(name)
-            out_cols.append(col.astype(float))
-    return out_names, out_cols
-
-
 def write_csv(path, header, columns) -> None:
-    """Write named columns (equal length 1-D arrays) as CSV.
+    """Write named real columns (equal length 1-D arrays) as CSV.
 
     Bodies are byte-stable: no timestamps, repr-formatted floats, newline
     terminated rows.
     """
-    header, columns = _split_complex(header, columns)
+    columns = [np.asarray(c, dtype=float) for c in columns]
     n = {len(c) for c in columns}
     if len(n) > 1:
         raise ValueError(f"column lengths differ: {sorted(n)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def read_csv(path):

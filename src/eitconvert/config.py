@@ -93,6 +93,26 @@ def _block(doc, key, issues, required=True):
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(number) -> bool:
+    """True if number converts to a finite float; a JSON integer may not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
+def _population_vector(value):
+    """value as an array of 7 finite numbers, or None if it is not one."""
+    if (isinstance(value, (list, tuple)) and len(value) == 7
+            and all(_is_number(x) and _finite(x) for x in value)):
+        return np.array(value, dtype=float)
+    return None
+
+
 def _number(block, key, path, issues, default=None, required=False,
             minimum=None, exclusive=False, integer=False, nonzero=False):
     """block[key] as a float (an int if integer), or default when it is
@@ -102,13 +122,13 @@ def _number(block, key, path, issues, default=None, required=False,
             issues.add(path, "missing")
         return default
     value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         issues.add(path, "must be a number")
         return default
-    value = float(value)
-    if not math.isfinite(value):
+    if not _finite(value):
         issues.add(path, "must be finite")
         return default
+    value = float(value)
     if minimum is not None:
         if exclusive and not value > minimum:
             issues.add(path, f"must be greater than {minimum:g}")
@@ -246,8 +266,8 @@ class SchemeSpec:
             issues.add(f"{path}.pump_time_us",
                        "has no effect without pump_trajectory")
         if populations is not None:
-            arr = np.asarray(populations, dtype=float)
-            if arr.shape != (7,) or not np.isfinite(arr).all():
+            arr = _population_vector(populations)
+            if arr is None:
                 issues.add(f"{path}.populations", "must be 7 finite numbers")
             else:
                 populations = tuple(float(x) for x in arr)
@@ -494,9 +514,8 @@ class SweepAxis:
                     issues.add(f"{path}.{key}", "has no effect next to values")
             values = block["values"]
             if (not isinstance(values, list) or not values
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool)
-                               and math.isfinite(v) for v in values)):
+                    or not all(_is_number(v) and _finite(v)
+                               for v in values)):
                 issues.add(f"{path}.values",
                            "must be a nonempty list of finite numbers")
                 values = []
@@ -614,9 +633,8 @@ class PumpSpec:
         if initial is None:
             initial = tuple([1.0 / 7.0] * 7)
         else:
-            arr = np.asarray(initial, dtype=float)
-            if (arr.shape != (7,) or not np.isfinite(arr).all()
-                    or arr.min() < 0 or arr.sum() <= 0):
+            arr = _population_vector(initial)
+            if arr is None or arr.min() < 0 or arr.sum() <= 0:
                 issues.add("initial", "must be 7 finite nonnegative numbers")
             else:
                 initial = tuple(float(x) for x in arr / arr.sum())

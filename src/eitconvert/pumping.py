@@ -16,6 +16,7 @@ the m = +3 edge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,20 +42,31 @@ _N = 14
 _POLARIZATIONS = {"sigma+": 1, "pi": 0, "sigma-": -1}
 
 
-def pump_couplings() -> dict:
-    """Coupling coefficients b_{q,m} = <3,m;1,q|3,m+q> per polarization.
+@functools.cache
+def _transitions() -> dict:
+    """Transition matrices T_q[e(m+q), g(m)] = b_{q,m} per polarization.
 
-    Arrays are indexed by m = -3..3 (ground-state label); entries whose
-    target m+q falls outside the manifold are zero.
+    Built once and read-only, as every generator shares them.
     """
     out = {}
     for name, q in _POLARIZATIONS.items():
-        b = np.zeros(_N_G)
+        T = np.zeros((_N, _N))
         for i, m in enumerate(ZEEMAN_M):
             if abs(m + q) <= 3:
-                b[i] = clebsch_gordan(3, m, 1, q, 3, m + q)
-        out[name] = b
+                T[_N_G + i + q, i] = clebsch_gordan(3, m, 1, q, 3, m + q)
+        T.setflags(write=False)
+        out[name] = T
     return out
+
+
+def pump_couplings() -> dict:
+    """Coupling coefficients b_{q,m} = <3,m;1,q|3,m+q> per polarization.
+
+    Fresh arrays indexed by m = -3..3 (ground-state label); entries whose
+    target m+q falls outside the manifold are zero.
+    """
+    return {name: T[:, :_N_G].sum(axis=0)
+            for name, T in _transitions().items()}
 
 
 @dataclass(frozen=True)
@@ -130,19 +142,6 @@ class DensityMatrix14:
             raise SchemeError("negative population beyond the numeric floor")
 
 
-def _lowering_operators(Gamma: float, couplings: dict) -> list[np.ndarray]:
-    """sqrt(Gamma)-scaled emission operators, one per polarization."""
-    ops = []
-    for name, q in _POLARIZATIONS.items():
-        b = couplings[name]
-        A = np.zeros((_N, _N))
-        for i, m in enumerate(ZEEMAN_M):
-            if abs(m + q) <= 3:
-                A[i, _N_G + i + q] = b[i]
-        ops.append(math.sqrt(Gamma) * A)
-    return ops
-
-
 def build_pump_generator(config: PumpConfig):
     """Right-hand side drho/dt for the pumped 14-level system.
 
@@ -151,28 +150,19 @@ def build_pump_generator(config: PumpConfig):
     frame at resonance and the renormalized decay channels; an optional
     pure dephasing gamma_gg acts on ground-ground coherences.
     """
-    couplings = pump_couplings()
-    H = np.zeros((_N, _N), dtype=complex)
-    for name, q in _POLARIZATIONS.items():
-        Om = config.rabi[name]
-        if Om == 0.0:
-            continue
-        b = couplings[name]
-        for i, m in enumerate(ZEEMAN_M):
-            if abs(m + q) <= 3:
-                H[_N_G + i + q, i] += -0.5 * Om * b[i]
-    H = H + H.conj().T
-
-    lowering = _lowering_operators(config.Gamma, couplings)
+    table = _transitions()
+    drive = -0.5 * sum(config.rabi[name] * T for name, T in table.items())
+    H = drive + drive.T
+    lowering = [math.sqrt(config.Gamma) * T.T for T in table.values()]
     # sum A^+A is Gamma times the excited projector; precompute half of it
-    half_aa = 0.5 * sum(A.conj().T @ A for A in lowering)
+    half_aa = 0.5 * sum(A.T @ A for A in lowering)
     gamma_gg = config.gamma_gg
 
     def generator(rho: np.ndarray) -> np.ndarray:
         out = -1j * (H @ rho - rho @ H)
         out -= half_aa @ rho + rho @ half_aa
         for A in lowering:
-            out += A @ rho @ A.conj().T
+            out += A @ rho @ A.T
         if gamma_gg > 0.0:
             gg = rho[:_N_G, :_N_G]
             damp = gamma_gg * (gg - np.diag(gg.diagonal()))
@@ -212,23 +202,14 @@ class PumpTrajectory:
         write_csv(path, header, cols)
 
 
-def _rk4_step(generator, rho: np.ndarray, dt: float) -> np.ndarray:
-    k1 = generator(rho)
-    k2 = generator(rho + 0.5 * dt * k1)
-    k3 = generator(rho + 0.5 * dt * k2)
-    k4 = generator(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _real_matrix(linear_map) -> np.ndarray:
     """A linear map of Hermitian rho as a real 196x196 matrix.
 
     A Hermitian rho is stored as X = Re(rho) + Im(rho), flattened row by
     row (see _real_form); the diagonal of X holds the populations, and
-    rho = (X + X^T)/2 + i (X - X^T)/2.  The generator, and so an RK4 step
-    of it, maps Hermitian matrices to Hermitian matrices, so the map is
-    real-linear in X and column j is the map applied to the rho of the
-    j-th unit X.  Real arithmetic halves the work of the complex form,
+    rho = (X + X^T)/2 + i (X - X^T)/2.  The generator maps Hermitian
+    matrices to Hermitian matrices, so the map is real-linear in X and
+    column j is the map applied to the rho of the j-th unit X.  Real arithmetic halves the work of the complex form,
     and the real product stays in one BLAS thread, where a complex one of
     this size is split across threads that stall when the cores are busy.
     """
@@ -275,11 +256,12 @@ def evolve_pumping(config: PumpConfig, initial,
     populations, or a DensityMatrix14.  Samples are taken on a uniform
     grid of n_samples points including both endpoints.  Each sample
     interval is split into the fewest RK4 substeps no longer than dt.
-    The generator does not depend on time, so the substep is built once
-    as a real 196x196 matrix on the 196 real numbers of rho and every
-    substep is one matrix-vector product.  A trace drift beyond 1e-6
-    aborts with StiffnessError, since the generator conserves trace
-    exactly and any drift is integration error.
+    The generator does not depend on time, so it is built once as a real
+    196x196 matrix on the 196 real numbers of rho, the substep is a
+    polynomial in that matrix, and every substep is one matrix-vector
+    product.  A trace drift beyond 1e-6 aborts with StiffnessError, since
+    the generator conserves trace exactly and any drift is integration
+    error.
     """
     vec = _initial_vector(initial)
     if n_samples < 2:
@@ -291,30 +273,34 @@ def evolve_pumping(config: PumpConfig, initial,
     interval = config.duration / (n_samples - 1)
     n_sub = max(1, math.ceil(interval / dt - 1e-12))
     h = interval / n_sub
-    generator = build_pump_generator(config)
-    step = _real_matrix(lambda rho: _rk4_step(generator, rho, h))
-    ground = np.empty((n_samples, _N_G))
-    excited = np.empty(n_samples)
-
-    diagonal = slice(None, None, _N + 1)
-    ground[0] = vec[diagonal][:_N_G]
-    excited[0] = vec[diagonal][_N_G:].sum()
+    # for a constant linear generator L an RK4 substep is exactly the
+    # Taylor polynomial I + hL(I + hL/2(I + hL/3(I + hL/4))), built here
+    # by Horner's rule in place: no more than three 196x196 arrays
+    hL = h * _real_matrix(build_pump_generator(config))
+    step = hL / 4.0
+    step.flat[::_N * _N + 1] += 1.0
+    term = np.empty_like(step)
+    for c in (3.0, 2.0, 1.0):
+        np.matmul(hL, step, out=term)
+        term /= c
+        term.flat[::_N * _N + 1] += 1.0
+        step, term = term, step
+    pops = np.empty((n_samples, _N))
+    pops[0] = vec[::_N + 1]
     for k in range(1, n_samples):
         for _ in range(n_sub):
             vec = step @ vec
-        pops = vec[diagonal]
-        tr = pops.sum()
+        pops[k] = vec[::_N + 1]
+        tr = pops[k].sum()
         if not abs(tr - 1.0) <= 1e-6:
             # written so a NaN trace (diverged step) also lands here
             raise StiffnessError(
                 f"trace drifted to {tr:.8f} by t = {t_samples[k]:.3f}; "
                 f"reduce dt (currently {dt:.3e})")
-        ground[k] = pops[:_N_G]
-        excited[k] = pops[_N_G:].sum()
 
-    return PumpTrajectory(t=t_samples, ground=ground,
-                          excited_fraction=excited, config=config,
-                          dt=h, substeps=n_sub)
+    return PumpTrajectory(t=t_samples, ground=pops[:, :_N_G],
+                          excited_fraction=pops[:, _N_G:].sum(axis=1),
+                          config=config, dt=h, substeps=n_sub)
 
 
 def steady_state(config: PumpConfig, initial) -> PopulationDistribution:

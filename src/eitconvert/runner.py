@@ -115,7 +115,7 @@ def _run_analytic(scheme: ConversionScheme, config: ScenarioConfig,
     width = max(model.temporal_fwhm, 1e-9)
     t = model.t0 + np.linspace(-4.0, 4.0, 1025) * width
     waveform = decay * model.time_waveform(t)
-    summary = report.to_dict()
+    summary = asdict(report)
     summary.update({
         "converted_energy": decay * decay * model.energy,
         "input_energy": model.input_energy,

@@ -416,19 +416,6 @@ class EfficiencyReport:
     beta_w: float
     beta_r: float
 
-    def to_dict(self) -> dict:
-        return {
-            "xi1": self.xi1,
-            "xi2": self.xi2,
-            "xi_total": self.xi_total,
-            "xi_relative": self.xi_relative,
-            "delta_omega_c": self.delta_omega_c,
-            "eta": self.eta,
-            "kappa": self.kappa,
-            "beta_w": self.beta_w,
-            "beta_r": self.beta_r,
-        }
-
 
 def total_efficiency(scheme: ConversionScheme, write: WriteChannelParams,
                      read: ReadChannelParams) -> EfficiencyReport:

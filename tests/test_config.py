@@ -361,6 +361,10 @@ class TestSweepSpec:
             }]))
         with pytest.raises(ConfigValidationError):
             SweepSpec.from_dict(self.sweep_doc([{"values": [1.0]}]))
+        with pytest.raises(ConfigValidationError) as excinfo:
+            SweepSpec.from_dict(self.sweep_doc(
+                [{"path": "protocol.eta", "values": [2.0, 10 ** 400]}]))
+        assert error_paths(excinfo) == ["axes[0].values"]
 
     @pytest.mark.parametrize("extra", [
         {"start": 1.0}, {"stop": 2.0}, {"count": 3}, {"scale": "log"},
@@ -450,6 +454,39 @@ class TestPumpSpec:
         assert sum(spec.initial) == 1.0
 
 
+# not a vector of seven finite numbers: an object, strings, nested lists,
+# booleans (not numbers, as for every numeric field), a bare string and
+# an integer beyond the float range
+MALFORMED_VECTORS = [{"a": 1}, ["a"] * 7, [[0.1]] * 7, [True] * 7, "1234567",
+                     [10 ** 400] + [0] * 6]
+VECTOR_IDS = ["object", "strings", "nested", "booleans", "string",
+              "huge-int"]
+
+
+class TestPopulationVectors:
+    @pytest.mark.parametrize("value", MALFORMED_VECTORS, ids=VECTOR_IDS)
+    def test_scheme_populations_rejected_with_other_issues(self, value):
+        doc = cesium_doc(np.full(7, 1 / 7), **{"scheme.populations": value,
+                                               "protocol.kappa": -1.0})
+        with pytest.raises(ConfigValidationError) as excinfo:
+            ScenarioConfig.from_dict(doc)
+        assert error_paths(excinfo) == ["scheme.populations", "protocol.kappa"]
+        assert "scheme.populations: must be 7 finite numbers" in str(
+            excinfo.value)
+        assert exit_code(excinfo.value) == 2
+
+    @pytest.mark.parametrize("value", MALFORMED_VECTORS, ids=VECTOR_IDS)
+    def test_pump_initial_rejected_with_other_issues(self, value):
+        doc = {"polarization": "pi", "Omega_over_Gamma": 1.0,
+               "duration_us": 1.0, "n_samples": -3, "initial": value}
+        with pytest.raises(ConfigValidationError) as excinfo:
+            PumpSpec.from_dict(doc)
+        assert error_paths(excinfo) == ["n_samples", "initial"]
+        assert "initial: must be 7 finite nonnegative numbers" in str(
+            excinfo.value)
+        assert exit_code(excinfo.value) == 2
+
+
 def bound_doc(kind, path, value):
     """A valid document of the given kind with one field set to value.
 
@@ -532,7 +569,9 @@ class TestFieldBounds:
     @pytest.mark.parametrize(
         "kind, path, bad",
         [(kind, path, bad) for kind, path, bad, _ in FIELD_BOUNDS]
-        + [(kind, path, "x") for kind, path, _, _ in FIELD_BOUNDS])
+        + [(kind, path, "x") for kind, path, _, _ in FIELD_BOUNDS]
+        + [pytest.param(kind, path, 10 ** 400, id=f"{kind}-{path}-huge-int")
+           for kind, path, _, _ in FIELD_BOUNDS])
     def test_rejected_under_its_path(self, kind, path, bad):
         with pytest.raises(ConfigValidationError) as excinfo:
             load_bound_doc(kind, bound_doc(kind, path, bad))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eitconvert import SchemeError, StiffnessError, UnitSystem
+from eitconvert import SchemeError, StiffnessError, UnitSystem, pumping
 from eitconvert.atoms import ZEEMAN_M
 from eitconvert.pumping import (
     DensityMatrix14,
@@ -157,6 +157,57 @@ class TestGenerator:
         target = np.zeros((n, n))
         target[6, 6] = 1.0
         assert np.max(np.abs(kernel - target)) < 1e-12
+
+
+def count_generator_calls(monkeypatch):
+    """List that grows by one per call of any generator built from now."""
+    calls = []
+    build = pumping.build_pump_generator
+
+    def counted_build(config):
+        generator = build(config)
+
+        def counted(rho):
+            calls.append(1)
+            return generator(rho)
+
+        return counted
+
+    monkeypatch.setattr(pumping, "build_pump_generator", counted_build)
+    return calls
+
+
+class TestGeneratorTable:
+    @pytest.mark.parametrize("duration, n_samples, n_sub", [
+        (2.0, 61, 1),
+        (6.0, 13, 12),
+    ])
+    def test_one_generator_call_per_basis_state(self, monkeypatch, duration,
+                                                n_samples, n_sub):
+        calls = count_generator_calls(monkeypatch)
+        traj = evolve_pumping(PumpConfig(Omega_r_pump=1.2, duration=duration),
+                              ISO, n_samples=n_samples)
+        assert traj.substeps == n_sub
+        assert len(calls) == 196
+
+    def test_second_build_computes_no_coupling(self, monkeypatch):
+        build_pump_generator(PumpConfig(duration=1.0))
+        calls = []
+        cg = pumping.clebsch_gordan
+        monkeypatch.setattr(pumping, "clebsch_gordan",
+                            lambda *args: calls.append(args) or cg(*args))
+        build_pump_generator(PumpConfig(Omega_r_pump=1.2, duration=1.0))
+        assert calls == []
+
+    def test_written_couplings_leave_generator_unchanged(self):
+        config = PumpConfig(Omega_r_pump=1.2, Omega_pi_pump=0.3,
+                            gamma_gg=0.3, duration=1.0)
+        rho = coherent_ground_state().rho
+        before = build_pump_generator(config)(rho)
+        for b in pump_couplings().values():
+            b[:] = 7.0
+        assert np.array_equal(build_pump_generator(config)(rho), before)
+        assert pump_couplings()["pi"][3] == 0.0
 
 
 class TestEvolution:
