@@ -10,8 +10,9 @@ Flags: --out overrides the configured output directory, --engine picks
 engines (repeatable, scenario and sweep only), --grid-check turns on
 doubling validation, --format csv|json selects the scalar-report
 format.  Exit codes: 0 on success, 2 for invalid configuration or
-arguments, 3 for a numerical failure (a stiff time grid, aliasing, or an
-automatically sized grid over its budget); see errors.exit_code.
+arguments or a path that cannot be read or written, 3 for a numerical
+failure (a stiff time grid, aliasing, or an automatically sized grid
+over its budget); see errors.exit_code.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         code = exit_code(exc)
         kind = "numerical failure: " if code == 3 else ""
         print(f"error: {kind}{exc}", file=sys.stderr)

@@ -55,8 +55,9 @@ class ValidityWarning(UserWarning):
 
 def exit_code(exc: BaseException) -> int:
     """Command-line exit status of a failed run: 3 for a numerical failure
-    on a valid input, 2 for any other ValueError (invalid input)."""
-    if isinstance(exc, ValueError) and not isinstance(
+    on a valid input, 2 for any other ValueError (invalid input) and for
+    an OSError (a path that cannot be read or written)."""
+    if isinstance(exc, (ValueError, OSError)) and not isinstance(
             exc, (StiffnessError, AliasingError, GridBudgetError)):
         return 2
     return 3

@@ -142,34 +142,40 @@ class DensityMatrix14:
             raise SchemeError("negative population beyond the numeric floor")
 
 
-def build_pump_generator(config: PumpConfig):
-    """Right-hand side drho/dt for the pumped 14-level system.
-
-    Returns a closure rho -> -i[H, rho] + sum_k (A_k rho A_k^+
-    - {A_k^+ A_k, rho} / 2) with the pump Hamiltonian in the rotating
-    frame at resonance and the renormalized decay channels; an optional
-    pure dephasing gamma_gg acts on ground-ground coherences.
+def _superoperator(config: PumpConfig):
+    """Real and imaginary parts S_r, S_i of the generator on row-major
+    vec(rho): -i[H, rho] + sum_k (A_k rho A_k^T - {K, rho}) with the pump
+    Hamiltonian H in the rotating frame at resonance, the renormalized
+    decay channels A_k, K = sum_k A_k^T A_k / 2, and an optional dephasing
+    gamma_gg of the ground-ground coherences.  All are real, H and K
+    symmetric, so vec(A rho B) = (A kron B^T) vec(rho) gives S_r =
+    sum_k A_k kron A_k - K kron I - I kron K - gamma_gg (on the ground
+    off-diagonal entries) and S_i = I kron H - H kron I.
     """
     table = _transitions()
     drive = -0.5 * sum(config.rabi[name] * T for name, T in table.items())
     H = drive + drive.T
     lowering = [math.sqrt(config.Gamma) * T.T for T in table.values()]
-    # sum A^+A is Gamma times the excited projector; precompute half of it
-    half_aa = 0.5 * sum(A.T @ A for A in lowering)
-    gamma_gg = config.gamma_gg
+    # sum A^T A is Gamma times the excited projector
+    K = 0.5 * sum(A.T @ A for A in lowering)
+    eye = np.eye(_N)
+    # in place after the first sum: no more than three 196x196 arrays
+    s_r = sum(np.kron(A, A) for A in lowering)
+    s_r -= np.kron(K, eye)
+    s_r -= np.kron(eye, K)
+    dephased = config.gamma_gg * np.pad(1.0 - np.eye(_N_G), (0, _N - _N_G))
+    s_r.flat[::_N * _N + 1] -= dephased.ravel()
+    s_i = np.kron(eye, H)
+    s_i -= np.kron(H, eye)
+    return s_r, s_i
 
-    def generator(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (H @ rho - rho @ H)
-        out -= half_aa @ rho + rho @ half_aa
-        for A in lowering:
-            out += A @ rho @ A.T
-        if gamma_gg > 0.0:
-            gg = rho[:_N_G, :_N_G]
-            damp = gamma_gg * (gg - np.diag(gg.diagonal()))
-            out[:_N_G, :_N_G] -= damp
-        return out
 
-    return generator
+def build_pump_generator(config: PumpConfig):
+    """Right-hand side rho -> drho/dt for the pumped 14-level system,
+    the superoperator of _superoperator applied to vec(rho)."""
+    s_r, s_i = _superoperator(config)
+    superop = s_r + 1j * s_i
+    return lambda rho: (superop @ np.ravel(rho)).reshape(_N, _N)
 
 
 @dataclass(frozen=True)
@@ -202,45 +208,35 @@ class PumpTrajectory:
         write_csv(path, header, cols)
 
 
-def _real_matrix(linear_map) -> np.ndarray:
-    """A linear map of Hermitian rho as a real 196x196 matrix.
+def _real_generator(config: PumpConfig) -> np.ndarray:
+    """The generator on Hermitian rho as a real 196x196 matrix.
 
     A Hermitian rho is stored as X = Re(rho) + Im(rho), flattened row by
-    row (see _real_form); the diagonal of X holds the populations, and
-    rho = (X + X^T)/2 + i (X - X^T)/2.  The generator maps Hermitian
-    matrices to Hermitian matrices, so the map is real-linear in X and
-    column j is the map applied to the rho of the j-th unit X.  Real arithmetic halves the work of the complex form,
-    and the real product stays in one BLAS thread, where a complex one of
-    this size is split across threads that stall when the cores are busy.
+    row; its diagonal holds the populations, and rho = (X + X^T)/2 +
+    i (X - X^T)/2, so the image is X' = S_r X + S_i X^T: S_r plus S_i with
+    the column index (a, b) read as (b, a).  Real arithmetic halves the
+    work of the complex form, and the real product stays in one BLAS
+    thread, where a complex one of this size is split across threads that
+    stall when the cores are busy.
     """
-    out = np.empty((_N * _N, _N * _N))
-    unit = np.zeros((_N, _N))
-    for j in range(_N * _N):
-        unit.flat[j] = 1.0
-        rho = 0.5 * (unit + unit.T) + 0.5j * (unit - unit.T)
-        image = linear_map(rho)
-        out[:, j] = (image.real + image.imag).ravel()
-        unit.flat[j] = 0.0
-    return out
-
-
-def _real_form(rho: np.ndarray) -> np.ndarray:
-    """X = Re + Im of the Hermitian part of rho, flattened row by row.
-
-    The populations and the trace are real parts of the diagonal, which
-    the generator evolves from the Hermitian part alone.
-    """
-    herm = 0.5 * (rho + rho.conj().T)
-    return (herm.real + herm.imag).ravel()
+    s_r, s_i = _superoperator(config)
+    real = s_r.reshape((_N,) * 4)
+    real += s_i.reshape((_N,) * 4).transpose(0, 1, 3, 2)
+    return s_r
 
 
 def _initial_vector(initial) -> np.ndarray:
-    """Real form of an initial state, checked to have unit trace."""
+    """Real form X of an initial state, checked to have unit trace.
+
+    The populations and the trace are real parts of the diagonal, which
+    the generator evolves from the Hermitian part of rho alone.
+    """
     if not isinstance(initial, DensityMatrix14):
         initial = DensityMatrix14.from_ground_populations(initial)
     if abs(initial.trace - 1.0) > 1e-9:
         raise SchemeError("initial state must have unit trace")
-    return _real_form(initial.rho)
+    herm = 0.5 * (initial.rho + initial.rho.conj().T)
+    return (herm.real + herm.imag).ravel()
 
 
 def _max_rate(config: PumpConfig) -> float:
@@ -258,10 +254,10 @@ def evolve_pumping(config: PumpConfig, initial,
     interval is split into the fewest RK4 substeps no longer than dt.
     The generator does not depend on time, so it is built once as a real
     196x196 matrix on the 196 real numbers of rho, the substep is a
-    polynomial in that matrix, and every substep is one matrix-vector
-    product.  A trace drift beyond 1e-6 aborts with StiffnessError, since
-    the generator conserves trace exactly and any drift is integration
-    error.
+    polynomial in that matrix raised once to the number of substeps, and
+    every sample interval is one matrix-vector product.  A trace drift
+    beyond 1e-6 aborts with StiffnessError, since the generator conserves
+    trace exactly and any drift is integration error.
     """
     vec = _initial_vector(initial)
     if n_samples < 2:
@@ -276,7 +272,7 @@ def evolve_pumping(config: PumpConfig, initial,
     # for a constant linear generator L an RK4 substep is exactly the
     # Taylor polynomial I + hL(I + hL/2(I + hL/3(I + hL/4))), built here
     # by Horner's rule in place: no more than three 196x196 arrays
-    hL = h * _real_matrix(build_pump_generator(config))
+    hL = h * _real_generator(config)
     step = hL / 4.0
     step.flat[::_N * _N + 1] += 1.0
     term = np.empty_like(step)
@@ -285,11 +281,13 @@ def evolve_pumping(config: PumpConfig, initial,
         term /= c
         term.flat[::_N * _N + 1] += 1.0
         step, term = term, step
+    # matrix_power holds up to three more arrays; free the two spare ones
+    del hL, term
+    propagator = np.linalg.matrix_power(step, n_sub)
     pops = np.empty((n_samples, _N))
     pops[0] = vec[::_N + 1]
     for k in range(1, n_samples):
-        for _ in range(n_sub):
-            vec = step @ vec
+        vec = propagator @ vec
         pops[k] = vec[::_N + 1]
         tr = pops[k].sum()
         if not abs(tr - 1.0) <= 1e-6:
@@ -307,7 +305,7 @@ def steady_state(config: PumpConfig, initial) -> PopulationDistribution:
     """Ground populations that pumping from initial settles into.
 
     The generator is built once as a real 196x196 matrix L on the real
-    form of rho (see _real_matrix), and the state is the weighted time
+    form of rho (see _real_generator), and the state is the weighted time
     average s * integral of exp(-s t) x(t) dt = s (sI - L)^-1 x(0), one
     linear solve, with s = 1e-14 times the fastest rate.  sI - L is
     invertible for every s > 0 and s (sI - L)^-1 preserves the trace, so
@@ -319,7 +317,7 @@ def steady_state(config: PumpConfig, initial) -> PopulationDistribution:
     and 1e-9 at 0.01 Gamma.
     """
     x0 = _initial_vector(initial)
-    shifted = _real_matrix(build_pump_generator(config))
+    shifted = _real_generator(config)
     s = 1e-14 * _max_rate(config)
     # sI - L in place: a second 196x196 copy shows in the peak memory
     np.negative(shifted, out=shifted)

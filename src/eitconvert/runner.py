@@ -329,6 +329,15 @@ def run_scenario(config: ScenarioConfig, out_dir=None, engines=None,
     return manifest
 
 
+def _numeric_entries(engines: dict) -> dict:
+    """Every numeric summary entry of a manifest's engines, as
+    "engine.key" -> float in engine and key order."""
+    return {f"{engine}.{key}": float(value)
+            for engine, summary in engines.items()
+            for key, value in summary.items()
+            if isinstance(value, (int, float))}
+
+
 def _sweep_point(args):
     """Worker for one grid point; returns (index, summaries or error)."""
     index, doc, base_dir, engines, grid_check = args
@@ -369,16 +378,8 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
             done(_sweep_point(job))
     results.sort(key=lambda item: item[0])
 
-    summary_cols = []
-    for _, payload in results:
-        if payload["ok"]:
-            for engine in payload["engines"]:
-                for key, value in payload["engines"][engine].items():
-                    name = f"{engine}.{key}"
-                    if (name not in summary_cols
-                            and isinstance(value, (int, float))):
-                        summary_cols.append(name)
-            break
+    first = next((payload for _, payload in results if payload["ok"]), None)
+    summary_cols = list(_numeric_entries(first["engines"])) if first else []
     axis_names = [axis.path for axis in spec.axes]
     header = axis_names + summary_cols
     rows = np.full((spec.size, len(header)), np.nan)
@@ -392,11 +393,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
                              "error": payload["error"],
                              "exit_code": payload["exit_code"]})
             continue
-        flat = {}
-        for engine, summary in payload["engines"].items():
-            for key, value in summary.items():
-                if isinstance(value, (int, float)):
-                    flat[f"{engine}.{key}"] = float(value)
+        flat = _numeric_entries(payload["engines"])
         for k, name in enumerate(summary_cols):
             rows[index, len(axis_names) + k] = flat.get(name, np.nan)
 

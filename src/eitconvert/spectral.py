@@ -96,16 +96,14 @@ class SpectralGrid:
     @classmethod
     def for_protocol(cls, scheme: ConversionScheme, Omega_w: complex,
                      T_p: float, Omega_r: complex | None = None,
-                     n_omega: int | None = None, n_z: int = 512,
-                     margin: float = 8.0,
-                     samples_per_feature: int = 16) -> "SpectralGrid":
+                     n_omega: int | None = None) -> "SpectralGrid":
         """Size the grid for one conversion run.
 
-        omega_max covers the pulse bandwidth and the power-broadened
-        control linewidths with the given margin.  Unless n_omega is forced,
-        it is chosen so the narrowest spectral feature (the input bandwidth,
+        omega_max is 8 times the largest of the pulse bandwidth and the
+        power-broadened control linewidths.  Unless n_omega is forced, it
+        is chosen so the narrowest spectral feature (the input bandwidth,
         shrunk by the control-intensity ratio when the read control is the
-        weaker one) keeps samples_per_feature points across its FWHM.
+        weaker one) keeps 16 points across its FWHM.
         An automatic size above MAX_N_OMEGA raises GridBudgetError before
         anything is allocated; a forced n_omega is taken as given.
         """
@@ -117,16 +115,16 @@ class SpectralGrid:
             r = scheme.channel("read")
             scales.append((r.a_ctrl_max * abs(Omega_r)) ** 2 / r.Gamma)
             finest = min(finest, domega0 * abs(Omega_r / Omega_w) ** 2)
-        omega_max = margin * max(scales)
+        omega_max = 8.0 * max(scales)
         if n_omega is None:
-            need = 2.0 * omega_max * samples_per_feature / finest
+            need = 2.0 * omega_max * 16 / finest
             n_omega = max(4096, 1 << math.ceil(math.log2(need)))
             if n_omega > MAX_N_OMEGA:
                 raise GridBudgetError(
                     f"spectral grid needs n_omega = {n_omega} bins to "
                     f"resolve the narrowest feature, above the budget of "
                     f"{MAX_N_OMEGA}; set grid.n_omega to force a size")
-        return cls(omega_max=omega_max, n_omega=n_omega, n_z=n_z)
+        return cls(omega_max=omega_max, n_omega=n_omega)
 
     def refined(self) -> "SpectralGrid":
         """Grid with half the frequency spacing and half the z spacing.
@@ -222,8 +220,7 @@ def channel_transfer(scheme: ConversionScheme, channel: str, Omega: complex,
 # ---------------------------------------------------------------------------
 
 def _as_spectrum(probe_spectrum, grid):
-    spec = (probe_spectrum(grid.omega) if callable(probe_spectrum)
-            else np.asarray(probe_spectrum))
+    spec = np.asarray(probe_spectrum)
     if spec.shape != (grid.n_omega,):
         raise GridError(f"probe spectrum shape {spec.shape} does not match "
                         f"grid ({grid.n_omega},)")

@@ -380,22 +380,20 @@ def converted_spectrum(scheme: ConversionScheme, write: WriteChannelParams,
 
 
 def converted_bandwidth(scheme: ConversionScheme, write: WriteChannelParams,
-                        read: ReadChannelParams,
-                        Delta_omega_0: float | None = None) -> float:
+                        read: ReadChannelParams) -> float:
     """Spectral intensity FWHM of the converted field.
 
     Delta_omega_c = |Omega_r/Omega_w|^2 * (g_p^2 sum p R_p^2)/(g_c^2 sum p R_c^2)
                     * Delta_omega_0 / (beta_w beta_r),
     i.e. the read control compresses or stretches the output bandwidth by the
-    ratio of control intensities.
+    ratio of control intensities.  Delta_omega_0 is the bandwidth of the
+    written pulse, pulse_bandwidth(write.T_p).
     """
-    if Delta_omega_0 is None:
-        Delta_omega_0 = pulse_bandwidth(write.T_p)
     S2w = scheme.channel("write").S2
     S2r = scheme.channel("read").S2
     ratio = (abs(read.Omega_r) / abs(write.Omega_w)) ** 2
-    return (ratio * scheme.energy_unit_ratio * (S2w / S2r) * Delta_omega_0
-            / (write.beta_w_mid * read.beta_r_L))
+    return (ratio * scheme.energy_unit_ratio * (S2w / S2r)
+            * pulse_bandwidth(write.T_p) / (write.beta_w_mid * read.beta_r_L))
 
 
 # ---------------------------------------------------------------------------

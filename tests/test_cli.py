@@ -25,6 +25,19 @@ def minimal_doc(**top):
     return doc
 
 
+def cesium_from_trajectory(path):
+    """cesium-d1 scheme block that reads its populations from path."""
+    return {"kind": "cesium-d1", "direction": "sigma-->sigma+",
+            "pump_trajectory": str(path), "pump_time_us": 0.5,
+            "alpha_p": 270.0, "alpha_c": 270.0}
+
+
+def existing_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return str(path)
+
+
 def load_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
@@ -199,6 +212,19 @@ class TestScenarioCommand:
         f = write_json(tmp_path / "s.json", doc)
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
 
+    def test_trajectory_naming_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trajectory").mkdir()
+        doc = minimal_doc(engines=["analytic"], scheme=cesium_from_trajectory(
+            tmp_path / "trajectory"))
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        f = write_json(tmp_path / "s.json", minimal_doc(engines=["analytic"]))
+        assert main(["scenario", f, "--out", existing_file(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestComparison:
     def test_analytic_vs_spectral(self, tmp_path):
@@ -366,6 +392,16 @@ class TestSweepCommand:
         manifest = load_manifest(tmp_path / "sweep")
         assert [x["exit_code"] for x in manifest["failures"]] == [2, 2]
 
+    def test_trajectory_naming_a_directory_exits_2(self, tmp_path):
+        (tmp_path / "trajectory").mkdir()
+        doc = self.sweep_doc([{"path": "protocol.eta", "values": [4.0]}])
+        doc["template"]["scheme"] = cesium_from_trajectory(
+            tmp_path / "trajectory")
+        f = write_json(tmp_path / "w.json", doc)
+        assert main(["sweep", f, "--out", str(tmp_path / "sweep")]) == 2
+        manifest = load_manifest(tmp_path / "sweep")
+        assert [x["exit_code"] for x in manifest["failures"]] == [2]
+
     def test_invalid_template_exits_2(self, tmp_path):
         doc = self.sweep_doc([{"path": "protocol.eta", "values": [4.0]}])
         doc["template"]["units"] = {}
@@ -438,6 +474,11 @@ class TestPumpCommand:
         assert "n_samples: must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "pump").exists()
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        f = write_json(tmp_path / "p.json", self.pump_doc())
+        assert main(["pump", f, "--out", existing_file(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_trajectory_feeds_scenario(self, tmp_path):
         f = write_json(tmp_path / "p.json", self.pump_doc())
         out = tmp_path / "pump"
@@ -463,6 +504,10 @@ class TestPumpCommand:
 class TestFigureCommand:
     def test_unknown_figure_exits_2(self, tmp_path):
         assert main(["figure", "fig99", "--out", str(tmp_path)]) == 2
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        assert main(["figure", "fig4", "--out", existing_file(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_fig4_trends(self, tmp_path):
         out = tmp_path / "fig4"
