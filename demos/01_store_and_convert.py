@@ -54,7 +54,7 @@ read = read_channel(scheme, Omega_r, write)
 report = total_efficiency(scheme, write, read)
 model = converted_spectrum(scheme, write, read)
 print("write channel: delay %.3f, group velocity %.4f, broadening %.4f"
-      % (write.T_d, write.v_w, write.beta_w(scheme.length / 2)))
+      % (write.T_d, write.v_w, write.beta_w(0.5)))
 print("theory:   xi_total %.4f  xi_relative %.4f"
       % (report.xi_total, report.xi_relative))
 

@@ -8,7 +8,8 @@ Omega_w); a second excited state provides the converted transition (a_c,j,
 g_c) and the read control (a_r,j, Omega_r).  Only the CG ratios
 R_j^p = a_p,j/a_w,j and R_j^c = a_c,j/a_r,j and the effective optical depths
 a^2 * alpha enter the propagation physics; bare coupling constants are
-eliminated via g^2 N = alpha * Gamma * c / (2 L).
+eliminated via g^2 N = alpha * Gamma * c / (2 L).  The medium length L is
+the unit of length (positions are z/L), so it is not a field of a scheme.
 
 The shipped concrete scheme is the cesium D1 polarization converter: ground
 |F=3,m>, spin |F=4,m>, excited |F'=4,m+-1>.  A sigma+ probe from |3,m> and a
@@ -86,8 +87,10 @@ class CGTable:
     normalized so the stretched sigma+ transition from m=3 is exactly 1);
     r_plus/r_minus are the signed probe/control ratios in the convention of
     the standard cesium conversion table (constant normalization absorbed
-    into the control Rabi frequency).  cesium_d1() builds the table once
-    and returns that instance on every call, so its arrays are read-only.
+    into the control Rabi frequency): a_p / CG(4,m,1,q,4,m+q) for the
+    F=4 -> F'=4 control equals r * sqrt(5/7).  cesium_d1() builds the table
+    once and returns that instance on every call, so its arrays are
+    read-only.
     """
 
     j: np.ndarray
@@ -104,36 +107,10 @@ class CGTable:
         a_minus = np.array([clebsch_gordan(3, m, 1, -1, 4, m - 1) for m in j])
         r_plus = np.array([_ratio_plus(m) for m in j])
         r_minus = np.array([_ratio_minus(m) for m in j])
-
-        # Cross-check the hardcoded ratio table against the generator: the
-        # generator ratio a_p/a_w for F=4 -> F'=4 controls must equal the
-        # table value times one global constant (same for every j and both
-        # polarizations), here sqrt(5/7).
-        for m, r_tab, q, aj in zip(
-            np.concatenate([j, j]),
-            np.concatenate([r_plus, r_minus]),
-            [+1] * 7 + [-1] * 7,
-            np.concatenate([a_plus, a_minus]),
-        ):
-            a_ctrl = clebsch_gordan(4, m, 1, q, 4, m + q)
-            r_gen = aj / a_ctrl
-            if abs(r_gen / r_tab - math.sqrt(5.0 / 7.0)) > 1e-12:
-                raise SchemeError(
-                    f"CG generator disagrees with the ratio table at m={m}, q={q}"
-                )
-
         for arr in (j, a_plus, a_minus, r_plus, r_minus):
             arr.setflags(write=False)
-        table = cls(j=j, a_plus=a_plus, a_minus=a_minus,
-                    r_plus=r_plus, r_minus=r_minus)
-        table.validate()
-        return table
-
-    def validate(self) -> None:
-        if np.max(np.abs(self.r_plus * self.r_minus + 1.0)) > 1e-12:
-            raise SchemeError("ratio table violates R_j^- * R_j^+ = -1")
-        if np.max(np.abs(np.abs(self.r_minus[::-1]) - np.abs(self.r_plus))) > 1e-12:
-            raise SchemeError("ratio table violates |R_{-j}^-| = |R_j^+|")
+        return cls(j=j, a_plus=a_plus, a_minus=a_minus,
+                   r_plus=r_plus, r_minus=r_minus)
 
 
 @dataclass(frozen=True)
@@ -203,8 +180,8 @@ class EITChannel:
 class ConversionScheme:
     """Array-of-subsystems description of one conversion configuration.
 
-    All rates are in units of Gamma_w and the medium length is normalized to
-    length = 1.  Fields propagate in the retarded frame, so the vacuum
+    All rates are in units of Gamma_w and lengths in units of the medium
+    length.  Fields propagate in the retarded frame, so the vacuum
     transit time drops out.
     """
 
@@ -219,8 +196,6 @@ class ConversionScheme:
     Gamma_w: float = 1.0
     Gamma_r: float = 1.0
     gamma_sg: float = 0.0
-    length: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         arrays = {}
@@ -254,8 +229,6 @@ class ConversionScheme:
                 raise SchemeError(f"{name} must be positive")
         if self.gamma_sg < 0:
             raise SchemeError("gamma_sg must be nonnegative")
-        if not self.length > 0:
-            raise SchemeError("length must be positive")
 
     # -- derived per-subsystem quantities ------------------------------
 
@@ -313,8 +286,7 @@ class ConversionScheme:
         conversion efficiencies.
         """
         return replace(self, a_c=self.a_p.copy(), a_r=self.a_w.copy(),
-                       alpha_c=self.alpha_p, Gamma_r=self.Gamma_w,
-                       label=(self.label + "+original-readout").lstrip("+"))
+                       alpha_c=self.alpha_p, Gamma_r=self.Gamma_w)
 
 
 def build_cesium_d1_scheme(
@@ -359,7 +331,6 @@ def build_cesium_d1_scheme(
         Gamma_w=Gamma_w,
         Gamma_r=Gamma_r,
         gamma_sg=gamma_sg,
-        label=f"cesium-d1-{direction.value}",
     )
 
 
@@ -394,7 +365,6 @@ def single_lambda_scheme(
         Gamma_w=Gamma_w,
         Gamma_r=Gamma_r,
         gamma_sg=gamma_sg,
-        label="single-lambda",
     )
 
 

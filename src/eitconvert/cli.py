@@ -7,9 +7,9 @@ Subcommands:
   pump <file>       integrate one optical-pumping run
 
 Flags: --out overrides the configured output directory, --engine picks
-engines (repeatable, scenario and sweep only), --grid-check turns on
-doubling validation, --format csv|json selects the scalar-report
-format.  Exit codes: 0 on success, 2 for invalid configuration or
+engines and --grid-check turns on doubling validation (scenario and sweep
+only), --format csv|json selects the scalar-report format (scenario and
+pump only).  Exit codes: 0 on success, 2 for invalid configuration or
 arguments or a path that cannot be read or written, 3 for a numerical
 failure (a stiff time grid, aliasing, or an automatically sized grid
 over its budget); see errors.exit_code.
@@ -27,11 +27,13 @@ from .figures import FIGURES, run_figure
 from .runner import run_pump, run_scenario, run_sweep
 
 
-def _add_common(parser, engines: bool) -> None:
+def _add_common(parser, engines: bool, report: bool) -> None:
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (overrides the config)")
-    parser.add_argument("--format", choices=("csv", "json"), default="json",
-                        help="scalar-report format (default json)")
+    if report:
+        parser.add_argument("--format", choices=("csv", "json"),
+                            default="json",
+                            help="scalar-report format (default json)")
     if engines:
         parser.add_argument("--engine", action="append", choices=ENGINES,
                             default=None, metavar="NAME",
@@ -50,23 +52,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", help="run one scenario config")
     p.add_argument("file", help="scenario JSON file")
-    _add_common(p, engines=True)
+    _add_common(p, engines=True, report=True)
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("figure", help="emit one baked plot-data set")
     p.add_argument("id", metavar="{%s}" % ",".join(sorted(FIGURES)),
                    help="figure identifier")
-    _add_common(p, engines=False)
+    _add_common(p, engines=False, report=False)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("sweep", help="run a parameter grid")
     p.add_argument("file", help="sweep JSON file")
-    _add_common(p, engines=True)
+    _add_common(p, engines=True, report=False)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("pump", help="integrate one optical-pumping run")
     p.add_argument("file", help="pump JSON file")
-    _add_common(p, engines=False)
+    _add_common(p, engines=False, report=True)
     p.set_defaults(func=_cmd_pump)
     return parser
 

@@ -7,7 +7,7 @@ the stored excitation of either engine is computed the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class CoherenceField:
     z: np.ndarray
     sigma: np.ndarray
     t: float
-    j: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.sigma.ndim != 2 or self.sigma.shape[1] != self.z.size:

@@ -88,7 +88,7 @@ def fig2(out: Path, progress=None) -> list:
     Omega_w = control_for_eta(scheme, ETA, T_P)
     pulse = GaussianPulse(T_p=T_P)
     write = write_channel(scheme, Omega_w, T_P, KAPPA)
-    beta_L = write.beta_w(scheme.length)
+    beta_L = write.beta_w(1.0)
 
     t_end = write.T_d + 6.0 * T_P * beta_L
     slow = run_protocol(scheme, pulse, ControlTimeline(Omega_w0=Omega_w),

@@ -58,8 +58,8 @@ import numpy as np
 from .atoms import ConversionScheme
 from .errors import GridBudgetError, StiffnessError, ValidityWarning
 from .fields import CoherenceField
-from .theory import (LN2, pulse_bandwidth, pulse_energy, read_channel,
-                     write_channel)
+from .theory import (LN2, _slow_light, pulse_bandwidth, pulse_energy,
+                     read_channel, write_channel)
 
 __all__ = [
     "GaussianPulse",
@@ -204,20 +204,18 @@ def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
             return write.T_d + 6.0 * pulse.T_p
         write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
                               timeline.t_w / pulse.T_p)
-        if write.z_mid >= scheme.length:
+        if write.z_mid >= 1.0:
             # The stored-pulse centre lies past the medium, where
             # read_channel is undefined; bound the read-out by the read
             # group delay through the whole medium.
-            ch = scheme.channel("read")
-            T_d_read = (ch.alpha * ch.Gamma * ch.S2
-                        / abs(timeline.Omega_r0) ** 2)
+            T_d_read = _slow_light(scheme, "read", timeline.Omega_r0)[0]
             return (timeline.t_r + timeline.ramp + T_d_read
                     + 6.0 * pulse.T_p)
         read = read_channel(scheme, timeline.Omega_r0, write)
     stretch = write.beta_w_mid * read.beta_r_L
     t_out = pulse.T_p * stretch * max(1.0, write.v_w / read.v_r)
     return (timeline.t_r + timeline.ramp
-            + (scheme.length - write.z_mid) / read.v_r + 6.0 * t_out)
+            + (1.0 - write.z_mid) / read.v_r + 6.0 * t_out)
 
 
 # Steps per block of tabulated envelopes.  Whole-run tables (hundreds of kB
@@ -289,7 +287,7 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
             f"dt = {dt:.3e} exceeds the stability bound {dt_max:.3e}; "
             f"need n_t >= {int(math.ceil((t_end - t_start) / dt_max)) + 1}")
 
-    z = np.linspace(0.0, scheme.length, n_z)
+    z = np.linspace(0.0, 1.0, n_z)
     dz = z[1] - z[0]
     M = scheme.p.size
 
@@ -309,10 +307,8 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     D[:, 2, 1] = 0.5j * scheme.a_c * scheme.p
     # Field sources as trapezoid increments over the flattened state.
     P = np.zeros((2, M, 3), dtype=complex)
-    P[0, :, 0] = (0.25j * dz * write.alpha * write.Gamma
-                  / scheme.length) * scheme.a_p
-    P[1, :, 2] = (0.25j * dz * read.alpha * read.Gamma
-                  / scheme.length) * scheme.a_c
+    P[0, :, 0] = 0.25j * dz * write.alpha * write.Gamma * scheme.a_p
+    P[1, :, 2] = 0.25j * dz * read.alpha * read.Gamma * scheme.a_c
     P = P.reshape(2, 3 * M)
 
     source = np.empty((2, n_z), dtype=complex)
@@ -356,7 +352,7 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
             ctrl, entry = stage_tables(k)
         if k == idx_w:
             snap_w = CoherenceField(z=z, sigma=state[:, 1].copy(),
-                                    t=t_axis[k], j=scheme.j)
+                                    t=t_axis[k])
         rate(state, ctrl[j, 0], entry[j, 0], k_buf)
         exits[k] = fields[:, -1]
         if k == n_t - 1:
@@ -393,12 +389,12 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     e_conv = scheme.energy_unit_ratio * e_conv_scaled
 
     def _stored_energy(stored: CoherenceField) -> float:
-        return float(write.alpha * write.Gamma / scheme.length
+        return float(write.alpha * write.Gamma
                      * np.trapezoid(stored.excitation_density(scheme.p), z))
 
     e_stored = _stored_energy(snap_w) if snap_w is not None else 0.0
     e_resid = _stored_energy(CoherenceField(z=z, sigma=state[:, 1],
-                                            t=t_axis[-1], j=scheme.j))
+                                            t=t_axis[-1]))
     energies = {
         "input": e_in,
         "transmitted": e_trans,

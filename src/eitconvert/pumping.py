@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,7 +185,6 @@ class PumpTrajectory:
     t: np.ndarray
     ground: np.ndarray          # (n_samples, 7)
     excited_fraction: np.ndarray
-    config: PumpConfig = field(repr=False, default=None)
     dt: float | None = None     # RK4 substep taken, Gamma^-1 units
     substeps: int | None = None  # RK4 substeps per sample interval
 
@@ -298,7 +297,7 @@ def evolve_pumping(config: PumpConfig, initial,
 
     return PumpTrajectory(t=t_samples, ground=pops[:, :_N_G],
                           excited_fraction=pops[:, _N_G:].sum(axis=1),
-                          config=config, dt=h, substeps=n_sub)
+                          dt=h, substeps=n_sub)
 
 
 def steady_state(config: PumpConfig, initial) -> PopulationDistribution:

@@ -129,10 +129,10 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
                   controls: ResolvedControls) -> EngineOutput:
     over = config.grid
     grid = SpectralGrid.for_protocol(scheme, controls.Omega_w, controls.T_p,
-                                     controls.Omega_r, n_omega=over.n_omega)
-    if over.omega_max or over.n_z:
-        grid = replace(grid, omega_max=over.omega_max or grid.omega_max,
-                       n_z=over.n_z or grid.n_z)
+                                     controls.Omega_r, n_omega=over.n_omega,
+                                     omega_max=over.omega_max)
+    if over.n_z:
+        grid = replace(grid, n_z=over.n_z)
     decay = math.exp(-scheme.gamma_sg * controls.t_s)
 
     def convert(grid):

@@ -10,7 +10,8 @@ propagation exponent
 
     f(omega) = i omega (alpha Gamma / L |Omega|^2) sum_j p_j R_j^2 A_j(omega)
 
-in the retarded frame, where the vacuum transit time drops out.
+in the retarded frame, where the vacuum transit time drops out.  The medium
+length L is the unit of length, so z runs over [0, 1].
 
 This module evaluates those kernels exactly on a discrete frequency grid:
 storage is an inverse transform of the filtered input spectrum at the write
@@ -65,7 +66,7 @@ class SpectralGrid:
     """Uniform centered frequency grid plus a spatial sample count.
 
     omega spans [-omega_max, omega_max) with n_omega points (power of two,
-    so omega = 0 is an exact sample); n_z samples cover [0, L] inclusive.
+    so omega = 0 is an exact sample); n_z samples cover [0, 1] inclusive.
     """
 
     omega_max: float
@@ -90,20 +91,22 @@ class SpectralGrid:
     def d_omega(self) -> float:
         return 2.0 * self.omega_max / self.n_omega
 
-    def z_samples(self, length: float) -> np.ndarray:
-        return np.linspace(0.0, length, self.n_z)
+    def z_samples(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.n_z)
 
     @classmethod
     def for_protocol(cls, scheme: ConversionScheme, Omega_w: complex,
                      T_p: float, Omega_r: complex | None = None,
-                     n_omega: int | None = None) -> "SpectralGrid":
+                     n_omega: int | None = None,
+                     omega_max: float | None = None) -> "SpectralGrid":
         """Size the grid for one conversion run.
 
-        omega_max is 8 times the largest of the pulse bandwidth and the
-        power-broadened control linewidths.  Unless n_omega is forced, it
-        is chosen so the narrowest spectral feature (the input bandwidth,
-        shrunk by the control-intensity ratio when the read control is the
-        weaker one) keeps 16 points across its FWHM.
+        Unless omega_max is given, it is 8 times the largest of the pulse
+        bandwidth and the power-broadened control linewidths.  Unless
+        n_omega is forced, it is chosen so the narrowest spectral feature
+        (the input bandwidth, shrunk by the control-intensity ratio when
+        the read control is the weaker one) keeps 16 points across its
+        FWHM over the span [-omega_max, omega_max).
         An automatic size above MAX_N_OMEGA raises GridBudgetError before
         anything is allocated; a forced n_omega is taken as given.
         """
@@ -115,7 +118,8 @@ class SpectralGrid:
             r = scheme.channel("read")
             scales.append((r.a_ctrl_max * abs(Omega_r)) ** 2 / r.Gamma)
             finest = min(finest, domega0 * abs(Omega_r / Omega_w) ** 2)
-        omega_max = 8.0 * max(scales)
+        if omega_max is None:
+            omega_max = 8.0 * max(scales)
         if n_omega is None:
             need = 2.0 * omega_max * 16 / finest
             n_omega = max(4096, 1 << math.ceil(math.log2(need)))
@@ -195,7 +199,6 @@ def channel_transfer(scheme: ConversionScheme, channel: str, Omega: complex,
     absW2 = abs(Omega) ** 2
     if absW2 == 0:
         raise ValueError("control Rabi frequency must be nonzero")
-    L = scheme.length
 
     s = (ch.a_ctrl * abs(Omega)) ** 2                   # per-j |a Omega|^2
     safe = np.where(s > 0, s, 1.0)
@@ -206,11 +209,11 @@ def channel_transfer(scheme: ConversionScheme, channel: str, Omega: complex,
 
     if truncate_f:
         # second-order Taylor: linear group delay + Gaussian window curvature
-        f = (-1j * omega * (ch.alpha * ch.Gamma * ch.S2 / (L * absW2))
-             + 2.0 * ch.alpha * ch.Gamma**2 * ch.S4 / (L * absW2**2) * omega**2)
+        f = (-1j * omega * (ch.alpha * ch.Gamma * ch.S2 / absW2)
+             + 2.0 * ch.alpha * ch.Gamma**2 * ch.S4 / absW2**2 * omega**2)
     else:
         weighted = (scheme.p * ch.R * ch.R)[:, None] * A_full
-        f = (1j * omega * (ch.alpha * ch.Gamma / (L * absW2))
+        f = (1j * omega * (ch.alpha * ch.Gamma / absW2)
              * weighted.sum(axis=0))
     return A, f
 
@@ -263,7 +266,7 @@ def stored_coherence_exact(scheme: ConversionScheme, Omega_w: complex,
     _check_aliasing(grid.omega, spec, "input probe")
     A_w, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
                                 truncate_A, truncate_f)
-    z = grid.z_samples(scheme.length)
+    z = grid.z_samples()
     # Only bins carrying probe amplitude contribute to the integral, and
     # the input spectrum is narrow next to the full grid span, so skip the
     # silent bins instead of building the full (n_omega, n_z) table.
@@ -272,7 +275,7 @@ def stored_coherence_exact(scheme: ConversionScheme, Omega_w: complex,
     kern = (A_w[:, act] * spec[None, act]
             * np.exp(-1j * grid.omega[act] * t_w)[None, :]) * (grid.d_omega / _SQRT_2PI)
     sigma = (scheme.p * scheme.R_p / Omega_w)[:, None] * (kern @ propagator)
-    return CoherenceField(z=z, sigma=sigma, t=t_w, j=scheme.j)
+    return CoherenceField(z=z, sigma=sigma, t=t_w)
 
 
 @dataclass(frozen=True)
@@ -307,12 +310,11 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     """
     A_r, f_r = channel_transfer(scheme, "read", Omega_r, grid.omega,
                                 truncate_A, truncate_f)
-    L = scheme.length
     # 1/sqrt(2 pi): the stored coherence enters the one-sided transform
     # as an initial-condition source, which carries this factor in the
     # unitary convention
     pref = (scheme.alpha_c * scheme.Gamma_r
-            / (_SQRT_2PI * L * np.conj(Omega_r)))
+            / (_SQRT_2PI * np.conj(Omega_r)))
     # omega block whose (M, block) accumulator stays near 1 MB, in cache
     block = max(1, (1 << 16) // scheme.R_c.size)
 
@@ -329,11 +331,11 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
         keys = np.round(steps / (16 * np.finfo(float).eps * np.abs(z).max()))
         _, which = np.unique(keys, return_inverse=True)
         spacing = np.append(np.bincount(which, weights=steps)
-                            / np.bincount(which), L - z[-1])
+                            / np.bincount(which), 1.0 - z[-1])
         out = np.empty(grid.n_omega, dtype=complex)
         for lo in range(0, grid.n_omega, block):
             sl = slice(lo, min(lo + block, grid.n_omega))
-            # last row carries the remaining path from z_last to L
+            # last row carries the remaining path from z_last to 1
             q = np.exp(-f_r[sl][None, :] * spacing[:, None])
             acc = np.repeat(columns[0], q.shape[1], axis=1)
             for k in range(1, z.size):
@@ -390,7 +392,7 @@ def transmitted_probe(scheme: ConversionScheme, Omega_w: complex,
     _check_aliasing(grid.omega, spec_in, "input probe")
     _, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
                               truncate_A, truncate_f)
-    spec_out = spec_in * np.exp(-f_w * scheme.length)
+    spec_out = spec_in * np.exp(-f_w)
     t, wave = time_from_spectrum(grid.omega, spec_out)
     return TransmittedFieldResult(
         omega=grid.omega, spectrum=spec_out, t=t, waveform=wave,

@@ -4,6 +4,8 @@ All fields are Rabi-scaled (a field E appears only as g*E), so coupling
 constants and atom number enter exclusively through the optical depths:
 g^2 N = alpha * Gamma * c / (2 L).  Angular frequencies are measured in units
 of Gamma_w, times in 1/Gamma_w, lengths in units of the medium length L.
+L is the unit, not a field of the scheme, so the medium spans 0 <= z <= 1
+and L = 1 wherever it appears in the formulas below.
 
 The probe pulse is Gaussian, E(0,t) = E0 exp(-2 ln2 (t/T_p)^2) with intensity
 FWHM T_p and spectral intensity FWHM Delta_omega_0 = 4 ln2 / T_p.  The write
@@ -79,7 +81,6 @@ class WriteChannelParams:
     L_w: float                 # compressed pulse length v_w * T_p
     z_mid: float               # stored-pulse center v_w * t_w
     delta_omega_w: float       # EIT transparency bandwidth (intensity FWHM)
-    beta_w_mid: float          # broadening factor at the stored-pulse center
     flags: tuple = ()
 
     def beta_w(self, z: float) -> float:
@@ -88,6 +89,11 @@ class WriteChannelParams:
             return 1.0
         x = 4.0 * LN2 / (self.T_p * self.delta_omega_w)
         return math.sqrt(1.0 + x * x * z)
+
+    @property
+    def beta_w_mid(self) -> float:
+        """Broadening factor at the stored-pulse center z_mid."""
+        return self.beta_w(self.z_mid)
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ def _slow_light(scheme: ConversionScheme, channel: str, Omega: complex):
 
     Returns (T_d, v, delta_omega, adiab) of the channel at control Rabi
     frequency Omega: the group delay T_d = alpha Gamma S2 / |Omega|^2, the
-    group velocity L / T_d, the transparency bandwidth from
+    group velocity 1 / T_d, the transparency bandwidth from
     1/delta_omega^2 = alpha Gamma^2 S4 / (ln2 |Omega|^4), and the adiabatic
     rate scale min(Gamma, |a_ctrl,min Omega|^2 / Gamma).
     """
@@ -127,8 +133,7 @@ def _slow_light(scheme: ConversionScheme, channel: str, Omega: complex):
     if absW2 == 0:
         raise ValueError("control Rabi frequency must be nonzero")
     T_d = ch.alpha * ch.Gamma * ch.S2 / absW2
-    inv_v = T_d / scheme.length
-    v = 1.0 / inv_v if inv_v > 0 else math.inf
+    v = 1.0 / T_d if T_d > 0 else math.inf
     bw_inv_sq = ch.alpha * ch.Gamma**2 * ch.S4 / (LN2 * absW2 * absW2)
     delta_omega = 1.0 / math.sqrt(bw_inv_sq) if bw_inv_sq > 0 else math.inf
     adiab = min(ch.Gamma, (ch.a_ctrl_min * abs(Omega)) ** 2 / ch.Gamma)
@@ -151,7 +156,6 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     T_d, v_w, delta_omega_w, adiab = _slow_light(scheme, "write", Omega_w)
-    L = scheme.length
     t_w = kappa * T_p
     L_w = v_w * T_p
     z_mid = v_w * t_w
@@ -166,15 +170,10 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
     for f in flags:
         warnings.warn(f, ValidityWarning, stacklevel=2)
 
-    beta_mid = 1.0
-    if not math.isinf(z_mid) and not math.isinf(delta_omega_w):
-        x = 4.0 * LN2 / (T_p * delta_omega_w)
-        beta_mid = math.sqrt(1.0 + x * x * z_mid / L)
-
     return WriteChannelParams(
         Omega_w=Omega_w, T_p=T_p, kappa=kappa, t_w=t_w, v_w=v_w, T_d=T_d,
         eta=eta, L_w=L_w, z_mid=z_mid, delta_omega_w=delta_omega_w,
-        beta_w_mid=beta_mid, flags=tuple(flags),
+        flags=tuple(flags),
     )
 
 
@@ -199,18 +198,17 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
     (single lambda system, D = 500, eta = 4, kappa = 1.35).
     """
     T_d_read, v_r, delta_omega_r, adiab = _slow_light(scheme, "read", Omega_r)
-    L = scheme.length
 
-    if write.z_mid >= L:
+    if write.z_mid >= 1.0:
         raise ValueError("write cutoff places the stored pulse beyond the medium "
-                         f"(z_mid = {write.z_mid:.3g} >= L = {L:.3g})")
+                         f"(z_mid = {write.z_mid:.3g} >= L = 1)")
 
     if math.isinf(delta_omega_r):
         beta_r = 1.0
     else:
         x = 4.0 * LN2 / (delta_omega_r * write.beta_w_mid * write.T_p)
         beta_r = math.sqrt(
-            1.0 + x * x * v_r**2 * (L - write.z_mid) / (write.v_w**2 * L))
+            1.0 + x * x * v_r**2 * (1.0 - write.z_mid) / write.v_w**2)
 
     read = ReadChannelParams(
         Omega_r=Omega_r, v_r=v_r, T_d_read=T_d_read,
@@ -298,7 +296,7 @@ def stored_coherence_profile(scheme: ConversionScheme,
     with spatial FWHM L_w beta_w.  Fields are Rabi-scaled, so g_p does not
     appear explicitly.
     """
-    if write.L_w >= scheme.length:
+    if write.L_w >= 1.0:
         warnings.warn("compressed pulse length L_w >= L: the pulse does not fit "
                       "inside the medium", ValidityWarning, stacklevel=2)
     amp = -E0 * scheme.p * scheme.R_p / (write.Omega_w * write.beta_w_mid)
@@ -323,10 +321,6 @@ class ConvertedSpectrum:
     S: float
     input_energy: float        # integral |E_p(0,t)|^2 dt of the Gaussian probe
     energy_unit_ratio: float   # ConversionScheme.energy_unit_ratio, (g_p/g_c)^2
-
-    def spectrum(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        return self.C * np.exp(1j * omega * self.t0 - self.S * omega**2)
 
     def time_waveform(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -368,12 +362,12 @@ def converted_spectrum(scheme: ConversionScheme, write: WriteChannelParams,
     xi_1 * xi_2 times the input pulse energy.
     """
     mix = math.fsum(scheme.p * scheme.R_p * scheme.R_c)
-    C = (scheme.alpha_c * scheme.Gamma_r / (2.0 * scheme.length)
+    C = (scheme.alpha_c * scheme.Gamma_r / 2.0
          * E0 * write.L_w * mix
          / (math.sqrt(LN2) * np.conj(read.Omega_r) * write.Omega_w))
     S = ((write.L_w * write.beta_w_mid) ** 2 * read.beta_r_L ** 2
          / (8.0 * LN2 * read.v_r ** 2))
-    t0 = (scheme.length - write.z_mid) / read.v_r
+    t0 = (1.0 - write.z_mid) / read.v_r
     return ConvertedSpectrum(C=complex(C), t0=t0, S=S,
                              input_energy=pulse_energy(write.T_p, E0),
                              energy_unit_ratio=scheme.energy_unit_ratio)

@@ -201,7 +201,7 @@ class TestCriterion4:
         eta = 0.25
         Om_w = control_for_eta(scheme, eta, T_P)
         write = write_channel(scheme, Om_w, T_P, KAPPA)
-        T_d = scheme.length / write.v_w
+        T_d = 1.0 / write.v_w
         record = run_protocol(scheme, GaussianPulse(T_p=T_P),
                               ControlTimeline(Omega_w0=Om_w))
         i = int(np.argmax(np.abs(record.probe_exit)))

@@ -99,6 +99,21 @@ class TestCGTable:
         np.testing.assert_allclose(self.tab.a_minus, self.tab.a_plus[::-1],
                                    rtol=1e-12)
 
+    def test_ratio_mirror_symmetry(self):
+        """|R_{-j}^-| = |R_j^+|."""
+        diff = np.abs(self.tab.r_minus[::-1]) - np.abs(self.tab.r_plus)
+        assert np.max(np.abs(diff)) <= 1e-12
+
+    def test_ratios_match_generator(self):
+        """a_p / CG(4,m,1,q,4,m+q) of the F=4 -> F'=4 control is the table
+        ratio times one global constant, sqrt(5/7), for every m and both
+        polarizations."""
+        for q, a_p, ratio in ((+1, self.tab.a_plus, self.tab.r_plus),
+                              (-1, self.tab.a_minus, self.tab.r_minus)):
+            for m, a_m, r_m in zip(self.tab.j.tolist(), a_p, ratio):
+                a_ctrl = clebsch_gordan(4, m, 1, q, 4, m + q)
+                assert abs(a_m / a_ctrl / r_m - math.sqrt(5.0 / 7.0)) <= 1e-12
+
     def test_built_once_and_read_only(self):
         assert CGTable.cesium_d1() is self.tab
         for arr in (self.tab.j, self.tab.a_plus, self.tab.a_minus,

@@ -8,6 +8,8 @@ import pytest
 from eitconvert import UnitSystem, relative_efficiency_single
 from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
+from eitconvert.config import load_scenario
+from eitconvert.spectral import SpectralGrid
 
 
 def write_json(path, doc):
@@ -212,6 +214,42 @@ class TestScenarioCommand:
         f = write_json(tmp_path / "s.json", doc)
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
 
+    def spectral_doc(self, **grid):
+        doc = minimal_doc(engines=["spectral"], grid=grid)
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 100.0, "ccp2": 3.0}
+        return doc
+
+    def auto_omega_max(self, tmp_path):
+        config = load_scenario(write_json(tmp_path / "auto.json",
+                                          self.spectral_doc()))
+        scheme = config.build_scheme()
+        c = config.controls(scheme)
+        return SpectralGrid.for_protocol(scheme, c.Omega_w, c.T_p,
+                                         c.Omega_r).omega_max
+
+    def test_omega_max_override_resizes_n_omega(self, tmp_path):
+        """A wider span keeps the automatic bin spacing, and the result."""
+        summaries = []
+        for name, grid in (("auto", {}), ("wide", {
+                "omega_max": 16.0 * self.auto_omega_max(tmp_path)})):
+            f = write_json(tmp_path / f"{name}.json",
+                           self.spectral_doc(**grid))
+            out = tmp_path / name
+            assert main(["scenario", f, "--out", str(out)]) == 0
+            summaries.append(load_manifest(out)["engines"]["spectral"])
+        auto, wide = summaries
+        for key in ("xi_total", "fwhm"):
+            assert wide[key] == pytest.approx(auto[key], rel=1e-3)
+
+    def test_omega_max_override_over_budget_exits_3(self, tmp_path, capsys):
+        doc = self.spectral_doc(
+            omega_max=1024.0 * self.auto_omega_max(tmp_path))
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "n_omega = 8388608" in err and "4194304" in err
+
     def test_trajectory_naming_a_directory_exits_2(self, tmp_path, capsys):
         (tmp_path / "trajectory").mkdir()
         doc = minimal_doc(engines=["analytic"], scheme=cesium_from_trajectory(
@@ -402,6 +440,15 @@ class TestSweepCommand:
         manifest = load_manifest(tmp_path / "sweep")
         assert [x["exit_code"] for x in manifest["failures"]] == [2]
 
+    def test_format_flag_refused(self, tmp_path):
+        sweep = write_json(tmp_path / "w.json", self.sweep_doc(
+            [{"path": "protocol.eta", "values": [4.0]}]))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", sweep, "--out", str(tmp_path / "out"),
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_template_exits_2(self, tmp_path):
         doc = self.sweep_doc([{"path": "protocol.eta", "values": [4.0]}])
         doc["template"]["units"] = {}
@@ -508,6 +555,13 @@ class TestFigureCommand:
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         assert main(["figure", "fig4", "--out", existing_file(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_format_flag_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig4", "--out", str(tmp_path / "out"),
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_fig4_trends(self, tmp_path):
         out = tmp_path / "fig4"

@@ -370,11 +370,11 @@ def _reference_run(scheme, pulse, timeline, rec):
     """
     d = rec.diagnostics
     n_z, n_t, t_start, dt = d["n_z"], d["n_t"], d["t_start"], d["dt"]
-    z = np.linspace(0.0, scheme.length, n_z)
+    z = np.linspace(0.0, 1.0, n_z)
     dz = z[1] - z[0]
     M = scheme.p.size
-    c_p = 0.5j * scheme.alpha_p * scheme.Gamma_w / scheme.length
-    c_c = 0.5j * scheme.alpha_c * scheme.Gamma_r / scheme.length
+    c_p = 0.5j * scheme.alpha_p * scheme.Gamma_w / 1.0
+    c_c = 0.5j * scheme.alpha_c * scheme.Gamma_r / 1.0
     drive_p = 0.5j * (scheme.a_p * scheme.p)[:, None]
     drive_c = 0.5j * (scheme.a_c * scheme.p)[:, None]
 
@@ -459,7 +459,7 @@ class TestStackedStepOracle:
 
         def stored(sigma):
             field = CoherenceField(z=z, sigma=sigma, t=0.0)
-            return (sch.alpha_p * sch.Gamma_w / sch.length
+            return (sch.alpha_p * sch.Gamma_w / 1.0
                     * np.trapezoid(field.excitation_density(sch.p), z))
 
         ref = {

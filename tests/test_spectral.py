@@ -175,7 +175,7 @@ class TestTransferFunctions:
                     continue
                 den = ((0.5 * G - 1j * om) * (-1j * om)
                        + 0.25 * abs(sch.a_w[j] * Om) ** 2)
-                f += (sch.alpha_p * G / (4.0 * sch.length)
+                f += (sch.alpha_p * G / (4.0 * 1.0)
                       * sch.p[j] * sch.a_p[j] ** 2 * (-1j * om) / den)
             scale = np.abs(f).max()
             assert np.max(np.abs(f_w - f)) < 1e-12 * scale
@@ -188,7 +188,7 @@ class TestTransferFunctions:
     @pytest.mark.parametrize("channel", ["write", "read"])
     def test_truncated_window_is_exact_gaussian(self, channel):
         sch, grid, f, _, bandwidth = _truncated_channel(channel)
-        window = -2.0 * f.real * sch.length
+        window = -2.0 * f.real * 1.0
         expect = -4.0 * LN2 * (grid.omega / bandwidth) ** 2
         assert np.max(np.abs(window - expect)) < 1e-12 * np.abs(expect).max()
 
@@ -196,13 +196,13 @@ class TestTransferFunctions:
     def test_truncated_group_delay(self, channel):
         sch, grid, f, T_d, _ = _truncated_channel(channel)
         k = grid.n_omega // 2 + 1
-        delay = -f[k].imag * sch.length / grid.omega[k]
+        delay = -f[k].imag * 1.0 / grid.omega[k]
         assert delay == pytest.approx(T_d, rel=1e-12)
 
     def test_exact_window_near_gaussian_in_core(self):
         sch, Om, w, grid = _fig2_setup()
         _, f_w = channel_transfer(sch, "write", Om, grid.omega)
-        win = np.abs(np.exp(-f_w * sch.length)) ** 2
+        win = np.abs(np.exp(-f_w * 1.0)) ** 2
         gauss = np.exp(-4.0 * LN2 * (grid.omega / w.delta_omega_w) ** 2)
         core = np.abs(grid.omega) <= w.delta_omega_w / 3.0
         assert np.max(np.abs(win[core] - gauss[core])) < 0.01
@@ -366,7 +366,7 @@ class TestConvertedField:
 def _direct_readout(sch, stored, Om_r, grid):
     """Read-out quadrature through the full (n_omega, n_z) exp table."""
     A_r, f_r = channel_transfer(sch, "read", Om_r, grid.omega)
-    z, L = stored.z, sch.length
+    z, L = stored.z, 1.0
     w = np.empty_like(z)
     w[0] = 0.5 * (z[1] - z[0])
     w[-1] = 0.5 * (z[-1] - z[-2])
@@ -397,13 +397,13 @@ def _readout_case(kind):
         # the quadrature check's subsample of an even n_z: steps 2h, then h
         idx = np.append(np.arange(0, z.size, 2), z.size - 1)
         stored = CoherenceField(z=z[idx], sigma=stored.sigma[:, idx],
-                                t=stored.t, j=stored.j)
+                                t=stored.t)
     elif kind == "jittered":
         # arbitrary spacings, last sample short of the exit face
         rng = np.random.default_rng(5)
         zj = np.sort(0.97 * z + rng.uniform(-0.3, 0.3, z.size) * z[1])
         stored = CoherenceField(z=np.clip(zj, 0.0, None), sigma=stored.sigma,
-                                t=stored.t, j=stored.j)
+                                t=stored.t)
     return sch, Om_r, grid, stored
 
 
@@ -429,7 +429,7 @@ class TestTransmission:
         res = transmitted_probe(sch, Om, gaussian_probe_spectrum(grid, T_P),
                                 grid, truncate_A=True, truncate_f=True)
         assert (res.energy_out / res.energy_in
-                == pytest.approx(1.0 / w.beta_w(sch.length), rel=1e-10))
+                == pytest.approx(1.0 / w.beta_w(1.0), rel=1e-10))
 
     def test_exact_close_to_truncated(self):
         sch, Om, w, grid = _fig2_setup()
@@ -492,8 +492,8 @@ class TestGridSizing:
         g = SpectralGrid(omega_max=10.0, n_omega=256, n_z=33)
         r = g.refined()
         assert r.d_omega == pytest.approx(0.5 * g.d_omega, rel=1e-14)
-        z1 = g.z_samples(1.0)
-        z2 = r.z_samples(1.0)
+        z1 = g.z_samples()
+        z2 = r.z_samples()
         assert np.max(np.abs(z2[::2] - z1)) < 1e-14
 
     def test_refined_over_budget_refused(self):

@@ -57,7 +57,7 @@ class TestWriteChannel:
     def test_group_velocity_infinite_c(self):
         sch, w, _ = _single_chain()
         # with 1/c = 0 the transit time is pure group delay
-        assert w.v_w == pytest.approx(sch.length / w.T_d, rel=1e-12)
+        assert w.v_w == pytest.approx(1.0 / w.T_d, rel=1e-12)
 
     def test_broadening_matches_simple_form(self):
         """Single subsystem: beta_w(z_mid)^2 = 1 + 16 ln2 eta kappa / D."""
@@ -70,6 +70,22 @@ class TestWriteChannel:
     def test_frozen_value(self):
         _, w, _ = _single_chain()
         assert w.beta_w_mid == pytest.approx(1.0582, abs=2e-4)
+
+    @pytest.mark.parametrize("kind", ["single", "cesium"])
+    def test_beta_w_at_z_mid_is_beta_w_mid(self, kind):
+        """beta_w(z) takes z in units of the medium length, like z_mid."""
+        if kind == "single":
+            _, w, _ = _single_chain()
+        else:
+            sch = build_cesium_d1_scheme("plus_to_minus",
+                                         PopulationDistribution.isotropic(),
+                                         200.0, 200.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ValidityWarning)
+                w = write_channel(sch, control_for_eta(sch, ETA, 1.0), 1.0,
+                                  KAPPA)
+        assert 0.0 < w.z_mid < 1.0
+        assert w.beta_w(w.z_mid) == w.beta_w_mid
 
     def test_multi_state_weighted_sums(self):
         """Weighted-sum broadening against an explicit fsum oracle."""
@@ -236,7 +252,7 @@ class TestConvertedSpectrum:
     def test_arrival_time(self):
         sch, w, r = _single_chain()
         cs = converted_spectrum(sch, w, r)
-        expect = (sch.length - w.z_mid) / r.v_r
+        expect = (1.0 - w.z_mid) / r.v_r
         assert cs.t0 == pytest.approx(expect, rel=1e-12)
         # eta = 4, kappa = 1.35, matched controls: t0 = (1 - kappa/eta) T_d
         assert cs.t0 == pytest.approx((1 - KAPPA / ETA) * w.T_d, rel=1e-12)
