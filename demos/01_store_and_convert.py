@@ -59,10 +59,14 @@ print("theory:   xi_total %.4f  xi_relative %.4f"
       % (report.xi_total, report.xi_relative))
 
 # 2. Exact spectral propagation of the linearized equations.
-grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p, Omega_r)
-probe = gaussian_probe_spectrum(grid, T_p)
-stored = stored_coherence_exact(scheme, Omega_w, probe, kappa * T_p, grid)
-res = converted_field_exact(scheme, stored, Omega_r, grid)
+#    Storage runs on the write grid, the read-out on a grid sized by the
+#    read channel.
+write_grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p)
+read_grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p, Omega_r)
+probe = gaussian_probe_spectrum(write_grid, T_p)
+stored = stored_coherence_exact(scheme, Omega_w, probe, kappa * T_p,
+                                write_grid)
+res = converted_field_exact(scheme, stored, Omega_r, read_grid)
 print("spectral: xi_total %.4f" % (res.energy / pulse_energy(T_p)))
 
 # 3. Time-domain Maxwell-Bloch run of the full switching protocol,

@@ -8,6 +8,8 @@ byte-identical file body.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 __all__ = [
@@ -32,11 +34,18 @@ def write_csv(path, header, columns) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def read_csv(path):
-    """Read a CSV written by write_csv; returns (header, dict of float arrays)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
+def read_csv(source):
+    """Read a CSV written by write_csv from a path or an open text stream;
+    returns (header, dict of float arrays)."""
+    if isinstance(source, io.TextIOBase):
+        return _read_rows(source)
+    with open(source, "r", encoding="utf-8") as fh:
+        return _read_rows(fh)
+
+
+def _read_rows(fh):
+    header = fh.readline().strip().split(",")
+    data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
     if data.size == 0:
         return header, {name: np.empty(0) for name in header}
     return header, {name: data[:, i] for i, name in enumerate(header)}

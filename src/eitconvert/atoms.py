@@ -176,6 +176,14 @@ class EITChannel:
     a_ctrl_max: float
 
 
+def _ratio(a: np.ndarray, a_ctrl: np.ndarray) -> np.ndarray:
+    """Read-only a / a_ctrl per subsystem, 0 where a_ctrl vanishes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(a_ctrl != 0.0, a / a_ctrl, 0.0)
+    ratio.setflags(write=False)
+    return ratio
+
+
 @dataclass(frozen=True)
 class ConversionScheme:
     """Array-of-subsystems description of one conversion configuration.
@@ -231,19 +239,17 @@ class ConversionScheme:
             raise SchemeError("gamma_sg must be nonnegative")
 
     # -- derived per-subsystem quantities ------------------------------
+    # The scheme is immutable, so each derived table is computed on first
+    # use and kept (replace() builds a new instance with an empty cache).
 
-    @property
+    @functools.cached_property
     def R_p(self) -> np.ndarray:
         """Probe/write CG ratio per subsystem (0 where unpopulated and undefined)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(self.a_w != 0.0, self.a_p / self.a_w, 0.0)
-        return r
+        return _ratio(self.a_p, self.a_w)
 
-    @property
+    @functools.cached_property
     def R_c(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(self.a_r != 0.0, self.a_c / self.a_r, 0.0)
-        return r
+        return _ratio(self.a_c, self.a_r)
 
     @property
     def n_subsystems(self) -> int:
@@ -257,14 +263,21 @@ class ConversionScheme:
 
     def channel(self, name: str) -> EITChannel:
         """The constants of the "write" or the "read" channel."""
-        if name == "write":
-            alpha, Gamma, R, a, a_ctrl = (self.alpha_p, self.Gamma_w,
-                                          self.R_p, self.a_p, self.a_w)
-        elif name == "read":
-            alpha, Gamma, R, a, a_ctrl = (self.alpha_c, self.Gamma_r,
-                                          self.R_c, self.a_c, self.a_r)
-        else:
+        if name not in ("write", "read"):
             raise SchemeError(f"channel must be 'write' or 'read', got {name!r}")
+        return getattr(self, f"_{name}_channel")
+
+    @functools.cached_property
+    def _write_channel(self) -> EITChannel:
+        return self._channel(self.alpha_p, self.Gamma_w, self.R_p, self.a_p,
+                             self.a_w)
+
+    @functools.cached_property
+    def _read_channel(self) -> EITChannel:
+        return self._channel(self.alpha_c, self.Gamma_r, self.R_c, self.a_c,
+                             self.a_r)
+
+    def _channel(self, alpha, Gamma, R, a, a_ctrl) -> EITChannel:
         # __post_init__ guarantees a populated subsystem with nonzero a_ctrl
         mask = self.p > 0
         p, R_pop = self.p[mask], R[mask]

@@ -30,8 +30,10 @@ never both.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -310,6 +312,21 @@ class SchemeSpec:
                                       gamma_sg=self.gamma_sg)
 
 
+@functools.lru_cache(maxsize=8)
+def _trajectory_columns(body: bytes):
+    """Header and read-only columns of one trajectory file's contents,
+    shared by every caller.
+
+    Keyed by the bytes rather than the path or mtime, so every sweep point
+    reading one file parses it once, and a rewritten file is parsed again
+    even when its size and coarse mtime are unchanged.
+    """
+    header, cols = read_csv(io.StringIO(body.decode("utf-8")))
+    for column in cols.values():
+        column.setflags(write=False)
+    return tuple(header), types.MappingProxyType(cols)
+
+
 def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
     """Ground populations at one instant of a stored pump trajectory.
 
@@ -326,7 +343,7 @@ def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
         raise ConfigValidationError(
             f"pump trajectory {path} does not exist",
             paths=["scheme.pump_trajectory"])
-    header, cols = read_csv(path)
+    header, cols = _trajectory_columns(path.read_bytes())
     names = [f"p_m{m:+d}" for m in range(-3, 4)]
     missing = [n for n in names if n not in cols]
     if missing or not header:

@@ -11,7 +11,9 @@ Per-engine summary keys:
             beta_w, beta_r, converted_energy, input_energy, peak_time,
             peak_amplitude, fwhm
   spectral: converted_energy, input_energy, xi_total, transmission,
-            quadrature_delta, peak_time, peak_amplitude, fwhm
+            quadrature_delta, n_omega_write, n_omega_read,
+            omega_max_write, omega_max_read, peak_time, peak_amplitude,
+            fwhm
   mb:       converted_energy, input_energy, xi_total, xi_relative,
             leakage, transmitted_energy, peak_time, peak_amplitude, fwhm,
             n_t, dt, t_end, dt_limit (Gamma_w, Gamma_r, bandwidth,
@@ -128,28 +130,36 @@ def _run_analytic(scheme: ConversionScheme, config: ScenarioConfig,
 def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
                   controls: ResolvedControls) -> EngineOutput:
     over = config.grid
-    grid = SpectralGrid.for_protocol(scheme, controls.Omega_w, controls.T_p,
-                                     controls.Omega_r, n_omega=over.n_omega,
-                                     omega_max=over.omega_max)
-    if over.n_z:
-        grid = replace(grid, n_z=over.n_z)
+
+    def stage_grid(Omega_r=None):
+        """The write-stage grid, or with Omega_r the read-out grid; forced
+        grid fields apply to both."""
+        grid = SpectralGrid.for_protocol(
+            scheme, controls.Omega_w, controls.T_p, Omega_r,
+            n_omega=over.n_omega, omega_max=over.omega_max)
+        return replace(grid, n_z=over.n_z) if over.n_z else grid
+
+    write_grid, read_grid = stage_grid(), stage_grid(controls.Omega_r)
     decay = math.exp(-scheme.gamma_sg * controls.t_s)
 
-    def convert(grid):
-        """Store on grid, decay through the storage time, read out."""
+    def convert(write_grid, read_grid):
+        """Store on the write grid, decay through the storage time, read
+        out on the read grid."""
         stored = stored_coherence_exact(
             scheme, controls.Omega_w,
-            gaussian_probe_spectrum(grid, controls.T_p),
-            controls.kappa * controls.T_p, grid)
+            gaussian_probe_spectrum(write_grid, controls.T_p),
+            controls.kappa * controls.T_p, write_grid)
         if decay != 1.0:
             stored = replace(stored, sigma=decay * stored.sigma)
-        return converted_field_exact(scheme, stored, controls.Omega_r, grid)
+        return converted_field_exact(scheme, stored, controls.Omega_r,
+                                     read_grid)
 
-    fine_grid = grid.refined() if config.grid.grid_check else None
-    res = convert(grid)
-    trans = transmitted_probe(scheme, controls.Omega_w,
-                              gaussian_probe_spectrum(grid, controls.T_p),
-                              grid)
+    fine_grids = ((write_grid.refined(), read_grid.refined())
+                  if over.grid_check else None)
+    res = convert(write_grid, read_grid)
+    trans = transmitted_probe(
+        scheme, controls.Omega_w,
+        gaussian_probe_spectrum(write_grid, controls.T_p), write_grid)
     input_energy = pulse_energy(controls.T_p)
     summary = {
         "converted_energy": res.energy,
@@ -157,10 +167,14 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
         "xi_total": res.energy / input_energy,
         "transmission": trans.energy_out / trans.energy_in,
         "quadrature_delta": res.quadrature_delta,
+        "n_omega_write": write_grid.n_omega,
+        "n_omega_read": read_grid.n_omega,
+        "omega_max_write": write_grid.omega_max,
+        "omega_max_read": read_grid.omega_max,
     }
     summary.update(_waveform_stats(res.t, res.waveform))
-    if fine_grid is not None:
-        fine = convert(fine_grid)
+    if fine_grids is not None:
+        fine = convert(*fine_grids)
         rel = abs(res.energy - fine.energy) / fine.energy
         summary["grid_doubling_rel"] = rel
     return EngineOutput("spectral", res.t, res.waveform, summary,

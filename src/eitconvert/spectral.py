@@ -51,9 +51,10 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# largest n_omega SpectralGrid.for_protocol sizes on its own: 2**22 bins
-# admit a read/write control ratio of 0.1 (2**21) and refuse 0.05 (2**23),
-# whose complex spectra alone would take 128 MB each
+# largest n_omega SpectralGrid.for_protocol sizes on its own, per stage:
+# on the fig2 scheme (depth 500, T_p 0.2 us) 2**22 bins admit a read/write
+# control ratio of 0.01 (2**20) and refuse 0.001 (2**23), whose complex
+# spectra alone would take 128 MB each
 MAX_N_OMEGA = 1 << 22
 
 
@@ -99,34 +100,48 @@ class SpectralGrid:
                      T_p: float, Omega_r: complex | None = None,
                      n_omega: int | None = None,
                      omega_max: float | None = None) -> "SpectralGrid":
-        """Size the grid for one conversion run.
+        """Size the grid of one stage of a conversion run.
 
-        Unless omega_max is given, it is 8 times the largest of the pulse
-        bandwidth and the power-broadened control linewidths.  Unless
-        n_omega is forced, it is chosen so the narrowest spectral feature
-        (the input bandwidth, shrunk by the control-intensity ratio when
-        the read control is the weaker one) keeps 16 points across its
-        FWHM over the span [-omega_max, omega_max).
-        An automatic size above MAX_N_OMEGA raises GridBudgetError before
-        anything is allocated; a forced n_omega is taken as given.
+        Without Omega_r the grid serves the write stage: storage and the
+        slow-light transmission.  With Omega_r it serves the read-out
+        alone, whose spectrum follows the read channel.  Storage keeps
+        only the bins that carry input, so a run stores on the write grid
+        and reads out on the read grid.
+
+        Unless n_omega is forced, the spacing keeps 16 points across the
+        narrowest feature's FWHM: the input bandwidth, shrunk on the read
+        grid by |Omega_r/Omega_w|^2 when the read control is the weaker.
+        Unless omega_max is given, it is 8 times the largest of that
+        feature, the stage's power-broadened control linewidth
+        |a_max Omega|^2 / Gamma and, on the read grid, 3 |a_max Omega_r|:
+        the converted spectrum keeps a tail out to a few read Rabi
+        frequencies from the coherence stored near the exit face.  Against
+        a 16x wider span this read grid loses at most 9.3e-5 of the
+        converted energy at depths 100 and 500 and ratios 0.05-0.5, and
+        3.4e-5 on the benchmark's convert cases.
+        An automatic size above MAX_N_OMEGA raises GridBudgetError naming
+        the stage before anything is allocated; a forced n_omega is taken
+        as given.
         """
         domega0 = pulse_bandwidth(T_p)
-        w = scheme.channel("write")
-        scales = [domega0, (w.a_ctrl_max * abs(Omega_w)) ** 2 / w.Gamma]
-        finest = domega0
-        if Omega_r is not None:
-            r = scheme.channel("read")
-            scales.append((r.a_ctrl_max * abs(Omega_r)) ** 2 / r.Gamma)
-            finest = min(finest, domega0 * abs(Omega_r / Omega_w) ** 2)
+        if Omega_r is None:
+            stage, ch, Omega = "storage", scheme.channel("write"), Omega_w
+            finest, tail = domega0, 0.0
+        else:
+            stage, ch, Omega = "read-out", scheme.channel("read"), Omega_r
+            finest = domega0 * min(1.0, abs(Omega_r / Omega_w)) ** 2
+            tail = 3.0
+        a_Omega = ch.a_ctrl_max * abs(Omega)
         if omega_max is None:
-            omega_max = 8.0 * max(scales)
+            omega_max = 8.0 * max(finest, a_Omega ** 2 / ch.Gamma,
+                                  tail * a_Omega)
         if n_omega is None:
             need = 2.0 * omega_max * 16 / finest
             n_omega = max(4096, 1 << math.ceil(math.log2(need)))
             if n_omega > MAX_N_OMEGA:
                 raise GridBudgetError(
-                    f"spectral grid needs n_omega = {n_omega} bins to "
-                    f"resolve the narrowest feature, above the budget of "
+                    f"spectral {stage} grid needs n_omega = {n_omega} bins "
+                    f"to resolve the narrowest feature, above the budget of "
                     f"{MAX_N_OMEGA}; set grid.n_omega to force a size")
         return cls(omega_max=omega_max, n_omega=n_omega)
 

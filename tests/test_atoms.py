@@ -313,6 +313,38 @@ class TestChannelSums:
             xi2 = coherence_mismatch(sch)
             assert 0.0 < xi2 <= 1.0 + 1e-12
 
+    def test_channel_constants_computed_once(self, monkeypatch):
+        sch = build_cesium_d1_scheme("plus_to_minus",
+                                     PopulationDistribution.isotropic(),
+                                     alpha_p=500.0, alpha_c=300.0)
+        first = sch.channel("read")
+        sums = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda x: sums.append(1) or fsum(x))
+        assert sch.channel("read") is first
+        assert sch.R_c is first.R and not first.R.flags.writeable
+        assert not first.a_ctrl.flags.writeable
+        assert sch.channel("write").S2 > 0
+        assert len(sums) == 2           # the write channel's first call only
+        sch.channel("write")
+        assert len(sums) == 2
+        with pytest.raises(SchemeError):
+            sch.channel("probe")
+
+    def test_companion_read_channel_is_the_write_channel(self):
+        pop = PopulationDistribution(
+            p=np.array([0.3, 0, 0.1, 0.2, 0, 0.1, 0.3]))
+        sch = build_cesium_d1_scheme("plus_to_minus", pop, 500.0, 300.0,
+                                     Gamma_r=1.7)
+        write = sch.channel("write")
+        read = sch.with_original_readout().channel("read")
+        assert read is not write
+        for key in ("alpha", "Gamma", "S2", "S4", "a_ctrl_min", "a_ctrl_max"):
+            assert getattr(read, key) == getattr(write, key), key
+        assert np.array_equal(read.R, write.R)
+        assert np.array_equal(read.a_ctrl, write.a_ctrl)
+        assert sch.channel("read").Gamma == 1.7
+
     def test_degenerate_scheme_raises(self):
         sch = ConversionScheme(
             j=np.array([0]), p=np.array([1.0]),

@@ -8,7 +8,8 @@ import pytest
 from eitconvert import UnitSystem, relative_efficiency_single
 from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
-from eitconvert.config import load_scenario
+from eitconvert.config import ScenarioConfig, load_scenario
+from eitconvert.runner import run_scenario
 from eitconvert.spectral import SpectralGrid
 
 
@@ -152,12 +153,12 @@ class TestScenarioCommand:
 
     def test_frequency_grid_over_budget_exits_3(self, tmp_path, capsys):
         doc = minimal_doc(engines=["spectral"])
-        doc["protocol"]["control_ratio"] = 0.02
+        doc["protocol"]["control_ratio"] = 1e-3
         f = write_json(tmp_path / "s.json", doc)
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
-        assert "n_omega = 33554432" in err and "4194304" in err
+        assert "n_omega = 8388608" in err and "4194304" in err
 
     def test_grid_check_over_budget_exits_3(self, tmp_path, capsys):
         """The doubled grid is refused before the coarse one is built."""
@@ -296,6 +297,70 @@ class TestComparison:
         assert main(["scenario", f, "--out", str(out), "--grid-check"]) == 0
         summary = load_manifest(out)["engines"]["spectral"]
         assert summary["grid_doubling_rel"] < 1e-4
+
+
+class TestStageGrids:
+    """Storage and read-out on grids of their own, at a weak read."""
+
+    def weak_read_doc(self, **grid):
+        # the benchmark's narrow convert case at read/write ratio 0.3
+        doc = minimal_doc(engines=["spectral"], grid=grid)
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 375.0, "ccp2": 0.5}
+        doc["units"]["T_p_us"] = 0.08
+        doc["protocol"] = {"eta": 3.0, "kappa": 1.35, "control_ratio": 0.3}
+        return doc
+
+    def spectral_summary(self, doc):
+        config = ScenarioConfig.from_dict(doc)
+        return run_scenario(config, persist=False)["engines"]["spectral"]
+
+    def test_each_csv_is_on_its_stage_grid(self, tmp_path):
+        f = write_json(tmp_path / "s.json", self.weak_read_doc())
+        out = tmp_path / "out"
+        assert main(["scenario", f, "--out", str(out)]) == 0
+        summary = load_manifest(out)["engines"]["spectral"]
+        assert summary["omega_max_read"] < 0.2 * summary["omega_max_write"]
+        for name, stage in (("converted", "read"), ("probe", "write")):
+            t = read_csv(out / f"{name}_spectral.csv")[1]["t"]
+            assert t.size == summary[f"n_omega_{stage}"]
+            assert t[1] - t[0] == pytest.approx(
+                np.pi / summary[f"omega_max_{stage}"], rel=1e-9)
+
+    def test_stage_grids_match_one_shared_grid(self):
+        """Against the one grid that used to serve both stages: the write
+        span at the read spacing, forced on both."""
+        config = ScenarioConfig.from_dict(self.weak_read_doc())
+        scheme = config.build_scheme()
+        c = config.controls(scheme)
+        span = SpectralGrid.for_protocol(scheme, c.Omega_w, c.T_p).omega_max
+        shared = self.spectral_summary(
+            self.weak_read_doc(n_omega=1 << 17, omega_max=span))
+        assert shared["n_omega_read"] == shared["n_omega_write"] == 1 << 17
+        auto = self.spectral_summary(self.weak_read_doc())
+        assert 4 * auto["n_omega_read"] <= 1 << 17
+        assert auto["xi_total"] == pytest.approx(shared["xi_total"], rel=1e-4)
+
+    def test_grid_check_refines_both_stages(self, tmp_path):
+        f = write_json(tmp_path / "s.json", self.weak_read_doc())
+        out = tmp_path / "out"
+        assert main(["scenario", f, "--out", str(out), "--grid-check"]) == 0
+        assert load_manifest(out)["engines"]["spectral"][
+            "grid_doubling_rel"] < 1e-4
+
+    def test_very_weak_read_fits_the_budget(self, tmp_path):
+        """Ratio 0.02 asked one shared grid for 8388608 bins; the read
+        grid alone needs 262144."""
+        template = minimal_doc(engines=["spectral"])
+        template["scheme"] = {"kind": "single-lambda", "D_p": 100.0,
+                              "ccp2": 1.0}
+        f = write_json(tmp_path / "w.json", {
+            "template": template,
+            "axes": [{"path": "protocol.control_ratio", "values": [0.02]}]})
+        out = tmp_path / "sweep"
+        assert main(["sweep", f, "--out", str(out)]) == 0
+        cols = read_csv(out / "sweep.csv")[1]
+        assert cols["spectral.n_omega_read"][0] == 1 << 18
+        assert 0 < cols["spectral.xi_total"][0] < 1
 
 
 class TestDeterminism:

@@ -281,6 +281,30 @@ class TestTrajectoryPopulations:
             populations_from_trajectory(path, time_us, units)
         assert excinfo.value.paths == ["scheme.pump_time_us"]
 
+    def test_rewritten_trajectory_is_read_again(self, tmp_path, monkeypatch):
+        """Parsed once per content: a same-size rewrite (which a coarse
+        mtime may not show) is parsed again, a repeat read is not."""
+        from eitconvert import config
+        config._trajectory_columns.cache_clear()
+        parsed = []
+        read_csv = config.read_csv
+        monkeypatch.setattr(
+            config, "read_csv",
+            lambda source: parsed.append(1) or read_csv(source))
+        path = tmp_path / "traj.csv"
+        early = [0.9] + [0.0] * 6 + [0.1]
+        late = [0.0] * 6 + [0.8] + [0.2]
+        units = UnitSystem(gamma_2pi_MHz=4.56)
+        self.write_trajectory(path, "t_us", [0.0, 1.0], [early, late])
+        size = path.stat().st_size
+        assert populations_from_trajectory(path, 1.0, units)[6] == 1.0
+        assert populations_from_trajectory(path, 1.0, units)[6] == 1.0
+        assert len(parsed) == 1
+        self.write_trajectory(path, "t_us", [0.0, 1.0], [early, early])
+        assert path.stat().st_size == size
+        assert populations_from_trajectory(path, 1.0, units)[0] == 1.0
+        assert len(parsed) == 2
+
     def test_missing_file_reports_field_path(self, tmp_path):
         units = UnitSystem(gamma_2pi_MHz=4.56)
         with pytest.raises(ConfigValidationError) as excinfo:

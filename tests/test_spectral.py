@@ -470,11 +470,11 @@ class TestGridSizing:
     def test_auto_size_over_budget_refused(self):
         sch = single_lambda_scheme(D, D)
         Om = control_for_eta(sch, ETA, T_P)
-        ok = SpectralGrid.for_protocol(sch, Om, T_P, 0.1 * Om)
-        assert ok.n_omega == 1 << 21
-        with pytest.raises(GridBudgetError, match="33554432.*4194304"):
-            SpectralGrid.for_protocol(sch, Om, T_P, 0.02 * Om)
-        forced = SpectralGrid.for_protocol(sch, Om, T_P, 0.02 * Om,
+        ok = SpectralGrid.for_protocol(sch, Om, T_P, 0.01 * Om)
+        assert ok.n_omega == 1 << 20
+        with pytest.raises(GridBudgetError, match="8388608.*4194304"):
+            SpectralGrid.for_protocol(sch, Om, T_P, 1e-3 * Om)
+        forced = SpectralGrid.for_protocol(sch, Om, T_P, 1e-3 * Om,
                                            n_omega=1 << 23)
         assert forced.n_omega == 1 << 23
 
