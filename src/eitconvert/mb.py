@@ -23,7 +23,8 @@ Both channels stay live through all phases; the protocol is expressed purely
 through the control envelopes, so the same integrator covers slow light
 (write control never switched), storage, and retrieval with finite ramps.
 Time stepping is classical RK4 with the field integrals re-evaluated at each
-stage.
+stage, at one uniform step per protocol phase: the write phase up to the
+read turn-on, the read phase after it (see _phase_rates).
 
 Numpy call overhead, not arithmetic, sets the cost of a step on grids of a
 few hundred z samples, so the loop is laid out to make few calls:
@@ -74,12 +75,20 @@ __all__ = [
 # benchmark items use at most 11265 steps, and 2**20 steps take about
 # three minutes at n_z = 200 (the (n_t, 2) complex exit table alone is
 # 32 MB).  A read/write control ratio of 0.01 at D_p = 500, ccp2 = 10
-# would ask for about 2.4e8.
+# would ask for about 5.2e8.
 MAX_N_T = 1 << 20
 # a run whose dissipated energy falls below -LEDGER_TOL of the input has
 # diverged; every test, figure, demo and benchmark item dissipates at
 # least +6.9e-4 of its input, diverged runs -0.28 and below
 LEDGER_TOL = 1e-2
+# largest dt * alpha * Gamma of either channel: the step rule's depth
+# rates are 0.1 * alpha * Gamma / DEPTH_STEP.  On single-lambda runs the
+# converted energy (read channel, alpha_c 2500) and the dissipated one
+# (probe channel in both phases, alpha_p 2000 and 10^4) stay within 2e-6
+# of converged up to 60, are off by 1e-4 at 80 and by 1% at 100, and are
+# wrong or diverged from 115.  A cesium-d1 read (alpha_c 4000, isotropic)
+# holds to 150 and fails at 300.  The benchmark items reach 20.
+DEPTH_STEP = 50.0
 
 
 def _smoothstep(x):
@@ -222,6 +231,8 @@ def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
 # at n_t ~ 10^4) raised the peak resident memory of later runs in the same
 # process by about 2.5 MB; blocks of this size stay off that path.
 _TABLE_STEPS = 256
+# RK4 stage times as fractions of the step
+_STAGES = np.array([0.0, 0.5, 1.0])
 
 
 def _control_table(timeline: ControlTimeline, t: np.ndarray) -> np.ndarray:
@@ -232,6 +243,33 @@ def _control_table(timeline: ControlTimeline, t: np.ndarray) -> np.ndarray:
     return np.stack([Ow, np.conj(Ow), np.conj(Or), Or], axis=-1)
 
 
+def _phase_rates(scheme: ConversionScheme, pulse: GaussianPulse,
+                 timeline: ControlTimeline) -> dict:
+    """The rates that bound the time step of each protocol phase.
+
+    The write phase ends at the read turn-on t_r and the read phase starts
+    there.  The read rows stay exactly zero while Omega_r = 0, so the read
+    control and the read depth count only in the read phase; the write
+    control is off by then.  A run without a read control (slow light, or
+    storage only) is one write phase.
+    """
+    write, read = scheme.channel("write"), scheme.channel("read")
+    common = {"Gamma_w": write.Gamma, "Gamma_r": read.Gamma,
+              "bandwidth": pulse_bandwidth(pulse.T_p),
+              "write_depth": 0.1 * write.alpha * write.Gamma / DEPTH_STEP}
+    if scheme.gamma_sg > 0:
+        common["gamma_sg"] = scheme.gamma_sg
+    phases = {"write": {**common, "write_control": write.a_ctrl_max
+                        * abs(timeline.Omega_w0)}}
+    if timeline.t_r is not None and timeline.Omega_r0 != 0:
+        phases["read"] = {**common,
+                          "read_control": read.a_ctrl_max
+                          * abs(timeline.Omega_r0),
+                          "read_depth": 0.1 * read.alpha * read.Gamma
+                          / DEPTH_STEP}
+    return phases
+
+
 def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
                  timeline: ControlTimeline,
                  grid: tuple[int, int] | None = None,
@@ -239,16 +277,22 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
                  grid_check: bool = False) -> SimulationRecord:
     """Integrate the write/store/read protocol and return the full record.
 
-    grid is (n_z, n_t); n_t = 0 or a missing grid picks the step count from
-    the stiffness rule dt <= 0.1 / max{Gamma, |a Omega|, pulse bandwidth}.
-    The rate that set the bound is recorded as diagnostics["dt_limit"].
-    A forced n_t that violates that rule raises StiffnessError, and so does
-    a run whose energy ledger shows it diverged (an energy not finite, or
-    dissipated below -LEDGER_TOL of the input).  An automatic n_t, or the
-    doubled one of grid_check, above MAX_N_T raises GridBudgetError before
-    anything is allocated; a forced n_t is taken as given.  grid_check
-    reruns at doubled resolution and stores the relative change of the
-    converted (or transmitted) energy in the diagnostics.
+    grid is (n_z, n_t); n_t = 0 or a missing grid picks the time grid from
+    the stiffness rule dt <= 0.1 / max(rates) of each phase (see
+    _phase_rates; the rates are Gamma_w, Gamma_r, the pulse bandwidth,
+    |a Omega| of the phase's control, the depth rates and gamma_sg).  The
+    write phase, up to the read turn-on, and the read phase after it each
+    get their own uniform step; diagnostics name each phase's step and the
+    rate that set it (dt_write, dt_limit_write, dt_read, dt_limit_read),
+    and dt is the larger step.  A forced n_t gives one uniform grid over
+    the whole run; one that violates the rule of a phase raises
+    StiffnessError, and so does a run whose energy ledger shows it
+    diverged (an energy not finite, or dissipated below -LEDGER_TOL of the
+    input).  An automatic n_t, or the doubled one of grid_check, above
+    MAX_N_T raises GridBudgetError before anything is allocated; a forced
+    n_t is taken as given.  grid_check reruns with every step halved and
+    n_z doubled and stores the relative change of the converted (or
+    transmitted) energy in the diagnostics.
     """
     n_z, n_t = grid if grid is not None else (200, 0)
     if n_z < 8:
@@ -259,34 +303,93 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     if not t_end > t_start:
         raise ValueError("t_end must exceed the padding start")
 
-    write, read = scheme.channel("write"), scheme.channel("read")
-    rates = {"Gamma_w": write.Gamma, "Gamma_r": read.Gamma,
-             "bandwidth": pulse_bandwidth(pulse.T_p),
-             "write_control": write.a_ctrl_max * abs(timeline.Omega_w0)}
-    if timeline.Omega_r0 != 0:
-        rates["read_control"] = read.a_ctrl_max * abs(timeline.Omega_r0)
-    if scheme.gamma_sg > 0:
-        rates["gamma_sg"] = scheme.gamma_sg
-    dt_limit = max(rates, key=rates.get)
-    dt_max = 0.1 / rates[dt_limit]
-    if n_t <= 0:
-        n_t = int(math.ceil((t_end - t_start) / dt_max)) + 1
+    rates = _phase_rates(scheme, pulse, timeline)
+    spans = {"write": (t_start, t_end)}
+    if "read" in rates:
+        t_r = min(max(timeline.t_r, t_start), t_end)
+        spans = {"write": (t_start, t_r), "read": (t_r, t_end)}
+    # the step bound of each phase the run spans, and the rate that sets it
+    bounds = {}
+    for name, (t0, t1) in spans.items():
+        if t1 > t0:
+            limit = max(rates[name], key=rates[name].get)
+            bounds[name] = (0.1 / rates[name][limit], limit)
+
+    if n_t > 0:
+        dt = (t_end - t_start) / (n_t - 1)
+        for name, (dt_max, limit) in bounds.items():
+            if dt > dt_max * (1.0 + 1e-9):
+                raise StiffnessError(
+                    f"dt = {dt:.3e} exceeds the {name}-phase stability "
+                    f"bound {dt_max:.3e} (limit {limit}); need n_t >= "
+                    f"{int(math.ceil((t_end - t_start) / dt_max)) + 1}")
+        segments = [(t_start, dt, n_t - 1)]
+        dts = dict.fromkeys(bounds, dt)
+    else:
+        segments, dts = [], {}
+        for name, (dt_max, _) in bounds.items():
+            t0, t1 = spans[name]
+            steps = int(math.ceil((t1 - t0) / dt_max))
+            dts[name] = (t1 - t0) / steps
+            segments.append((t0, dts[name], steps))
+        n_t = sum(steps for *_, steps in segments) + 1
         if n_t > MAX_N_T:
+            wanted = ", ".join(f"{name}-phase dt <= {dt_max:.3e} (limit "
+                               f"{limit})"
+                               for name, (dt_max, limit) in bounds.items())
             raise GridBudgetError(
-                f"time grid needs n_t = {n_t} steps for dt <= {dt_max:.3e} "
-                f"(limit {dt_limit}), above the budget of {MAX_N_T}; set "
-                f"grid.n_t to force a size")
+                f"time grid needs n_t = {n_t} steps for {wanted}, above the "
+                f"budget of {MAX_N_T}; set grid.n_t to force a size")
     if grid_check and 2 * n_t - 1 > MAX_N_T:
         raise GridBudgetError(
             f"grid check needs n_t = {2 * n_t - 1} steps, above the budget "
             f"of {MAX_N_T}; run without the grid check or set a smaller "
             f"grid.n_t")
-    dt = (t_end - t_start) / (n_t - 1)
-    if dt > dt_max * (1.0 + 1e-9):
-        raise StiffnessError(
-            f"dt = {dt:.3e} exceeds the stability bound {dt_max:.3e}; "
-            f"need n_t >= {int(math.ceil((t_end - t_start) / dt_max)) + 1}")
 
+    def integrate(n_z, segments):
+        record = _integrate(scheme, pulse, timeline, n_z, segments)
+        en = record.energies
+        if not (all(map(math.isfinite, en.values()))
+                and en["dissipated"] >= -LEDGER_TOL * en["input"]):
+            used = ", ".join(f"{name}-phase dt = {dts[name]:.3e} (limit "
+                             f"{limit})"
+                             for name, (_, limit) in bounds.items())
+            raise StiffnessError(
+                f"the run diverged: dissipated energy "
+                f"{en['dissipated'] / en['input']:.3g} of the input at "
+                f"{used}; force a larger n_t")
+        return record
+
+    record = integrate(n_z, segments)
+    record.diagnostics.update({
+        "n_z": n_z, "n_t": n_t, "dt": max(dts.values()),
+        "t_start": t_start, "t_end": t_end,
+        "t_w": timeline.t_w, "t_r": timeline.t_r, "ramp": timeline.ramp,
+        "Omega_w0": repr(complex(timeline.Omega_w0)),
+        "Omega_r0": repr(complex(timeline.Omega_r0)),
+    })
+    for name, (dt_max, limit) in bounds.items():
+        record.diagnostics.update({f"dt_{name}": dts[name],
+                                   f"dt_max_{name}": dt_max,
+                                   f"dt_limit_{name}": limit})
+
+    if grid_check:
+        fine = integrate(2 * n_z, [(t0, 0.5 * dt, 2 * steps)
+                                   for t0, dt, steps in segments])
+        key = "converted" if timeline.Omega_r0 != 0 else "transmitted"
+        ref = fine.energies[key]
+        rel = abs(record.energies[key] - ref) / ref if ref > 0 else 0.0
+        record.diagnostics["grid_doubling_rel"] = rel
+        record.diagnostics["grid_converged"] = bool(rel < 0.01)
+    return record
+
+
+def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
+               timeline: ControlTimeline, n_z: int,
+               segments: list) -> SimulationRecord:
+    """RK4 over uniform time segments [(start, dt, steps), ...], each
+    starting where the one before ends; the diagnostics are left empty."""
+    write, read = scheme.channel("write"), scheme.channel("read")
     z = np.linspace(0.0, 1.0, n_z)
     dz = z[1] - z[0]
     M = scheme.p.size
@@ -327,13 +430,20 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
         np.matmul(D, fields, out=drive)
         out += drive
 
-    t_axis = t_start + dt * np.arange(n_t)
-    stage_offsets = np.array([0.0, 0.5 * dt, dt])
+    last, dt_last, n_last = segments[-1]
+    t_axis = np.concatenate([t0 + dt * np.arange(steps)
+                             for t0, dt, steps in segments]
+                            + [[last + dt_last * n_last]])
+    # step k runs from t_axis[k] to t_axis[k + 1], so a switch at a segment
+    # boundary falls on a stage time; the last sample takes no step
+    step = np.diff(t_axis, append=t_axis[-1])
+    n_t = t_axis.size
 
     def stage_tables(k0):
         """Controls and entry-face values at t_k, t_k + dt/2 and t_k + dt
         for the block of steps starting at k0."""
-        t = t_axis[k0:k0 + _TABLE_STEPS, None] + stage_offsets
+        block = slice(k0, k0 + _TABLE_STEPS)
+        t = t_axis[block, None] + step[block, None] * _STAGES
         return _control_table(timeline, t), pulse(t)
 
     exits = np.empty((n_t, 2), dtype=complex)
@@ -343,10 +453,10 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     k_buf = np.empty_like(state)
     scaled = np.empty_like(state)
     idx_w = (None if timeline.t_w is None
-             else int(round((timeline.t_w - t_start) / dt)))
+             else int(np.argmin(np.abs(t_axis - timeline.t_w))))
     snap_w = None
 
-    for k in range(n_t):
+    for k, dt in enumerate(step.tolist()):
         j = k % _TABLE_STEPS
         if j == 0:
             ctrl, entry = stage_tables(k)
@@ -405,34 +515,9 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
         "residual_stored": e_resid,
         "dissipated": e_in - e_trans - e_conv - e_resid,
     }
-    if not (all(map(math.isfinite, energies.values()))
-            and energies["dissipated"] >= -LEDGER_TOL * e_in):
-        raise StiffnessError(
-            f"the run diverged: dissipated energy "
-            f"{energies['dissipated'] / e_in:.3g} of the input at "
-            f"dt = {dt:.3e} (limit {dt_limit}); force a larger n_t")
-    diagnostics = {
-        "n_z": n_z, "n_t": n_t, "dt": dt, "dt_max": dt_max,
-        "dt_limit": dt_limit,
-        "t_start": t_start, "t_end": t_end,
-        "t_w": timeline.t_w, "t_r": timeline.t_r, "ramp": timeline.ramp,
-        "Omega_w0": repr(complex(timeline.Omega_w0)),
-        "Omega_r0": repr(complex(timeline.Omega_r0)),
-    }
-
-    record = SimulationRecord(
+    return SimulationRecord(
         stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
-        converted_exit=conv_exit, energies=energies, diagnostics=diagnostics)
-
-    if grid_check:
-        fine = run_protocol(scheme, pulse, timeline,
-                            grid=(2 * n_z, 2 * n_t - 1), t_end=t_end)
-        key = "converted" if timeline.Omega_r0 != 0 else "transmitted"
-        ref = fine.energies[key]
-        rel = abs(record.energies[key] - ref) / ref if ref > 0 else 0.0
-        record.diagnostics["grid_doubling_rel"] = rel
-        record.diagnostics["grid_converged"] = bool(rel < 0.01)
-    return record
+        converted_exit=conv_exit, energies=energies, diagnostics={})
 
 
 def run_original_readout(scheme: ConversionScheme, pulse: GaussianPulse,

@@ -3,7 +3,7 @@
 All three engines report a converted waveform on a shared time axis
 whose origin is the read-control turn-on, so pointwise comparisons need
 no further alignment.  Summaries are flat dicts of numbers, plus the
-name of the rate that bounded the mb step; a sweep row is the axis
+names of the rates that bounded the mb steps; a sweep row is the axis
 values followed by the numeric entries flattened as "engine.key" columns.
 
 Per-engine summary keys:
@@ -16,8 +16,12 @@ Per-engine summary keys:
             fwhm
   mb:       converted_energy, input_energy, xi_total, xi_relative,
             leakage, transmitted_energy, peak_time, peak_amplitude, fwhm,
-            n_t, dt, t_end, dt_limit (Gamma_w, Gamma_r, bandwidth,
-            write_control, read_control or gamma_sg)
+            residual_stored (fraction of the input still stored at
+            t_end), tail_intensity (last converted sample over the peak
+            intensity), n_t, t_end, and per phase the step and the rate
+            that set it: dt_write, dt_limit_write, dt_read, dt_limit_read
+            (Gamma_w, Gamma_r, bandwidth, write_control, read_control,
+            write_depth, read_depth or gamma_sg)
 """
 
 from __future__ import annotations
@@ -62,12 +66,17 @@ def _peak_and_fwhm(t: np.ndarray, field: np.ndarray):
     i = int(np.argmax(inten))
     t_pk, v_pk = t[i], inten[i]
     if 0 < i < t.size - 1:
-        y0, y1, y2 = inten[i - 1], inten[i], inten[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0:
-            shift = 0.5 * (y0 - y2) / denom
-            t_pk = t[i] + shift * (t[1] - t[0])
-            v_pk = y1 - 0.25 * (y0 - y2) * shift
+        # vertex of the parabola through the three samples around the
+        # maximum, on their own spacings (the mb grid changes step at t_r)
+        h0, h1 = t[i] - t[i - 1], t[i + 1] - t[i]
+        d0 = (inten[i] - inten[i - 1]) / h0
+        d1 = (inten[i + 1] - inten[i]) / h1
+        curv = (d1 - d0) / (h0 + h1)
+        if curv < 0:
+            slope = (d0 * h1 + d1 * h0) / (h0 + h1)
+            shift = -0.5 * slope / curv
+            t_pk = t[i] + shift
+            v_pk = inten[i] + 0.5 * slope * shift
     half = 0.5 * v_pk
     above = inten >= half
     if not above.any() or v_pk == 0:
@@ -206,8 +215,16 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
         "leakage": energies["leaked"] / energies["input"],
     }
     summary.update(_waveform_stats(t, record.converted_exit))
-    for key in ("n_t", "dt", "t_end", "dt_limit"):
-        summary[key] = record.diagnostics[key]
+    # what the run left undone: the excitation still stored at t_end, and
+    # the converted intensity of the last sample against its peak
+    intensity = np.abs(record.converted_exit) ** 2
+    summary["residual_stored"] = energies["residual_stored"] / energies["input"]
+    summary["tail_intensity"] = (float(intensity[-1] / intensity.max())
+                                 if intensity.max() > 0 else 0.0)
+    for key in ("n_t", "t_end", "dt_write", "dt_limit_write", "dt_read",
+                "dt_limit_read"):
+        if key in record.diagnostics:
+            summary[key] = record.diagnostics[key]
     for key in ("grid_doubling_rel", "grid_converged"):
         if key in record.diagnostics:
             summary[key] = float(record.diagnostics[key])

@@ -9,7 +9,7 @@ from eitconvert import UnitSystem, relative_efficiency_single
 from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
 from eitconvert.config import ScenarioConfig, load_scenario
-from eitconvert.runner import run_scenario
+from eitconvert.runner import _peak_and_fwhm, run_scenario
 from eitconvert.spectral import SpectralGrid
 
 
@@ -115,14 +115,19 @@ class TestScenarioCommand:
         out = tmp_path / "out"
         assert main(["scenario", f, "--out", str(out)]) == 0
         report = json.loads((out / "efficiency_mb.json").read_text())
-        assert report["dt_limit"] == limit
+        assert report["dt_limit_write"] == limit
         t = read_csv(out / "converted_mb.csv")[1]["t"]
         assert report["n_t"] == t.size
-        assert report["dt"] == pytest.approx(t[1] - t[0], rel=1e-9)
+        # one uniform step per phase, changing at the read turn-on t = 0
+        steps = np.diff(t)
+        assert np.allclose(steps[t[:-1] < 0], report["dt_write"], rtol=1e-9)
+        assert np.allclose(steps[t[:-1] >= 0], report["dt_read"], rtol=1e-9)
         # the run starts two pulse durations before the peak enters
         t_start = -2.0 * UnitSystem(gamma_2pi_MHz=4.56).time_in(0.2)
-        assert report["t_end"] == pytest.approx(
-            t_start + report["dt"] * (report["n_t"] - 1), rel=1e-12)
+        t_r = t_start - t[0]
+        assert np.count_nonzero(t < 0) * report["dt_write"] == \
+            pytest.approx(t_r - t_start, rel=1e-9)
+        assert report["t_end"] == pytest.approx(t_r + t[-1], rel=1e-12)
 
     def test_engine_flag_overrides_config(self, tmp_path):
         f = write_json(tmp_path / "s.json",
@@ -178,7 +183,7 @@ class TestScenarioCommand:
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
-        assert "n_t = 242624541" in err and "1048576" in err
+        assert "n_t = 519476872" in err and "1048576" in err
 
     def test_time_grid_check_over_budget_exits_3(self, tmp_path, capsys):
         """The doubled time grid is refused before the coarse run."""
@@ -297,6 +302,33 @@ class TestComparison:
         assert main(["scenario", f, "--out", str(out), "--grid-check"]) == 0
         summary = load_manifest(out)["engines"]["spectral"]
         assert summary["grid_doubling_rel"] < 1e-4
+
+
+class TestMbRecord:
+    def test_peak_on_a_two_step_grid(self):
+        """The mb grid changes its step at the read turn-on: the peak is
+        interpolated with the spacing around it, not the first one."""
+        t = np.concatenate([np.linspace(-10.0, 0.0, 11),
+                            0.1 * np.arange(1, 101)])
+        field = np.exp(-((t - 2.03) / 1.5) ** 2)
+        t_pk, amp, fwhm = _peak_and_fwhm(t, field)
+        assert t_pk == pytest.approx(2.03, abs=1e-4)
+        assert amp == pytest.approx(1.0, abs=1e-4)
+        assert fwhm == pytest.approx(1.5 * np.sqrt(2.0 * np.log(2.0)),
+                                     rel=1e-3)
+
+    def test_tail_not_caught_is_reported(self):
+        """A short pulse at matched controls: the automatic run length
+        stops with about 6.6e-5 of the input still stored and the last
+        converted sample at about 2.6e-4 of the peak intensity."""
+        doc = minimal_doc(engines=["mb"])
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 100.0, "ccp2": 1.0}
+        doc["units"]["T_p_us"] = 0.05
+        doc["protocol"] = {"eta": 4.0, "kappa": 1.35, "control_ratio": 1.0}
+        summary = run_scenario(ScenarioConfig.from_dict(doc),
+                               persist=False)["engines"]["mb"]
+        assert 3e-5 < summary["residual_stored"] < 1.5e-4
+        assert 1e-4 < summary["tail_intensity"] < 6e-4
 
 
 class TestStageGrids:

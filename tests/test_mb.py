@@ -22,6 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eitconvert import mb
 from eitconvert import (
     CoherenceField,
     ControlTimeline,
@@ -295,13 +296,15 @@ class TestNumerics:
                          timeline_for_protocol(Om, Om, T_P, KAPPA),
                          grid=(4, 0))
 
-    def test_diverged_run_rejected(self):
-        """At high read depth the step rule misses a rate.  Unguarded, this
-        run returned xi_total 2.0 with dissipated -1.02 x input; the
-        energy ledger refuses it."""
+    def test_diverged_run_rejected(self, monkeypatch):
+        """A step rule without the depth rates diverges at high read depth:
+        unguarded, this run returned xi_total 2.0 with dissipated -1.02 x
+        input.  The energy ledger refuses it."""
+        monkeypatch.setattr(mb, "DEPTH_STEP", math.inf)
         sch = single_lambda_scheme(100.0, 2500.0)
         Om = control_for_eta(sch, ETA, T_P)
-        with pytest.raises(StiffnessError, match=r"dt = .* \(limit \w+\)"):
+        with pytest.raises(StiffnessError,
+                           match=r"read-phase dt = .* \(limit \w+\)"):
             run_protocol(sch, GaussianPulse(T_p=T_P),
                          timeline_for_protocol(Om, Om, T_P, KAPPA),
                          grid=(16, 0))
@@ -348,16 +351,19 @@ class TestStepDecision:
     def test_limiting_rate_recorded(self, depth, read_scale, limit):
         sch = single_lambda_scheme(depth, depth)
         Om = control_for_eta(sch, ETA, T_P)
-        rec = run_protocol(sch, GaussianPulse(T_p=T_P),
-                           timeline_for_protocol(Om, read_scale * Om, T_P,
-                                                 KAPPA),
-                           grid=(16, 0), t_end=0.0)
+        tl = timeline_for_protocol(Om, read_scale * Om, T_P, KAPPA)
+        rec = run_protocol(sch, GaussianPulse(T_p=T_P), tl, grid=(16, 0),
+                           t_end=tl.t_r + 1.0)
         d = rec.diagnostics
-        assert d["dt_limit"] == limit
+        phase = "read" if limit == "read_control" else "write"
+        assert d[f"dt_limit_{phase}"] == limit
         rate = {"write_control": abs(Om), "read_control": abs(2.0 * Om),
                 "Gamma_w": sch.Gamma_w}[limit]
-        assert d["dt_max"] == pytest.approx(0.1 / rate, rel=1e-14)
-        assert d["dt"] <= d["dt_max"]
+        assert d[f"dt_max_{phase}"] == pytest.approx(0.1 / rate, rel=1e-14)
+        assert d[f"dt_{phase}"] <= d[f"dt_max_{phase}"]
+        steps = np.diff(rec.t_exit)
+        assert np.all(steps <= max(d["dt_max_write"], d["dt_max_read"])
+                      * (1 + 1e-9))
 
 
 def _reference_run(scheme, pulse, timeline, rec):
@@ -368,8 +374,8 @@ def _reference_run(scheme, pulse, timeline, rec):
     chose.  Returns the exit waveforms and sigma_sg at the write cutoff
     and at the end.
     """
-    d = rec.diagnostics
-    n_z, n_t, t_start, dt = d["n_z"], d["n_t"], d["t_start"], d["dt"]
+    n_z, t_axis = rec.diagnostics["n_z"], rec.t_exit
+    n_t = t_axis.size
     z = np.linspace(0.0, 1.0, n_z)
     dz = z[1] - z[0]
     M = scheme.p.size
@@ -402,15 +408,16 @@ def _reference_run(scheme, pulse, timeline, rec):
     probe = np.empty(n_t, dtype=complex)
     conv = np.empty(n_t, dtype=complex)
     idx_w = (None if timeline.t_w is None
-             else int(round((timeline.t_w - t_start) / dt)))
+             else int(np.argmin(np.abs(t_axis - timeline.t_w))))
     sg_w = None
     for k in range(n_t):
-        t = t_start + dt * k
+        t = t_axis[k]
         if k == idx_w:
             sg_w = y[2].copy()
         k1, probe[k], conv[k] = deriv(*y, t)
         if k == n_t - 1:
             break
+        dt = t_axis[k + 1] - t
         k2 = deriv(*[a + 0.5 * dt * b for a, b in zip(y, k1)], t + 0.5 * dt)[0]
         k3 = deriv(*[a + 0.5 * dt * b for a, b in zip(y, k2)], t + 0.5 * dt)[0]
         k4 = deriv(*[a + dt * b for a, b in zip(y, k3)], t + dt)[0]
@@ -472,3 +479,107 @@ class TestStackedStepOracle:
         # the medium is nearly empty at the end: compare on the input scale
         assert abs(en["residual_stored"] - stored(sg_end)) \
             <= 1e-12 * en["input"]
+
+
+class TestPhaseSteps:
+    """One uniform step per protocol phase, and the depth rates.
+
+    The write phase runs up to the read turn-on t_r at the write channel's
+    step, the read phase after it at the read channel's.  At high optical
+    depth the step is bounded by the depth rates: RK4 on the discretized
+    propagation diverges once dt * alpha * Gamma passes about 110.
+    """
+
+    @staticmethod
+    def deep(ratio):
+        """Read depth alpha_c 1500 over a write depth of 30."""
+        sch = single_lambda_scheme(30.0, 1500.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        return sch, GaussianPulse(T_p=T_P), timeline_for_protocol(
+            Om, ratio * Om, T_P, KAPPA)
+
+    def test_depth_rate_sets_read_step(self):
+        """At this read depth the control rates alone allow dt * alpha_c
+        Gamma_r = 131, and the run diverged (dissipated -113 x input).
+        The first 100 / Gamma of the read phase show it."""
+        sch, pulse, tl = self.deep(1.0)
+        rec = run_protocol(sch, pulse, tl, grid=(64, 0), grid_check=True,
+                           t_end=tl.t_r + 100.0)
+        d = rec.diagnostics
+        assert d["dt_limit_write"] == "write_control"
+        assert d["dt_limit_read"] == "read_depth"
+        assert d["dt_read"] * sch.alpha_c * sch.Gamma_r <= mb.DEPTH_STEP
+        assert d["grid_doubling_rel"] < 0.01
+
+    def test_deep_weak_read_is_physical(self, monkeypatch):
+        """A weak read sets a long read step; without the depth rates it
+        diverges, with them the energy ledger closes."""
+        sch, pulse, tl = self.deep(0.5)
+        rec = run_protocol(sch, pulse, tl, grid=(16, 0),
+                           t_end=tl.t_r + 100.0)
+        en = rec.energies
+        assert rec.diagnostics["dt_limit_read"] == "read_depth"
+        assert 0.0 < en["converted"] < en["stored_equivalent"]
+        assert 0.0 <= en["dissipated"] < en["input"]
+        monkeypatch.setattr(mb, "DEPTH_STEP", math.inf)
+        with pytest.raises(StiffnessError, match="diverged"):
+            run_protocol(sch, pulse, tl, grid=(16, 0), t_end=tl.t_r + 100.0)
+
+    def test_weak_read_matches_uniform_write_step(self):
+        sch = single_lambda_scheme(150.0, 150.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        pulse = GaussianPulse(T_p=T_P)
+        tl = timeline_for_protocol(Om, 0.3 * Om, T_P, KAPPA)
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0))
+        d = rec.diagnostics
+        assert d["dt_read"] > 2.0 * d["dt_write"]
+        span = d["t_end"] - d["t_start"]
+        n_t = int(math.ceil(span / d["dt_write"])) + 1
+        uniform = run_protocol(sch, pulse, tl, grid=(24, n_t))
+        assert n_t > 1.5 * d["n_t"]
+        xi = [r.energies["converted"] / r.energies["input"]
+              for r in (rec, uniform)]
+        assert xi[0] == pytest.approx(xi[1], abs=1e-4)
+
+    def test_grid_check_doubles_each_segment(self, monkeypatch):
+        calls = []
+
+        def spy(scheme, pulse, timeline, n_z, segments):
+            calls.append((n_z, segments))
+            return integrate(scheme, pulse, timeline, n_z, segments)
+
+        integrate = mb._integrate
+        monkeypatch.setattr(mb, "_integrate", spy)
+        sch = single_lambda_scheme(50.0, 50.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        tl = timeline_for_protocol(Om, 0.5 * Om, T_P, KAPPA)
+        rec = run_protocol(sch, GaussianPulse(T_p=T_P), tl, grid=(16, 0),
+                           grid_check=True, t_end=tl.t_r + 10.0)
+        (n_z, coarse), (n_z_fine, fine) = calls
+        assert n_z_fine == 2 * n_z
+        assert len(coarse) == 2
+        assert coarse[1][0] == tl.t_r
+        assert fine == [(t0, 0.5 * dt, 2 * steps)
+                        for t0, dt, steps in coarse]
+        assert "grid_doubling_rel" in rec.diagnostics
+
+    def test_forced_n_t_is_one_uniform_grid(self):
+        sch = single_lambda_scheme(50.0, 50.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        pulse = GaussianPulse(T_p=T_P)
+        tl = timeline_for_protocol(Om, 2.0 * Om, T_P, KAPPA)
+        t_end = tl.t_r + 10.0
+        auto = run_protocol(sch, pulse, tl, grid=(16, 0), t_end=t_end)
+        d = auto.diagnostics
+        span = t_end - d["t_start"]
+        n_t = int(math.ceil(span / d["dt_max_read"])) + 1
+        rec = run_protocol(sch, pulse, tl, grid=(16, n_t), t_end=t_end)
+        steps = np.diff(rec.t_exit)
+        assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        assert rec.diagnostics["dt_write"] == rec.diagnostics["dt_read"]
+        # fine enough for the write phase, too coarse for the read phase
+        n_t = int(math.ceil(span / d["dt_max_write"])) + 1
+        with pytest.raises(StiffnessError,
+                           match=r"read-phase stability bound .* "
+                                 r"\(limit read_control\)"):
+            run_protocol(sch, pulse, tl, grid=(16, n_t), t_end=t_end)
