@@ -71,11 +71,12 @@ print("spectral: xi_total %.4f" % (res.energy / pulse_energy(T_p)))
 
 # 3. Time-domain Maxwell-Bloch run of the full switching protocol,
 #    plus a companion run that reads out on the original channel so the
-#    relative efficiency has its reference.
+#    relative efficiency has its reference.  The companion continues from
+#    the main record at the read turn-on: the write phase is the same.
 pulse = GaussianPulse(T_p=T_p)
 timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
 record = run_protocol(scheme, pulse, timeline)
-companion = run_original_readout(scheme, pulse, timeline)
+companion = run_original_readout(scheme, pulse, timeline, record)
 xi_total = record.energies["converted"] / record.energies["input"]
 xi_rel = record.energies["converted"] / companion.energies["converted"]
 print("mb:       xi_total %.4f  xi_relative %.4f" % (xi_total, xi_rel))

@@ -35,8 +35,7 @@ class CoherenceField:
 
         Subsystems with zero population carry no coherence and are skipped.
         """
-        out = np.zeros(self.z.size)
-        for pj, row in zip(populations, self.sigma):
-            if pj > 0:
-                out += np.abs(row) ** 2 / pj
-        return out
+        populations = np.asarray(populations)
+        populated = populations > 0
+        return (np.abs(self.sigma[populated]) ** 2
+                / populations[populated, None]).sum(axis=0)

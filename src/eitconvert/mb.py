@@ -26,6 +26,13 @@ Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage, at one uniform step per protocol phase: the write phase up to the
 read turn-on, the read phase after it (see _phase_rates).
 
+The relative efficiency needs a companion run that reads out in the
+original channel.  Its write phase is the main run's, so
+run_original_readout resumes from the state the main record kept at the
+read turn-on, and, its only output being an energy, stops once the medium
+is drained.  The main run keeps its automatic run length: its waveforms
+are compared with the other engines' over their common window.
+
 Numpy call overhead, not arithmetic, sets the cost of a step on grids of a
 few hundred z samples, so the loop is laid out to make few calls:
 
@@ -89,6 +96,13 @@ LEDGER_TOL = 1e-2
 # wrong or diverged from 115.  A cesium-d1 read (alpha_c 4000, isotropic)
 # holds to 150 and fails at 300.  The benchmark items reach 20.
 DEPTH_STEP = 50.0
+# run_original_readout stops once the excitation left in the medium falls
+# below DRAIN_TOL of the pulse energy, checked every DRAIN_EVERY steps
+# after the read ramp.  The identical-channel relative efficiency of the
+# standard point (tests/test_mb.py) reads 1 - 5.1e-9 at a tolerance of
+# 1e-8 and within 3.7e-10 of 1 at 1e-9.
+DRAIN_TOL = 1e-9
+DRAIN_EVERY = 32
 
 
 def _smoothstep(x):
@@ -187,7 +201,13 @@ class SimulationRecord:
     photon-flux-consistent.  The figures of merit are ratios of entries:
     converted / input is the total efficiency, leaked / input the leakage,
     and converted over the converted energy of run_original_readout the
-    relative efficiency.
+    relative efficiency.  residual_stored is the excitation left in the
+    medium at the last sample, in all three coherences.
+
+    resume is (k, state): the index on t_exit of the last sample that no
+    RK4 stage with the read control on has reached, and a copy of the
+    stacked (M, 3, n_z) state there; None without a read turn-on (slow
+    light).  run_original_readout resumes from it.
     """
 
     stored_write: CoherenceField | None
@@ -196,6 +216,7 @@ class SimulationRecord:
     converted_exit: np.ndarray
     energies: dict
     diagnostics: dict
+    resume: tuple[int, np.ndarray] | None = None
 
 
 def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
@@ -249,12 +270,14 @@ def _phase_rates(scheme: ConversionScheme, pulse: GaussianPulse,
 
     The write phase ends at the read turn-on t_r and the read phase starts
     there.  The read rows stay exactly zero while Omega_r = 0, so the read
-    control and the read depth count only in the read phase; the write
-    control is off by then.  A run without a read control (slow light, or
-    storage only) is one write phase.
+    control, the read linewidth and the read depth count only in the read
+    phase; the write control is off by then.  The write-phase step thus
+    does not depend on the read channel, which lets run_original_readout
+    share the write phase of the main run.  A run without a read control
+    (slow light, or storage only) is one write phase.
     """
     write, read = scheme.channel("write"), scheme.channel("read")
-    common = {"Gamma_w": write.Gamma, "Gamma_r": read.Gamma,
+    common = {"Gamma_w": write.Gamma,
               "bandwidth": pulse_bandwidth(pulse.T_p),
               "write_depth": 0.1 * write.alpha * write.Gamma / DEPTH_STEP}
     if scheme.gamma_sg > 0:
@@ -262,7 +285,8 @@ def _phase_rates(scheme: ConversionScheme, pulse: GaussianPulse,
     phases = {"write": {**common, "write_control": write.a_ctrl_max
                         * abs(timeline.Omega_w0)}}
     if timeline.t_r is not None and timeline.Omega_r0 != 0:
-        phases["read"] = {**common,
+        phases["read"] = {"Gamma_w": write.Gamma, "Gamma_r": read.Gamma,
+                          **common,
                           "read_control": read.a_ctrl_max
                           * abs(timeline.Omega_r0),
                           "read_depth": 0.1 * read.alpha * read.Gamma
@@ -292,22 +316,40 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     MAX_N_T raises GridBudgetError before anything is allocated; a forced
     n_t is taken as given.  grid_check reruns with every step halved and
     n_z doubled and stores the relative change of the converted (or
-    transmitted) energy in the diagnostics.
+    transmitted) energy in the diagnostics.  The record keeps the state at
+    the read turn-on (SimulationRecord.resume) for run_original_readout.
     """
     n_z, n_t = grid if grid is not None else (200, 0)
     if n_z < 8:
         raise StiffnessError("need at least 8 z samples")
+    return _simulate(scheme, pulse, timeline, n_z, n_t, t_end,
+                     grid_check=grid_check)
+
+
+def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
+              timeline: ControlTimeline, n_z: int, n_t: int,
+              t_end: float | None, start: SimulationRecord | None = None,
+              grid_check: bool = False) -> SimulationRecord:
+    """Size the time grid, integrate, check the ledger, fill diagnostics.
+
+    Without start the run steps from t_start = -2 T_p.  With start it
+    steps from start's resume sample (see _integrate), the grid covers
+    only the rest of the run, and a forced n_t counts start's samples up
+    to the resume sample too; diagnostics n_t counts the samples stepped.
+    """
     t_start = -2.0 * pulse.T_p
     if t_end is None:
         t_end = _auto_t_end(scheme, pulse, timeline)
     if not t_end > t_start:
         raise ValueError("t_end must exceed the padding start")
+    first = 0 if start is None else start.resume[0]
+    t_first = t_start if start is None else start.t_exit[first]
 
     rates = _phase_rates(scheme, pulse, timeline)
-    spans = {"write": (t_start, t_end)}
+    spans = {"write": (t_first, t_end)}
     if "read" in rates:
-        t_r = min(max(timeline.t_r, t_start), t_end)
-        spans = {"write": (t_start, t_r), "read": (t_r, t_end)}
+        t_r = min(max(timeline.t_r, t_first), t_end)
+        spans = {"write": (t_first, t_r), "read": (t_r, t_end)}
     # the step bound of each phase the run spans, and the rate that sets it
     bounds = {}
     for name, (t0, t1) in spans.items():
@@ -316,14 +358,15 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
             bounds[name] = (0.1 / rates[name][limit], limit)
 
     if n_t > 0:
-        dt = (t_end - t_start) / (n_t - 1)
+        steps = n_t - 1 - first
+        dt = (t_end - t_first) / steps if steps > 0 else math.inf
         for name, (dt_max, limit) in bounds.items():
             if dt > dt_max * (1.0 + 1e-9):
                 raise StiffnessError(
                     f"dt = {dt:.3e} exceeds the {name}-phase stability "
                     f"bound {dt_max:.3e} (limit {limit}); need n_t >= "
-                    f"{int(math.ceil((t_end - t_start) / dt_max)) + 1}")
-        segments = [(t_start, dt, n_t - 1)]
+                    f"{first + int(math.ceil((t_end - t_first) / dt_max)) + 1}")
+        segments = [(t_first, dt, steps)]
         dts = dict.fromkeys(bounds, dt)
     else:
         segments, dts = [], {}
@@ -332,7 +375,7 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
             steps = int(math.ceil((t1 - t0) / dt_max))
             dts[name] = (t1 - t0) / steps
             segments.append((t0, dts[name], steps))
-        n_t = sum(steps for *_, steps in segments) + 1
+        n_t = first + sum(steps for *_, steps in segments) + 1
         if n_t > MAX_N_T:
             wanted = ", ".join(f"{name}-phase dt <= {dt_max:.3e} (limit "
                                f"{limit})"
@@ -347,7 +390,7 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
             f"grid.n_t")
 
     def integrate(n_z, segments):
-        record = _integrate(scheme, pulse, timeline, n_z, segments)
+        record = _integrate(scheme, pulse, timeline, n_z, segments, start)
         en = record.energies
         if not (all(map(math.isfinite, en.values()))
                 and en["dissipated"] >= -LEDGER_TOL * en["input"]):
@@ -362,8 +405,10 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
 
     record = integrate(n_z, segments)
     record.diagnostics.update({
-        "n_z": n_z, "n_t": n_t, "dt": max(dts.values()),
+        "n_z": n_z, "n_t": record.t_exit.size - first,
+        "dt": max(dts.values()),
         "t_start": t_start, "t_end": t_end,
+        "stop": "drained" if record.t_exit.size < n_t else "t_end",
         "t_w": timeline.t_w, "t_r": timeline.t_r, "ramp": timeline.ramp,
         "Omega_w0": repr(complex(timeline.Omega_w0)),
         "Omega_r0": repr(complex(timeline.Omega_r0)),
@@ -384,11 +429,35 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     return record
 
 
+def _medium_energy(scheme: ConversionScheme, field: CoherenceField) -> float:
+    """Excitation held by the coherences of field, in input units.
+
+    The rows of field.sigma run over the subsystems, the same number of
+    rows each (sigma_sg alone, or the stacked state); the result is
+    alpha_p Gamma_w times the z-integral of sum_j sum_rows |sigma|^2 / p_j.
+    """
+    write = scheme.channel("write")
+    rows = field.sigma.shape[0] // scheme.p.size
+    density = field.excitation_density(np.repeat(scheme.p, rows))
+    return float(write.alpha * write.Gamma * np.trapezoid(density, field.z))
+
+
 def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
-               timeline: ControlTimeline, n_z: int,
-               segments: list) -> SimulationRecord:
-    """RK4 over uniform time segments [(start, dt, steps), ...], each
-    starting where the one before ends; the diagnostics are left empty."""
+               timeline: ControlTimeline, n_z: int, segments: list,
+               start: SimulationRecord | None = None) -> SimulationRecord:
+    """RK4 over uniform time segments [(t0, dt, steps), ...], each
+    starting where the one before ends; the diagnostics are left empty.
+
+    The record's resume point is the last sample that no stage time with
+    the read control on has reached: t_r itself under a ramp, whose
+    smoothstep is still 0 there, and the sample before t_r under a hard
+    switch, whose last write step sees the read control at its final
+    stage.  Given start, the run takes start's samples and state up to
+    start's resume point, steps on from there over segments, and stops
+    once the medium is drained: from t_r + ramp on, every DRAIN_EVERY
+    steps, it ends when the excitation left in the medium falls below
+    DRAIN_TOL of the pulse energy.
+    """
     write, read = scheme.channel("write"), scheme.channel("read")
     z = np.linspace(0.0, 1.0, n_z)
     dz = z[1] - z[0]
@@ -430,10 +499,18 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         np.matmul(D, fields, out=drive)
         out += drive
 
+    def medium_energy(y, t):
+        return _medium_energy(scheme, CoherenceField(
+            z=z, sigma=y.reshape(3 * M, n_z), t=t))
+
     last, dt_last, n_last = segments[-1]
-    t_axis = np.concatenate([t0 + dt * np.arange(steps)
-                             for t0, dt, steps in segments]
-                            + [[last + dt_last * n_last]])
+    axis = ([t0 + dt * np.arange(steps) for t0, dt, steps in segments]
+            + [[last + dt_last * n_last]])
+    first = 0
+    if start is not None:
+        first = start.resume[0]
+        axis.insert(0, start.t_exit[:first])
+    t_axis = np.concatenate(axis)
     # step k runs from t_axis[k] to t_axis[k + 1], so a switch at a segment
     # boundary falls on a stage time; the last sample takes no step
     step = np.diff(t_axis, append=t_axis[-1])
@@ -455,17 +532,35 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     idx_w = (None if timeline.t_w is None
              else int(np.argmin(np.abs(t_axis - timeline.t_w))))
     snap_w = None
+    idx_resume = None
+    if timeline.t_r is not None:
+        side = "right" if timeline.ramp > 0 else "left"
+        idx_resume = max(int(np.searchsorted(t_axis, timeline.t_r, side)) - 1,
+                         0)
+    resume = None
+    t_drain = math.inf
+    if start is not None:
+        exits[:first, 0] = start.probe_exit[:first]
+        exits[:first, 1] = start.converted_exit[:first]
+        state[...] = start.resume[1]
+        snap_w = start.stored_write
+        t_drain = timeline.t_r + timeline.ramp
+    drained = DRAIN_TOL * pulse.energy
 
-    for k, dt in enumerate(step.tolist()):
-        j = k % _TABLE_STEPS
+    for k, dt in enumerate(step[first:].tolist(), first):
+        j = (k - first) % _TABLE_STEPS
         if j == 0:
             ctrl, entry = stage_tables(k)
         if k == idx_w:
             snap_w = CoherenceField(z=z, sigma=state[:, 1].copy(),
                                     t=t_axis[k])
+        if k == idx_resume:
+            resume = (k, state.copy())
         rate(state, ctrl[j, 0], entry[j, 0], k_buf)
         exits[k] = fields[:, -1]
-        if k == n_t - 1:
+        if k == n_t - 1 or ((k - first) % DRAIN_EVERY == 0
+                            and t_axis[k] >= t_drain
+                            and medium_energy(state, t_axis[k]) < drained):
             break
         # classical RK4: acc collects state + dt/6 (k1 + 2 k2 + 2 k3 + k4)
         np.multiply(k_buf, dt / 6.0, out=acc)
@@ -486,8 +581,9 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         np.multiply(k_buf, dt / 6.0, out=scaled)
         np.add(acc, scaled, out=state)
 
-    probe_exit = exits[:, 0].copy()
-    conv_exit = exits[:, 1].copy()
+    t_axis = t_axis[:k + 1]
+    probe_exit = exits[:k + 1, 0].copy()
+    conv_exit = exits[:k + 1, 1].copy()
     e_in = float(np.trapezoid(np.abs(pulse(t_axis)) ** 2, t_axis))
     e_trans = float(np.trapezoid(np.abs(probe_exit) ** 2, t_axis))
     if timeline.t_w is not None:
@@ -497,14 +593,8 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         e_leak = e_trans
     e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
     e_conv = scheme.energy_unit_ratio * e_conv_scaled
-
-    def _stored_energy(stored: CoherenceField) -> float:
-        return float(write.alpha * write.Gamma
-                     * np.trapezoid(stored.excitation_density(scheme.p), z))
-
-    e_stored = _stored_energy(snap_w) if snap_w is not None else 0.0
-    e_resid = _stored_energy(CoherenceField(z=z, sigma=state[:, 1],
-                                            t=t_axis[-1]))
+    e_stored = _medium_energy(scheme, snap_w) if snap_w is not None else 0.0
+    e_resid = medium_energy(state, t_axis[-1])
     energies = {
         "input": e_in,
         "transmitted": e_trans,
@@ -517,14 +607,37 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     }
     return SimulationRecord(
         stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
-        converted_exit=conv_exit, energies=energies, diagnostics={})
+        converted_exit=conv_exit, energies=energies, diagnostics={},
+        resume=resume)
 
 
 def run_original_readout(scheme: ConversionScheme, pulse: GaussianPulse,
-                         timeline: ControlTimeline,
-                         grid: tuple[int, int] | None = None,
-                         t_end: float | None = None) -> SimulationRecord:
-    """Companion run: same write phase, retrieval in the original channel."""
+                         timeline: ControlTimeline, record: SimulationRecord,
+                         grid: tuple[int, int] | None = None
+                         ) -> SimulationRecord:
+    """Companion run: same write phase, retrieval in the original channel.
+
+    record is the run_protocol record of the same scheme, pulse and
+    timeline.  The read rows stay zero until the read control turns on, so
+    up to record.resume the companion's state is the main run's: it takes
+    record's samples and state there and integrates on with the read
+    control Omega_w0 on the write channel (scheme.with_original_readout()).
+    Its only output is an energy, so it stops once the medium is drained
+    (diagnostics "stop": "drained") or at its automatic t_end ("t_end").
+    Its record spans the whole run, the shared samples included, and
+    closes the same energy ledger; diagnostics n_t counts the samples it
+    stepped.  grid is (n_z, n_t) as for run_protocol: n_z must be record's,
+    and a forced n_t counts every sample, the shared ones included, on one
+    uniform grid from the resume sample on.
+    """
+    if record.resume is None:
+        raise ValueError("the record has no read turn-on to resume from")
+    n_z, n_t = record.diagnostics["n_z"], 0
+    if grid is not None:
+        if grid[0] != n_z:
+            raise ValueError(f"grid n_z = {grid[0]} differs from the "
+                             f"record's {n_z}")
+        n_t = grid[1]
     tl = replace(timeline, Omega_r0=timeline.Omega_w0)
-    return run_protocol(scheme.with_original_readout(), pulse, tl, grid=grid,
-                        t_end=t_end)
+    return _simulate(scheme.with_original_readout(), pulse, tl, n_z, n_t,
+                     None, start=record)

@@ -21,7 +21,12 @@ Per-engine summary keys:
             intensity), n_t, t_end, and per phase the step and the rate
             that set it: dt_write, dt_limit_write, dt_read, dt_limit_read
             (Gamma_w, Gamma_r, bandwidth, write_control, read_control,
-            write_depth, read_depth or gamma_sg)
+            write_depth, read_depth or gamma_sg); of the original-readout
+            companion behind xi_relative: companion_n_t (samples it
+            stepped after resuming from the main run at the read
+            turn-on), companion_stop ("drained" or "t_end") and
+            companion_residual (fraction of the input still in the
+            medium where it stopped)
 """
 
 from __future__ import annotations
@@ -202,7 +207,8 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
         grid = (config.grid.n_z or 200, config.grid.n_t or 0)
     record = run_protocol(scheme, pulse, timeline, grid=grid,
                           grid_check=config.grid.grid_check)
-    companion = run_original_readout(scheme, pulse, timeline, grid=grid)
+    companion = run_original_readout(scheme, pulse, timeline, record,
+                                     grid=grid)
     energies = record.energies
     t = record.t_exit - timeline.t_r
     summary = {
@@ -225,6 +231,10 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
                 "dt_limit_read"):
         if key in record.diagnostics:
             summary[key] = record.diagnostics[key]
+    summary["companion_n_t"] = companion.diagnostics["n_t"]
+    summary["companion_stop"] = companion.diagnostics["stop"]
+    summary["companion_residual"] = (companion.energies["residual_stored"]
+                                     / companion.energies["input"])
     for key in ("grid_doubling_rel", "grid_converged"):
         if key in record.diagnostics:
             summary[key] = float(record.diagnostics[key])

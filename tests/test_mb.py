@@ -18,6 +18,7 @@ kappa = 1.35, T_p = 5.7303, matched controls, default 0.2 T_p ramps):
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def leakage(record):
 class TestEfficiency:
     def test_identical_channel_ratio_is_one(self, fig2):
         sch, Om, pulse, tl, rec = fig2
-        ref = run_original_readout(sch, pulse, tl)
+        ref = run_original_readout(sch, pulse, tl, rec)
         xi_relative = rec.energies["converted"] / ref.energies["converted"]
         assert xi_relative == pytest.approx(1.0, abs=1e-9)
 
@@ -371,8 +372,8 @@ def _reference_run(scheme, pulse, timeline, rec):
 
     Three (M, n_z) coherence arrays, each field by its own trapezoid
     integral, both envelopes evaluated at every stage; run on the grid rec
-    chose.  Returns the exit waveforms and sigma_sg at the write cutoff
-    and at the end.
+    chose.  Returns the exit waveforms, sigma_sg at the write cutoff and
+    the three coherences at the end.
     """
     n_z, t_axis = rec.diagnostics["n_z"], rec.t_exit
     n_t = t_axis.size
@@ -423,7 +424,7 @@ def _reference_run(scheme, pulse, timeline, rec):
         k4 = deriv(*[a + dt * b for a, b in zip(y, k3)], t + dt)[0]
         y = [a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    return z, probe, conv, sg_w, y[2]
+    return z, probe, conv, sg_w, y
 
 
 def _oracle_cases():
@@ -456,7 +457,7 @@ class TestStackedStepOracle:
     def test_matches_per_component_loop(self, case):
         sch, pulse, tl = _oracle_cases()[case]
         rec = run_protocol(sch, pulse, tl, grid=(24, 0))
-        z, probe, conv, sg_w, sg_end = _reference_run(sch, pulse, tl, rec)
+        z, probe, conv, sg_w, y_end = _reference_run(sch, pulse, tl, rec)
         for new, old in ((rec.probe_exit, probe),
                          (rec.converted_exit, conv)):
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
@@ -477,7 +478,7 @@ class TestStackedStepOracle:
         for key, value in ref.items():
             assert en[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
         # the medium is nearly empty at the end: compare on the input scale
-        assert abs(en["residual_stored"] - stored(sg_end)) \
+        assert abs(en["residual_stored"] - sum(map(stored, y_end))) \
             <= 1e-12 * en["input"]
 
 
@@ -544,9 +545,9 @@ class TestPhaseSteps:
     def test_grid_check_doubles_each_segment(self, monkeypatch):
         calls = []
 
-        def spy(scheme, pulse, timeline, n_z, segments):
+        def spy(scheme, pulse, timeline, n_z, segments, start=None):
             calls.append((n_z, segments))
-            return integrate(scheme, pulse, timeline, n_z, segments)
+            return integrate(scheme, pulse, timeline, n_z, segments, start)
 
         integrate = mb._integrate
         monkeypatch.setattr(mb, "_integrate", spy)
@@ -583,3 +584,124 @@ class TestPhaseSteps:
                            match=r"read-phase stability bound .* "
                                  r"\(limit read_control\)"):
             run_protocol(sch, pulse, tl, grid=(16, n_t), t_end=t_end)
+
+
+def full_companion(scheme, pulse, timeline, grid=None):
+    """The original-readout run from the start: the reference for the
+    companion that resumes from the main run."""
+    return run_protocol(scheme.with_original_readout(), pulse,
+                        replace(timeline, Omega_r0=timeline.Omega_w0),
+                        grid=grid)
+
+
+class TestCompanion:
+    """run_original_readout resumes from the main record at the read
+    turn-on and stops once the medium is drained."""
+
+    @staticmethod
+    def case(ramp_fraction):
+        """Converted channel unlike the original one, so the companion's
+        read-out differs from the main run's from the first read stage."""
+        sch = single_lambda_scheme(50.0, 150.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        return sch, GaussianPulse(T_p=T_P), timeline_for_protocol(
+            Om * np.exp(0.3j), 0.7 * Om * np.exp(-1.1j), T_P, KAPPA,
+            ramp_fraction=ramp_fraction)
+
+    @pytest.mark.parametrize("ramp_fraction", [0.2, 0.0])
+    def test_resumed_matches_full_companion(self, ramp_fraction):
+        """Under a hard switch the last write step already sees the read
+        control at its final stage, so the resume sample is the one before
+        t_r; resuming at t_r itself is off by far more than 2e-9."""
+        sch, pulse, tl = self.case(ramp_fraction)
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0))
+        k, _ = rec.resume
+        assert rec.t_exit[k] == pytest.approx(tl.t_r - (ramp_fraction == 0)
+                                              * rec.diagnostics["dt_write"],
+                                              rel=1e-12)
+        comp = run_original_readout(sch, pulse, tl, rec, grid=(24, 0))
+        ref = full_companion(sch, pulse, tl, grid=(24, 0))
+        assert comp.energies["converted"] == pytest.approx(
+            ref.energies["converted"], rel=2e-9)
+        assert np.array_equal(comp.t_exit[:k + 1], rec.t_exit[:k + 1])
+        assert comp.diagnostics["n_t"] == comp.t_exit.size - k
+        en = comp.energies
+        closure = (en["transmitted"] + en["converted"]
+                   + en["residual_stored"] + en["dissipated"])
+        assert closure == pytest.approx(en["input"], rel=1e-12)
+        assert en["input"] == pytest.approx(ref.energies["input"], rel=1e-12)
+
+    def test_forced_n_t(self):
+        """A forced n_t counts the shared samples and puts the rest on one
+        uniform grid from the resume sample, checked against the rules of
+        the phases it spans."""
+        sch, pulse, tl = self.case(0.2)
+        auto = run_protocol(sch, pulse, tl, grid=(16, 0))
+        n_t = 2 * auto.diagnostics["n_t"]
+        rec = run_protocol(sch, pulse, tl, grid=(16, n_t))
+        comp = run_original_readout(sch, pulse, tl, rec, grid=(16, n_t))
+        k, _ = rec.resume
+        assert comp.t_exit.size <= n_t
+        steps = np.diff(comp.t_exit[k:])
+        assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        ref = full_companion(sch, pulse, tl, grid=(16, 0))
+        assert comp.energies["converted"] == pytest.approx(
+            ref.energies["converted"], rel=1e-4)
+        with pytest.raises(StiffnessError,
+                           match=r"stability bound .* need n_t >= \d+"):
+            run_original_readout(sch, pulse, tl, rec, grid=(16, k + 20))
+        with pytest.raises(ValueError, match="n_z"):
+            run_original_readout(sch, pulse, tl, rec, grid=(32, n_t))
+
+    @pytest.mark.parametrize("T_p_us, eta, D_p, ccp2, ratio, stop", [
+        (0.2, 3.5, 150.0, 1.0, 2.0, "drained"),
+        (0.08, 3.0, 375.0, 0.5, 0.3, "t_end"),
+    ])
+    def test_drain_stop(self, T_p_us, eta, D_p, ccp2, ratio, stop):
+        """A wide-band read drains the medium well before the automatic
+        run length; a weak narrow-band read is still emitting there."""
+        T_p = UnitSystem(gamma_2pi_MHz=4.56).time_in(T_p_us)
+        sch = single_lambda_scheme(D_p, ccp2 * D_p)
+        Om = control_for_eta(sch, eta, T_p)
+        pulse = GaussianPulse(T_p=T_p)
+        tl = timeline_for_protocol(Om, ratio * Om, T_p, KAPPA)
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0))
+        comp = run_original_readout(sch, pulse, tl, rec, grid=(24, 0))
+        ref = full_companion(sch, pulse, tl, grid=(24, 0))
+        d = comp.diagnostics
+        assert d["stop"] == stop
+        assert d["t_end"] == ref.diagnostics["t_end"]
+        residual = comp.energies["residual_stored"]
+        if stop == "drained":
+            assert comp.t_exit.size < ref.t_exit.size
+            assert comp.t_exit[-1] >= tl.t_r + tl.ramp
+            assert residual < mb.DRAIN_TOL * pulse.energy
+        else:
+            assert comp.t_exit.size == ref.t_exit.size
+            assert residual >= mb.DRAIN_TOL * pulse.energy
+        assert comp.energies["converted"] == pytest.approx(
+            ref.energies["converted"], rel=2e-9)
+
+    def test_write_step_ignores_read_linewidth(self):
+        """The read rows are zero in the write phase, so a broad read line
+        does not shorten the write step the companion shares."""
+        pulse = GaussianPulse(T_p=T_P)
+        dt_write = []
+        for Gamma_r in (1.0, 20.0):
+            sch = single_lambda_scheme(D, D, Gamma_r=Gamma_r)
+            Om = control_for_eta(sch, ETA, T_P)
+            tl = timeline_for_protocol(Om, Om, T_P, KAPPA)
+            rec = run_protocol(sch, pulse, tl, grid=(16, 0),
+                               t_end=tl.t_r + 1.0)
+            dt_write.append(rec.diagnostics["dt_write"])
+        assert dt_write[0] == dt_write[1]
+
+    def test_needs_a_read_turn_on(self):
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, 1.0, T_P)
+        pulse = GaussianPulse(T_p=T_P)
+        tl = ControlTimeline(Omega_w0=Om)
+        rec = run_protocol(sch, pulse, tl, grid=(16, 0))
+        assert rec.resume is None
+        with pytest.raises(ValueError, match="read turn-on"):
+            run_original_readout(sch, pulse, tl, rec)
