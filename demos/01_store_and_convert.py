@@ -76,7 +76,7 @@ print("spectral: xi_total %.4f" % (res.energy / pulse_energy(T_p)))
 pulse = GaussianPulse(T_p=T_p)
 timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
 record = run_protocol(scheme, pulse, timeline)
-companion = run_original_readout(scheme, pulse, timeline, record)
+companion = run_original_readout(scheme, record)
 xi_total = record.energies["converted"] / record.energies["input"]
 xi_rel = record.energies["converted"] / companion.energies["converted"]
 print("mb:       xi_total %.4f  xi_relative %.4f" % (xi_total, xi_rel))

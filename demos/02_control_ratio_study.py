@@ -43,7 +43,7 @@ for r in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
     pulse = GaussianPulse(T_p=T_p)
     timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
     record = run_protocol(scheme, pulse, timeline)
-    companion = run_original_readout(scheme, pulse, timeline, record)
+    companion = run_original_readout(scheme, record)
     mb = record.energies["converted"] / companion.energies["converted"]
 
     print("%8g  %10.4f  %10.4f  %+7.2f%%" % (r, model, mb,

@@ -158,10 +158,10 @@ class EITChannel:
     """Constants of one EIT channel: a signal field and its control.
 
     The write channel pairs the probe with the write control (alpha_p,
-    Gamma_w, R^p, a_w); the read channel pairs the converted field with the
-    read control (alpha_c, Gamma_r, R^c, a_r).  R and a_ctrl hold every
-    subsystem; the sums and the |a_ctrl| extremes run over the populated
-    ones:
+    Gamma_w = 1, R^p, a_w); the read channel pairs the converted field
+    with the read control (alpha_c, Gamma_r, R^c, a_r).  R and a_ctrl hold
+    every subsystem; the sums and the |a_ctrl| extremes run over the
+    populated ones:
         S2 = sum_j p_j R_j^2          (group-delay sum)
         S4 = sum_j p_j R_j^4 / a_j^2  (bandwidth sum, a_j the signal CG)
     """
@@ -188,12 +188,13 @@ def _ratio(a: np.ndarray, a_ctrl: np.ndarray) -> np.ndarray:
 class ConversionScheme:
     """Array-of-subsystems description of one conversion configuration.
 
-    All rates are in units of Gamma_w and lengths in units of the medium
-    length.  Fields propagate in the retarded frame, so the vacuum
-    transit time drops out.
+    All rates are in units of the write channel's excited linewidth
+    Gamma_w, so Gamma_w = 1 is not a field; Gamma_r is the read linewidth
+    in that unit.  Lengths are in units of the medium length.  Fields
+    propagate in the retarded frame, so the vacuum transit time drops
+    out.  p.size is the number of subsystems.
     """
 
-    j: np.ndarray
     p: np.ndarray
     a_p: np.ndarray
     a_w: np.ndarray
@@ -201,14 +202,13 @@ class ConversionScheme:
     a_r: np.ndarray
     alpha_p: float
     alpha_c: float
-    Gamma_w: float = 1.0
     Gamma_r: float = 1.0
     gamma_sg: float = 0.0
 
     def __post_init__(self):
         arrays = {}
         n = None
-        for name in ("j", "p", "a_p", "a_w", "a_c", "a_r"):
+        for name in ("p", "a_p", "a_w", "a_c", "a_r"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise SchemeError(f"{name} must be one-dimensional")
@@ -232,7 +232,7 @@ class ConversionScheme:
             raise SchemeError("populated subsystem with vanishing control CG "
                               "(probe/control ratio undefined)")
         for val, name in ((self.alpha_p, "alpha_p"), (self.alpha_c, "alpha_c"),
-                          (self.Gamma_w, "Gamma_w"), (self.Gamma_r, "Gamma_r")):
+                          (self.Gamma_r, "Gamma_r")):
             if not val > 0:
                 raise SchemeError(f"{name} must be positive")
         if self.gamma_sg < 0:
@@ -252,14 +252,10 @@ class ConversionScheme:
         return _ratio(self.a_c, self.a_r)
 
     @property
-    def n_subsystems(self) -> int:
-        return int(self.j.size)
-
-    @property
     def energy_unit_ratio(self) -> float:
-        """(g_p/g_c)^2 = alpha_p Gamma_w / (alpha_c Gamma_r): converts a
+        """(g_p/g_c)^2 = alpha_p / (alpha_c Gamma_r): converts a
         converted-field energy into input-field units."""
-        return (self.alpha_p * self.Gamma_w) / (self.alpha_c * self.Gamma_r)
+        return self.alpha_p / (self.alpha_c * self.Gamma_r)
 
     def channel(self, name: str) -> EITChannel:
         """The constants of the "write" or the "read" channel."""
@@ -269,8 +265,7 @@ class ConversionScheme:
 
     @functools.cached_property
     def _write_channel(self) -> EITChannel:
-        return self._channel(self.alpha_p, self.Gamma_w, self.R_p, self.a_p,
-                             self.a_w)
+        return self._channel(self.alpha_p, 1.0, self.R_p, self.a_p, self.a_w)
 
     @functools.cached_property
     def _read_channel(self) -> EITChannel:
@@ -299,7 +294,7 @@ class ConversionScheme:
         conversion efficiencies.
         """
         return replace(self, a_c=self.a_p.copy(), a_r=self.a_w.copy(),
-                       alpha_c=self.alpha_p, Gamma_r=self.Gamma_w)
+                       alpha_c=self.alpha_p, Gamma_r=1.0)
 
 
 def build_cesium_d1_scheme(
@@ -307,7 +302,6 @@ def build_cesium_d1_scheme(
     populations,
     alpha_p: float,
     alpha_c: float,
-    Gamma_w: float = 1.0,
     Gamma_r: float = 1.0,
     gamma_sg: float = 0.0,
 ) -> ConversionScheme:
@@ -333,7 +327,6 @@ def build_cesium_d1_scheme(
         a_c, r_c = table.a_plus, table.r_plus
 
     return ConversionScheme(
-        j=table.j.astype(float),
         p=pop.p,
         a_p=a_p,
         a_w=a_p / r_p,
@@ -341,7 +334,6 @@ def build_cesium_d1_scheme(
         a_r=a_c / r_c,
         alpha_p=alpha_p,
         alpha_c=alpha_c,
-        Gamma_w=Gamma_w,
         Gamma_r=Gamma_r,
         gamma_sg=gamma_sg,
     )
@@ -350,7 +342,6 @@ def build_cesium_d1_scheme(
 def single_lambda_scheme(
     D_p: float,
     D_c: float,
-    Gamma_w: float = 1.0,
     Gamma_r: float = 1.0,
     gamma_sg: float = 0.0,
     R_p: float = 1.0,
@@ -367,7 +358,6 @@ def single_lambda_scheme(
             raise SchemeError(f"{name} must be nonzero: the control CG "
                               f"is 1/{name}")
     return ConversionScheme(
-        j=np.array([0.0]),
         p=np.array([1.0]),
         a_p=np.array([1.0]),
         a_w=np.array([1.0 / R_p]),
@@ -375,7 +365,6 @@ def single_lambda_scheme(
         a_r=np.array([1.0 / R_c]),
         alpha_p=float(D_p),
         alpha_c=float(D_c),
-        Gamma_w=Gamma_w,
         Gamma_r=Gamma_r,
         gamma_sg=gamma_sg,
     )

@@ -476,11 +476,11 @@ class ScenarioConfig:
             Omega_w = control_for_eta(scheme, self.protocol.eta, T_p)
             eta = self.protocol.eta
         else:
-            Omega_w = self.protocol.Omega_w * scheme.Gamma_w
+            Omega_w = self.protocol.Omega_w
             eta = write_channel(scheme, Omega_w, T_p,
                                 self.protocol.kappa).eta
         if self.protocol.Omega_r is not None:
-            Omega_r = self.protocol.Omega_r * scheme.Gamma_r
+            Omega_r = self.protocol.Omega_r
         else:
             ratio = self.protocol.control_ratio
             if ratio is None:

@@ -144,7 +144,7 @@ def fig3(out: Path, progress=None) -> list:
                                              T_P, KAPPA)
             pulse = GaussianPulse(T_p=T_P)
             record = run_protocol(scheme, pulse, timeline)
-            companion = run_original_readout(scheme, pulse, timeline, record)
+            companion = run_original_readout(scheme, record)
             xi_relative = (record.energies["converted"]
                            / companion.energies["converted"])
             points.append(xi_relative)

@@ -202,7 +202,8 @@ class SimulationRecord:
     converted / input is the total efficiency, leaked / input the leakage,
     and converted over the converted energy of run_original_readout the
     relative efficiency.  residual_stored is the excitation left in the
-    medium at the last sample, in all three coherences.
+    medium at the last sample, in all three coherences.  pulse and
+    timeline are the ones the run was given.
 
     resume is (k, state): the index on t_exit of the last sample that no
     RK4 stage with the read control on has reached, and a copy of the
@@ -216,6 +217,8 @@ class SimulationRecord:
     converted_exit: np.ndarray
     energies: dict
     diagnostics: dict
+    pulse: GaussianPulse
+    timeline: ControlTimeline
     resume: tuple[int, np.ndarray] | None = None
 
 
@@ -310,7 +313,8 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     rate that set it (dt_write, dt_limit_write, dt_read, dt_limit_read),
     and dt is the larger step.  A forced n_t gives one uniform grid over
     the whole run; one that violates the rule of a phase raises
-    StiffnessError, and so does a run whose energy ledger shows it
+    StiffnessError naming the tightest phase bound and the n_t that meets
+    it, and so does a run whose energy ledger shows it
     diverged (an energy not finite, or dissipated below -LEDGER_TOL of the
     input).  An automatic n_t, or the doubled one of grid_check, above
     MAX_N_T raises GridBudgetError before anything is allocated; a forced
@@ -360,12 +364,14 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
     if n_t > 0:
         steps = n_t - 1 - first
         dt = (t_end - t_first) / steps if steps > 0 else math.inf
-        for name, (dt_max, limit) in bounds.items():
-            if dt > dt_max * (1.0 + 1e-9):
-                raise StiffnessError(
-                    f"dt = {dt:.3e} exceeds the {name}-phase stability "
-                    f"bound {dt_max:.3e} (limit {limit}); need n_t >= "
-                    f"{first + int(math.ceil((t_end - t_first) / dt_max)) + 1}")
+        # one step for the whole run: the tightest bound is the one that
+        # counts, and an n_t that meets it meets every phase's
+        name, (dt_max, limit) = min(bounds.items(), key=lambda kv: kv[1][0])
+        if dt > dt_max * (1.0 + 1e-9):
+            raise StiffnessError(
+                f"dt = {dt:.3e} exceeds the {name}-phase stability "
+                f"bound {dt_max:.3e} (limit {limit}); need n_t >= "
+                f"{first + int(math.ceil((t_end - t_first) / dt_max)) + 1}")
         segments = [(t_first, dt, steps)]
         dts = dict.fromkeys(bounds, dt)
     else:
@@ -409,9 +415,6 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
         "dt": max(dts.values()),
         "t_start": t_start, "t_end": t_end,
         "stop": "drained" if record.t_exit.size < n_t else "t_end",
-        "t_w": timeline.t_w, "t_r": timeline.t_r, "ramp": timeline.ramp,
-        "Omega_w0": repr(complex(timeline.Omega_w0)),
-        "Omega_r0": repr(complex(timeline.Omega_r0)),
     })
     for name, (dt_max, limit) in bounds.items():
         record.diagnostics.update({f"dt_{name}": dts[name],
@@ -608,36 +611,28 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     return SimulationRecord(
         stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
         converted_exit=conv_exit, energies=energies, diagnostics={},
-        resume=resume)
+        pulse=pulse, timeline=timeline, resume=resume)
 
 
-def run_original_readout(scheme: ConversionScheme, pulse: GaussianPulse,
-                         timeline: ControlTimeline, record: SimulationRecord,
-                         grid: tuple[int, int] | None = None
-                         ) -> SimulationRecord:
+def run_original_readout(scheme: ConversionScheme, record: SimulationRecord,
+                         n_t: int = 0) -> SimulationRecord:
     """Companion run: same write phase, retrieval in the original channel.
 
-    record is the run_protocol record of the same scheme, pulse and
-    timeline.  The read rows stay zero until the read control turns on, so
-    up to record.resume the companion's state is the main run's: it takes
-    record's samples and state there and integrates on with the read
-    control Omega_w0 on the write channel (scheme.with_original_readout()).
-    Its only output is an energy, so it stops once the medium is drained
-    (diagnostics "stop": "drained") or at its automatic t_end ("t_end").
-    Its record spans the whole run, the shared samples included, and
-    closes the same energy ledger; diagnostics n_t counts the samples it
-    stepped.  grid is (n_z, n_t) as for run_protocol: n_z must be record's,
-    and a forced n_t counts every sample, the shared ones included, on one
-    uniform grid from the resume sample on.
+    record is the run_protocol record of scheme; the companion takes its
+    pulse, timeline and n_z from it.  The read rows stay zero until the
+    read control turns on, so up to record.resume the companion's state
+    is the main run's: it takes record's samples and state there and
+    integrates on with the read control Omega_w0 on the write channel
+    (scheme.with_original_readout()).  Its only output is an energy, so
+    it stops once the medium is drained (diagnostics "stop": "drained")
+    or at its automatic t_end ("t_end").  Its record spans the whole run,
+    the shared samples included, and closes the same energy ledger;
+    diagnostics n_t counts the samples it stepped.  n_t = 0 sizes the
+    time grid as run_protocol does; a forced n_t counts every sample, the
+    shared ones included, on one uniform grid from the resume sample on.
     """
     if record.resume is None:
         raise ValueError("the record has no read turn-on to resume from")
-    n_z, n_t = record.diagnostics["n_z"], 0
-    if grid is not None:
-        if grid[0] != n_z:
-            raise ValueError(f"grid n_z = {grid[0]} differs from the "
-                             f"record's {n_z}")
-        n_t = grid[1]
-    tl = replace(timeline, Omega_r0=timeline.Omega_w0)
-    return _simulate(scheme.with_original_readout(), pulse, tl, n_z, n_t,
-                     None, start=record)
+    tl = replace(record.timeline, Omega_r0=record.timeline.Omega_w0)
+    return _simulate(scheme.with_original_readout(), record.pulse, tl,
+                     record.diagnostics["n_z"], n_t, None, start=record)

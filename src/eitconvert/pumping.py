@@ -6,8 +6,9 @@ with m = -3..3.  Pump fields of the three polarizations drive |g,m> ->
 Omega_q b_{q,m}, where b is the coupling coefficient of the line.  Decay
 is a Lindblad dissipator built from the same coefficients, renormalized so
 every excited state relaxes back into the F=3 manifold at the full rate
-Gamma; the three emission channels then branch proportionally to b^2 and
-the evolution preserves trace and positivity by construction.
+Gamma, the unit of every rate, Rabi frequency and inverse time here; the
+three emission channels then branch proportionally to b^2 and the
+evolution preserves trace and positivity by construction.
 
 The m = 0 pi transition vanishes on an F -> F' = F line, which is what
 makes pi pumping pile population up at m = 0 and sigma+ pumping push it to
@@ -71,13 +72,13 @@ def pump_couplings() -> dict:
 
 @dataclass(frozen=True)
 class PumpConfig:
-    """Pump strengths (in units of Gamma), run length, and decay rate."""
+    """Pump strengths, run length and ground dephasing, in units of the
+    excited decay rate Gamma (so Gamma = 1 is not a field)."""
 
     Omega_r_pump: float = 0.0
     Omega_pi_pump: float = 0.0
     Omega_l_pump: float = 0.0
     duration: float = 10.0
-    Gamma: float = 1.0
     gamma_gg: float = 0.0
 
     def __post_init__(self):
@@ -86,18 +87,16 @@ class PumpConfig:
                 raise SchemeError(f"{name} must be nonnegative")
         if not self.duration > 0:
             raise SchemeError("duration must be positive")
-        if not self.Gamma > 0:
-            raise SchemeError("Gamma must be positive")
         if self.gamma_gg < 0:
             raise SchemeError("gamma_gg must be nonnegative")
 
     @property
     def rabi(self) -> dict:
-        """Absolute Rabi frequencies keyed by polarization name."""
+        """Rabi frequencies keyed by polarization name."""
         return {
-            "sigma+": self.Omega_r_pump * self.Gamma,
-            "pi": self.Omega_pi_pump * self.Gamma,
-            "sigma-": self.Omega_l_pump * self.Gamma,
+            "sigma+": self.Omega_r_pump,
+            "pi": self.Omega_pi_pump,
+            "sigma-": self.Omega_l_pump,
         }
 
 
@@ -155,8 +154,8 @@ def _superoperator(config: PumpConfig):
     table = _transitions()
     drive = -0.5 * sum(config.rabi[name] * T for name, T in table.items())
     H = drive + drive.T
-    lowering = [math.sqrt(config.Gamma) * T.T for T in table.values()]
-    # sum A^T A is Gamma times the excited projector
+    lowering = [T.T for T in table.values()]
+    # sum A^T A is the excited projector
     K = 0.5 * sum(A.T @ A for A in lowering)
     eye = np.eye(_N)
     # in place after the first sum: no more than three 196x196 arrays
@@ -239,7 +238,7 @@ def _initial_vector(initial) -> np.ndarray:
 
 
 def _max_rate(config: PumpConfig) -> float:
-    return max(config.Gamma, *(abs(v) for v in config.rabi.values()), 1e-30)
+    return max(1.0, *(abs(v) for v in config.rabi.values()))
 
 
 def evolve_pumping(config: PumpConfig, initial,

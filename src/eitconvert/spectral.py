@@ -245,18 +245,22 @@ def _as_spectrum(probe_spectrum, grid):
     return spec
 
 
-def _check_aliasing(omega, spec, what):
-    """Reject spectra with meaningful energy in the outer 10% of the grid."""
-    power = np.abs(spec) ** 2
+def _check_aliasing(x, values, what, domain="frequency"):
+    """Reject samples with meaningful energy in the outer 10% of their
+    grid: a spectrum cut off by the frequency span, or a waveform wrapped
+    around the time window 2 pi / d_omega of its spectrum."""
+    power = np.abs(values) ** 2
     total = power.sum()
     if total == 0:
         return
-    outer = np.abs(omega) >= 0.9 * np.abs(omega).max()
+    outer = np.abs(x) >= 0.9 * np.abs(x).max()
     frac = power[outer].sum() / total
     if frac > 1e-3:
+        remedy = ("enlarge omega_max" if domain == "frequency"
+                  else "force a larger grid.n_omega")
         raise AliasingError(
-            f"{what}: {frac:.2e} of spectral energy in the outer 10% of the "
-            f"frequency grid; enlarge omega_max")
+            f"{what}: {frac:.2e} of its energy in the outer 10% of the "
+            f"{domain} grid; {remedy}")
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -320,8 +324,11 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     E~_c(L, omega) = (alpha_c Gamma_r / L Omega_r^*) sum_j R_j^c A_j^r(omega)
                      * integral_0^L sigma_j(z') e^{-f_r(omega)(L - z')} dz'
     by composite trapezoid over the stored samples, then an inverse
-    transform to the time domain.  The quadrature flag compares the full
-    z sampling against a half-density subsample (Richardson style).
+    transform to the time domain.  A spectrum or a waveform with energy in
+    the outer 10% of its grid raises AliasingError: the waveform would
+    wrap around its time window, whose length 2 pi / d_omega only a larger
+    n_omega extends.  The quadrature flag compares the full z sampling
+    against a half-density subsample (Richardson style).
     """
     A_r, f_r = channel_transfer(scheme, "read", Omega_r, grid.omega,
                                 truncate_A, truncate_f)
@@ -379,6 +386,7 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
             converged = delta < 5e-3
 
     t, wave = time_from_spectrum(grid.omega, spec)
+    _check_aliasing(t, wave, "converted field", domain="time")
     return ConvertedFieldResult(
         omega=grid.omega, spectrum=spec, t=t, waveform=wave,
         energy_scaled=energy_scaled,

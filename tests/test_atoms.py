@@ -200,7 +200,7 @@ class TestConversionScheme:
         np.testing.assert_array_equal(orig.a_c, sch.a_p)
         np.testing.assert_array_equal(orig.a_r, sch.a_w)
         assert orig.alpha_c == sch.alpha_p
-        assert orig.Gamma_r == sch.Gamma_w
+        assert orig.Gamma_r == 1.0
         assert coherence_mismatch(orig) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["write", "read"])
@@ -239,7 +239,7 @@ class TestConversionScheme:
             single_lambda_scheme(500.0, 500.0, **{ratio: 0.0})
 
     def test_energy_unit_ratio(self):
-        sch = single_lambda_scheme(500.0, 200.0, Gamma_w=1.0, Gamma_r=2.0)
+        sch = single_lambda_scheme(500.0, 200.0, Gamma_r=2.0)
         assert sch.energy_unit_ratio == pytest.approx(500.0 / 400.0, rel=1e-15)
 
     def test_arrays_read_only(self):
@@ -251,7 +251,7 @@ class TestConversionScheme:
         # populated subsystem with a vanishing write-control coupling
         with pytest.raises(ValueError):
             ConversionScheme(
-                j=np.array([0]), p=np.array([1.0]),
+                p=np.array([1.0]),
                 a_p=np.array([1.0]), a_w=np.array([0.0]),
                 a_c=np.array([1.0]), a_r=np.array([1.0]),
                 alpha_p=100.0, alpha_c=100.0)
@@ -259,7 +259,7 @@ class TestConversionScheme:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             ConversionScheme(
-                j=np.array([0, 1]), p=np.array([1.0]),
+                p=np.array([0.5, 0.5]),
                 a_p=np.array([1.0]), a_w=np.array([1.0]),
                 a_c=np.array([1.0]), a_r=np.array([1.0]),
                 alpha_p=100.0, alpha_c=100.0)
@@ -347,7 +347,7 @@ class TestChannelSums:
 
     def test_degenerate_scheme_raises(self):
         sch = ConversionScheme(
-            j=np.array([0]), p=np.array([1.0]),
+            p=np.array([1.0]),
             a_p=np.array([1.0]), a_w=np.array([1.0]),
             a_c=np.array([0.0]), a_r=np.array([1.0]),
             alpha_p=100.0, alpha_c=100.0)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eitconvert import UnitSystem, relative_efficiency_single
+from eitconvert import UnitSystem, relative_efficiency_single, runner
 from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
 from eitconvert.config import ScenarioConfig, load_scenario
@@ -220,6 +220,17 @@ class TestScenarioCommand:
         f = write_json(tmp_path / "s.json", doc)
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
 
+    def test_wrapped_converted_pulse_exits_3(self, tmp_path, capsys):
+        """A weak read stretches the converted pulse past half the time
+        window of the read grid; wrapped around it, it came out with 3.5
+        times the analytic fwhm and exit code 0."""
+        doc = minimal_doc(engines=["analytic", "spectral"])
+        doc["protocol"]["control_ratio"] = 0.3
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "time grid" in err and "n_omega" in err
+
     def spectral_doc(self, **grid):
         doc = minimal_doc(engines=["spectral"], grid=grid)
         doc["scheme"] = {"kind": "single-lambda", "D_p": 100.0, "ccp2": 3.0}
@@ -290,6 +301,29 @@ class TestComparison:
         assert main(["scenario", f, "--out", str(out), "--grid-check"]) == 0
         summary = load_manifest(out)["engines"]["spectral"]
         assert summary["grid_doubling_rel"] < 1e-4
+
+    def test_spectral_grid_check_skips_refined_quadrature_check(
+            self, monkeypatch):
+        """Only the refined energy is read: the refined read-out runs no
+        quadrature check, and grid_doubling_rel is the one with it."""
+        real = runner.converted_field_exact
+        checks = []
+
+        def spy(*args, **kwargs):
+            checks.append(kwargs.get("quadrature_check", True))
+            return real(*args, **kwargs)
+
+        def always_checked(*args, **kwargs):
+            return real(*args, **{**kwargs, "quadrature_check": True})
+
+        config = ScenarioConfig.from_dict(minimal_doc(engines=["spectral"]))
+        rel = {}
+        for name, wrapper in (("spy", spy), ("checked", always_checked)):
+            monkeypatch.setattr(runner, "converted_field_exact", wrapper)
+            rel[name] = run_scenario(config, grid_check=True, persist=False)[
+                "engines"]["spectral"]["grid_doubling_rel"]
+        assert checks == [True, False]
+        assert rel["spy"] == rel["checked"]
 
     def test_spectral_grid_check_keeps_storage_decay(self, tmp_path):
         """The refined pass decays the stored coherence like the main one."""

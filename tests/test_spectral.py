@@ -162,15 +162,14 @@ class TestTransferFunctions:
             pop = PopulationDistribution(p=raw / raw.sum())
             sch = build_cesium_d1_scheme("plus_to_minus", pop,
                                          rng.uniform(50.0, 600.0),
-                                         rng.uniform(50.0, 600.0),
-                                         Gamma_w=rng.uniform(0.5, 2.0))
+                                         rng.uniform(50.0, 600.0))
             Om = rng.uniform(0.5, 4.0) * np.exp(2j * math.pi * rng.uniform())
             grid = SpectralGrid(omega_max=rng.uniform(5.0, 40.0), n_omega=64)
             _, f_w = channel_transfer(sch, "write", Om, grid.omega)
             om = grid.omega
             f = np.zeros_like(om, dtype=complex)
-            G = sch.Gamma_w
-            for j in range(sch.n_subsystems):
+            G = 1.0
+            for j in range(sch.p.size):
                 if sch.a_w[j] == 0.0:
                     continue
                 den = ((0.5 * G - 1j * om) * (-1j * om)
@@ -358,7 +357,7 @@ class TestConvertedField:
         stored = stored_coherence_exact(
             sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
         res = converted_field_exact(sch, stored, Om, grid)
-        ratio = (sch.alpha_p * sch.Gamma_w) / (sch.alpha_c * sch.Gamma_r)
+        ratio = sch.alpha_p / (sch.alpha_c * sch.Gamma_r)
         assert res.energy == pytest.approx(ratio * res.energy_scaled,
                                            rel=1e-14)
 
@@ -415,7 +414,7 @@ class TestHornerReadout:
         if kind == "half-density":
             assert stored.z.size == 257 and grid.n_z % 2 == 0
         if kind == "cesium":
-            assert sch.n_subsystems == 7
+            assert sch.p.size == 7
         res = converted_field_exact(sch, stored, Om_r, grid,
                                     quadrature_check=False)
         ref = _direct_readout(sch, stored, Om_r, grid)
@@ -458,7 +457,7 @@ class TestGridSizing:
         sch, Om, w, grid = _fig2_setup()
         assert grid.n_omega >= 4096
         assert grid.n_omega & (grid.n_omega - 1) == 0
-        assert grid.omega_max >= 8.0 * abs(Om) ** 2 / sch.Gamma_w
+        assert grid.omega_max >= 8.0 * abs(Om) ** 2
 
     def test_weak_read_control_refines_grid(self):
         sch = single_lambda_scheme(D, D)
