@@ -70,8 +70,8 @@ for ratio in (0.5, 1.0, 2.0):
     dump("converted_ratio_%s.csv" % str(ratio).replace(".", "p"),
          t, rec.converted_exit)
 
-    model = converted_spectrum(scheme, write,
-                               read_channel(scheme, Omega_r, write))
+    read = read_channel(scheme, Omega_r, write)
+    model = converted_spectrum(scheme, write, read)
     t_model = model.t0 + np.linspace(-4, 4, 2049) * model.temporal_fwhm
     wave = model.time_waveform(t_model)
     dump("model_ratio_%s.csv" % str(ratio).replace(".", "p"),
@@ -83,9 +83,10 @@ for ratio in (0.5, 1.0, 2.0):
     inten_m = np.abs(wave) ** 2
     half_m = inten_m > 0.5 * inten_m.max()
     fwhm_model = t_model[half_m][-1] - t_model[half_m][0]
-    print("%14g  %10.4f  %10.4f  %10.3f  %10.3f"
+    flags = "  flags: " + "; ".join(read.flags) if read.flags else ""
+    print("%14g  %10.4f  %10.4f  %10.3f  %10.3f%s"
           % (ratio, np.sqrt(inten.max()), model.peak_amplitude,
-             units.time_out(fwhm_mb), units.time_out(fwhm_model)))
+             units.time_out(fwhm_mb), units.time_out(fwhm_model), flags))
 
 print()
 print("a read control twice the write control compresses the pulse and")

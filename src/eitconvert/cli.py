@@ -83,6 +83,8 @@ def _cmd_scenario(args) -> int:
         if "xi_relative" in summary:
             parts.append(f"xi_relative={summary['xi_relative']:.6g}")
         parts.append(f"converted_energy={summary['converted_energy']:.6g}")
+        if summary.get("flags"):
+            parts.append(f"flags: {summary['flags']}")
         print(f"{engine}: " + "  ".join(parts))
     for entry in manifest["comparison"]:
         a, b = entry["engines"]

@@ -353,7 +353,7 @@ def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
     if "t_us" in cols:
         t = cols["t_us"]
     elif "t" in cols:
-        t = cols["t"] / units.gamma_rad_per_us
+        t = units.time_out(cols["t"])
     else:
         raise ConfigValidationError(
             f"pump trajectory {path} has no time column",

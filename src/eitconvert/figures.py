@@ -48,10 +48,6 @@ CCP2_POINTS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 ETA_GRID = np.linspace(2.5, 8.0, 56)
 
 
-def _t_us(t_internal):
-    return np.asarray(t_internal) / UNITS.gamma_rad_per_us
-
-
 def _say(progress, message):
     if progress is not None:
         progress(message)
@@ -95,13 +91,13 @@ def fig2(out: Path, progress=None) -> list:
                         t_end=t_end)
     t = slow.t_exit
     _emit(out, "fig2_input.csv", ["t_us", "intensity"],
-          [_t_us(t), np.abs(pulse(t)) ** 2], written)
+          [UNITS.time_out(t), np.abs(pulse(t)) ** 2], written)
     _emit(out, "fig2_slowlight_mb.csv", ["t_us", "intensity"],
-          [_t_us(t), np.abs(slow.probe_exit) ** 2], written)
+          [UNITS.time_out(t), np.abs(slow.probe_exit) ** 2], written)
     model_slow = (np.exp(-4.0 * LN2 * ((t - write.T_d) / (T_P * beta_L)) ** 2)
                   / beta_L)
     _emit(out, "fig2_slowlight_model.csv", ["t_us", "intensity"],
-          [_t_us(t), model_slow], written)
+          [UNITS.time_out(t), model_slow], written)
     _say(progress, "fig2: slow light done")
 
     for ratio in (0.5, 1.0, 2.0):
@@ -109,13 +105,13 @@ def fig2(out: Path, progress=None) -> list:
         record = run_protocol(scheme, pulse, timeline)
         tag = _ratio_tag(ratio)
         _emit(out, f"fig2_converted_mb_r{tag}.csv", ["t_us", "intensity"],
-              [_t_us(record.t_exit), np.abs(record.converted_exit) ** 2],
-              written)
+              [UNITS.time_out(record.t_exit),
+               np.abs(record.converted_exit) ** 2], written)
         read = read_channel(scheme, ratio * Omega_w, write)
         model = converted_spectrum(scheme, write, read)
         t_model = record.t_exit - timeline.t_r
         _emit(out, f"fig2_converted_model_r{tag}.csv", ["t_us", "intensity"],
-              [_t_us(record.t_exit),
+              [UNITS.time_out(record.t_exit),
                np.abs(model.time_waveform(t_model)) ** 2], written)
         _say(progress, f"fig2: control ratio {ratio:g} done")
     return written
@@ -187,7 +183,7 @@ def fig6(out: Path, progress=None) -> list:
     """
     written = []
     trajectory = _sigma_plus_trajectory(2.0, 241)
-    t_us = _t_us(trajectory.t)
+    t_us = UNITS.time_out(trajectory.t)
     header = ["t_us"] + [f"p_m{m:+d}" for m in range(-3, 4)]
     cols = [t_us] + [trajectory.ground[:, i] for i in range(7)]
     _emit(out, "fig6_populations.csv",
@@ -218,7 +214,7 @@ def fig7(out: Path, progress=None) -> list:
                                         1.0, 1.0)
         xi2.append(coherence_mismatch(scheme))
     _emit(out, "fig7_xi2.csv", ["t_us", "xi2"],
-          [_t_us(trajectory.t), xi2], written)
+          [UNITS.time_out(trajectory.t), xi2], written)
     _say(progress, "fig7: done")
     return written
 
@@ -232,7 +228,7 @@ def fig8(out: Path, progress=None) -> list:
     """
     written = []
     trajectory = _sigma_plus_trajectory(2.0, 241)
-    t_us = _t_us(trajectory.t)
+    t_us = UNITS.time_out(trajectory.t)
     for depth in (100.0, 500.0):
         alpha = _cesium_alpha(depth)
         for direction in ("minus_to_plus", "plus_to_minus"):
@@ -259,7 +255,7 @@ def fig9(out: Path, progress=None) -> list:
     trajectory = _sigma_plus_trajectory(1.6, 161)
     alpha = _cesium_alpha(500.0)
     cases = (("a", 1.6), ("b", 1.2), ("c", 0.6), ("d", 0.0))
-    t_us = _t_us(trajectory.t)
+    t_us = UNITS.time_out(trajectory.t)
     for label, snapshot_us in cases:
         index = int(np.argmin(np.abs(t_us - snapshot_us)))
         population = trajectory.distribution_at(index)
@@ -285,7 +281,7 @@ def fig10(out: Path, progress=None) -> list:
     written = []
     config = PumpConfig(Omega_pi_pump=PUMP_RABI, duration=UNITS.time_in(6.0))
     trajectory = evolve_pumping(config, ISOTROPIC, n_samples=301)
-    t_us = _t_us(trajectory.t)
+    t_us = UNITS.time_out(trajectory.t)
     alpha = _cesium_alpha(500.0)
     columns = {"minus_to_plus": [], "plus_to_minus": []}
     for i in range(trajectory.t.size):

@@ -58,13 +58,12 @@ the batched 3x3 products (2-core x86 host).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atoms import ConversionScheme
-from .errors import GridBudgetError, StiffnessError, ValidityWarning
+from .errors import GridBudgetError, StiffnessError
 from .fields import CoherenceField
 from .theory import (LN2, _slow_light, pulse_bandwidth, pulse_energy,
                      read_channel, write_channel)
@@ -227,24 +226,19 @@ def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
     """Run length long enough to catch the slow or converted pulse tail."""
     if timeline.t_w is not None and timeline.Omega_r0 == 0:
         return timeline.t_r + 6.0 * pulse.T_p
-    # The closed form only sizes the run here; its validity flags describe
-    # a model this engine does not report.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        if timeline.t_w is None:
-            # slow light: the group delay does not depend on the cutoff
-            write = write_channel(scheme, timeline.Omega_w0, pulse.T_p, 1.0)
-            return write.T_d + 6.0 * pulse.T_p
-        write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
-                              timeline.t_w / pulse.T_p)
-        if write.z_mid >= 1.0:
-            # The stored-pulse centre lies past the medium, where
-            # read_channel is undefined; bound the read-out by the read
-            # group delay through the whole medium.
-            T_d_read = _slow_light(scheme, "read", timeline.Omega_r0)[0]
-            return (timeline.t_r + timeline.ramp + T_d_read
-                    + 6.0 * pulse.T_p)
-        read = read_channel(scheme, timeline.Omega_r0, write)
+    if timeline.t_w is None:
+        # slow light: the group delay does not depend on the cutoff
+        write = write_channel(scheme, timeline.Omega_w0, pulse.T_p, 1.0)
+        return write.T_d + 6.0 * pulse.T_p
+    write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
+                          timeline.t_w / pulse.T_p)
+    if write.z_mid >= 1.0:
+        # The stored-pulse centre lies past the medium, where read_channel
+        # is undefined; bound the read-out by the read group delay through
+        # the whole medium.
+        T_d_read = _slow_light(scheme, "read", timeline.Omega_r0)[0]
+        return timeline.t_r + timeline.ramp + T_d_read + 6.0 * pulse.T_p
+    read = read_channel(scheme, timeline.Omega_r0, write)
     stretch = write.beta_w_mid * read.beta_r_L
     t_out = pulse.T_p * stretch * max(1.0, write.v_w / read.v_r)
     return (timeline.t_r + timeline.ramp

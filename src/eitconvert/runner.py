@@ -3,13 +3,16 @@
 All three engines report a converted waveform on a shared time axis
 whose origin is the read-control turn-on, so pointwise comparisons need
 no further alignment.  Summaries are flat dicts of numbers, plus the
-names of the rates that bounded the mb steps; a sweep row is the axis
-values followed by the numeric entries flattened as "engine.key" columns.
+closed form's validity flags and the names of the rates that bounded the
+mb steps; a sweep row is the axis values followed by the numeric entries
+flattened as "engine.key" columns.
 
 Per-engine summary keys:
   analytic: xi1, xi2, xi_total, xi_relative, delta_omega_c, eta, kappa,
             beta_w, beta_r, converted_energy, input_energy, peak_time,
-            peak_amplitude, fwhm
+            peak_amplitude, fwhm, flags (the write- and read-channel
+            validity flags of the Gaussian model joined by "; ", empty
+            inside its regime)
   spectral: converted_energy, input_energy, xi_total, transmission,
             quadrature_delta, n_omega_write, n_omega_read,
             omega_max_write, omega_max_read, peak_time, peak_amplitude,
@@ -136,6 +139,7 @@ def _run_analytic(scheme: ConversionScheme, config: ScenarioConfig,
         "converted_energy": decay * decay * model.energy,
         "input_energy": model.input_energy,
         "xi_total": decay * decay * model.efficiency,
+        "flags": "; ".join(write.flags + read.flags),
     })
     summary.update(_waveform_stats(t, waveform))
     return EngineOutput("analytic", t, waveform, summary, {})
@@ -308,7 +312,7 @@ def _write_report(path_base: Path, payload: dict, fmt: str) -> Path:
 def _write_waveform(path: Path, t, waveform, units: UnitSystem) -> None:
     waveform = np.asarray(waveform)
     write_csv(path, ["t", "t_us", "re", "im", "intensity"],
-              [t, t / units.gamma_rad_per_us, waveform.real, waveform.imag,
+              [t, units.time_out(t), waveform.real, waveform.imag,
                np.abs(waveform) ** 2])
 
 

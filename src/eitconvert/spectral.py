@@ -408,13 +408,12 @@ class TransmittedFieldResult:
 
 def transmitted_probe(scheme: ConversionScheme, Omega_w: complex,
                       probe_spectrum, grid: SpectralGrid,
-                      truncate_A: bool = False,
                       truncate_f: bool = False) -> TransmittedFieldResult:
     """Propagate the probe through the whole medium with the control held on."""
     spec_in = _as_spectrum(probe_spectrum, grid)
     _check_aliasing(grid.omega, spec_in, "input probe")
     _, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
-                              truncate_A, truncate_f)
+                              truncate_f=truncate_f)
     spec_out = spec_in * np.exp(-f_w)
     t, wave = time_from_spectrum(grid.omega, spec_out)
     return TransmittedFieldResult(

@@ -149,7 +149,8 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
         1/v_w  = (alpha_p Gamma_w / L |Omega_w|^2) sum_j p_j (R_j^p)^2
         1/dw^2 = (alpha_p Gamma_w^2 / ln2 |Omega_w|^4) sum_j p_j (R_j^p)^4 / a_p,j^2
     and evaluates the pulse-broadening factor at the stored-pulse center
-    z_mid = v_w t_w.
+    z_mid = v_w t_w.  flags, the only report of validity, names each rule
+    of the Gaussian model that the probe breaks.
     """
     if T_p <= 0:
         raise ValueError("T_p must be positive")
@@ -167,8 +168,6 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
     if pulse_bandwidth(T_p) >= adiab:
         flags.append("adiabaticity: pulse bandwidth not small against the "
                      "EIT linewidth scale")
-    for f in flags:
-        warnings.warn(f, ValidityWarning, stacklevel=2)
 
     return WriteChannelParams(
         Omega_w=Omega_w, T_p=T_p, kappa=kappa, t_w=t_w, v_w=v_w, T_d=T_d,
@@ -189,13 +188,13 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
 
     flags carries the write-side adiabaticity rule applied to the read
     channel: the converted bandwidth Delta_omega_c (converted_bandwidth) must
-    stay below min(Gamma_r, |a_r,min Omega_r|^2 / Gamma_r).  Each flag is
-    also emitted as a ValidityWarning.  A flag marks where the Gaussian
-    model breaks down, not where it stops meeting a given tolerance: the
-    dropped read-channel terms (the 4 omega^2 / |a_r Omega_r|^2 part of
-    A_r(omega) and the cubic dispersion) widen the true converted pulse
-    against the model by about 11-13% per unit of Delta_omega_c / Gamma_r
-    (single lambda system, D = 500, eta = 4, kappa = 1.35).
+    stay below min(Gamma_r, |a_r,min Omega_r|^2 / Gamma_r).  A flag marks
+    where the Gaussian model breaks down, not where it stops meeting a
+    given tolerance: the dropped read-channel terms (the
+    4 omega^2 / |a_r Omega_r|^2 part of A_r(omega) and the cubic
+    dispersion) widen the true converted pulse against the model by about
+    11-13% per unit of Delta_omega_c / Gamma_r (single lambda system,
+    D = 500, eta = 4, kappa = 1.35).
     """
     T_d_read, v_r, delta_omega_r, adiab = _slow_light(scheme, "read", Omega_r)
 
@@ -218,8 +217,6 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
     if converted_bandwidth(scheme, write, read) >= adiab:
         flags.append("adiabaticity: converted bandwidth not small against the "
                      "read-channel EIT linewidth scale")
-    for f in flags:
-        warnings.warn(f, ValidityWarning, stacklevel=2)
     return replace(read, flags=tuple(flags))
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line front end and the scenario runner."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from eitconvert import UnitSystem, relative_efficiency_single, runner
 from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
 from eitconvert.config import ScenarioConfig, load_scenario
+from eitconvert.errors import ValidityWarning
 from eitconvert.runner import _peak_and_fwhm, run_scenario
 from eitconvert.spectral import SpectralGrid
 
@@ -128,6 +130,31 @@ class TestScenarioCommand:
         assert np.count_nonzero(t < 0) * report["dt_write"] == \
             pytest.approx(t_r - t_start, rel=1e-9)
         assert report["t_end"] == pytest.approx(t_r + t[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("ratio, flagged", [(2.0, True), (1.0, False)])
+    def test_validity_flags_reported_not_warned(self, tmp_path, capsys,
+                                                ratio, flagged):
+        """A read control twice the write control leaves the closed form's
+        read regime: the flag goes to the summary and the printed line,
+        and no ValidityWarning is raised."""
+        doc = minimal_doc(engines=["analytic"])
+        doc["scheme"]["ccp2"] = 1.0
+        doc["protocol"]["control_ratio"] = ratio
+        f = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["scenario", f, "--out", str(out)]) == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, ValidityWarning)]
+        report = json.loads((out / "efficiency_analytic.json").read_text())
+        stdout = capsys.readouterr().out
+        if flagged:
+            assert report["flags"].startswith("adiabaticity")
+            assert "flags: adiabaticity" in stdout
+        else:
+            assert report["flags"] == ""
+            assert "flags:" not in stdout
 
     def test_engine_flag_overrides_config(self, tmp_path):
         f = write_json(tmp_path / "s.json",

@@ -426,7 +426,7 @@ class TestTransmission:
     def test_truncated_energy_ratio_equals_inverse_broadening(self):
         sch, Om, w, grid = _fig2_setup()
         res = transmitted_probe(sch, Om, gaussian_probe_spectrum(grid, T_P),
-                                grid, truncate_A=True, truncate_f=True)
+                                grid, truncate_f=True)
         assert (res.energy_out / res.energy_in
                 == pytest.approx(1.0 / w.beta_w(1.0), rel=1e-10))
 
@@ -434,8 +434,7 @@ class TestTransmission:
         sch, Om, w, grid = _fig2_setup()
         spec = gaussian_probe_spectrum(grid, T_P)
         exact = transmitted_probe(sch, Om, spec, grid)
-        trunc = transmitted_probe(sch, Om, spec, grid,
-                                  truncate_A=True, truncate_f=True)
+        trunc = transmitted_probe(sch, Om, spec, grid, truncate_f=True)
         r1 = exact.energy_out / exact.energy_in
         r2 = trunc.energy_out / trunc.energy_in
         assert r1 == pytest.approx(r2, rel=0.01)
