@@ -50,7 +50,11 @@ class ConfigValidationError(ValueError):
 
 
 class ValidityWarning(UserWarning):
-    """Parameter regime outside the stated validity of an approximation."""
+    """Parameter regime outside the stated validity of an approximation.
+
+    The package emits none: it reports validity as the flags of
+    write_channel and read_channel, which the analytic summary carries.
+    """
 
 
 def exit_code(exc: BaseException) -> int:

@@ -403,8 +403,9 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
     """Run the whole grid, axis-major, and write sweep.csv plus manifest.
 
     Failed points are reported in the manifest and leave NaN rows; the
-    sweep completes regardless.  Rows appear in flat-index order, the
-    first axis varying slowest.
+    sweep completes regardless.  Points whose analytic summary carries
+    validity flags are listed in the manifest as "flagged".  Rows appear
+    in flat-index order, the first axis varying slowest.
     """
     jobs = [(i, spec.point(i), str(base_dir), engines, grid_check)
             for i in range(spec.size)]
@@ -430,7 +431,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
     axis_names = [axis.path for axis in spec.axes]
     header = axis_names + summary_cols
     rows = np.full((spec.size, len(header)), np.nan)
-    failures = []
+    failures, flagged = [], []
     for index, payload in results:
         assignments = spec.assignments(index)
         for k, name in enumerate(axis_names):
@@ -440,6 +441,10 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
                              "error": payload["error"],
                              "exit_code": payload["exit_code"]})
             continue
+        flags = payload["engines"].get("analytic", {}).get("flags")
+        if flags:
+            flagged.append({"index": index, "assignments": assignments,
+                            "flags": flags})
         flat = _numeric_entries(payload["engines"])
         for k, name in enumerate(summary_cols):
             rows[index, len(axis_names) + k] = flat.get(name, np.nan)
@@ -452,6 +457,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
         "shape": list(spec.shape),
         "columns": header,
         "failures": failures,
+        "flagged": flagged,
         "n_ok": spec.size - len(failures),
     }
     out = Path(out_dir) if out_dir is not None else Path(spec.out_dir)

@@ -22,13 +22,11 @@ internally consistent with Parseval energy ratios.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atoms import ConversionScheme, coherence_mismatch
-from .errors import ValidityWarning
+from .atoms import ConversionScheme, coherence_mismatch, single_lambda_scheme
 
 __all__ = [
     "LN2",
@@ -150,7 +148,9 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
         1/dw^2 = (alpha_p Gamma_w^2 / ln2 |Omega_w|^4) sum_j p_j (R_j^p)^4 / a_p,j^2
     and evaluates the pulse-broadening factor at the stored-pulse center
     z_mid = v_w t_w.  flags, the only report of validity, names each rule
-    of the Gaussian model that the probe breaks.
+    of the Gaussian model that the probe breaks: a finite pulse bandwidth
+    (T_p delta_omega_w > 1), adiabatic writing, a clean control cut
+    (kappa >= 1.1) and a well-compressed pulse (eta >= 2.5).
     """
     if T_p <= 0:
         raise ValueError("T_p must be positive")
@@ -168,6 +168,10 @@ def write_channel(scheme: ConversionScheme, Omega_w: complex, T_p: float,
     if pulse_bandwidth(T_p) >= adiab:
         flags.append("adiabaticity: pulse bandwidth not small against the "
                      "EIT linewidth scale")
+    if kappa < 1.1:
+        flags.append("kappa < 1.1: control cut clips the trailing pulse edge")
+    if eta < 2.5:
+        flags.append("eta < 2.5: pulse not well compressed into the medium")
 
     return WriteChannelParams(
         Omega_w=Omega_w, T_p=T_p, kappa=kappa, t_w=t_w, v_w=v_w, T_d=T_d,
@@ -224,22 +228,12 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
 # simple closed forms in terms of (eta, kappa, D)
 # ---------------------------------------------------------------------------
 
-def _check_validity(eta: float, kappa: float) -> None:
-    if kappa < 1.1:
-        warnings.warn("kappa < 1.1: control cut clips the trailing pulse edge",
-                      ValidityWarning, stacklevel=3)
-    if eta < 2.5:
-        warnings.warn("eta < 2.5: pulse not well compressed into the medium",
-                      ValidityWarning, stacklevel=3)
-
-
 def beta_w_simple(eta: float, kappa: float, D_p: float) -> float:
     """Write broadening factor sqrt(1 + 16 ln2 eta kappa / D_p)."""
     if D_p <= 0:
         raise ValueError("D_p must be positive")
     if eta <= 0 or kappa <= 0:
         raise ValueError("eta and kappa must be positive")
-    _check_validity(eta, kappa)
     return math.sqrt(1.0 + _16LN2 * eta * kappa / D_p)
 
 
@@ -253,7 +247,6 @@ def beta_r_simple(eta: float, kappa: float, D_c: float) -> float:
         raise ValueError("D_c must be positive")
     if eta <= kappa:
         raise ValueError("eta must exceed kappa (stored pulse inside the medium)")
-    _check_validity(eta, kappa)
     return math.sqrt(1.0 + _16LN2 * eta * (eta - kappa) / D_c)
 
 
@@ -291,11 +284,9 @@ def stored_coherence_profile(scheme: ConversionScheme,
 
     amplitude_j = -E0 p_j R_j^p / (Omega_w beta_w), centered at z_mid = v_w t_w
     with spatial FWHM L_w beta_w.  Fields are Rabi-scaled, so g_p does not
-    appear explicitly.
+    appear explicitly.  L_w = v_w T_p = 1/eta, so a pulse too long to fit
+    inside the medium carries the write_channel flag for eta < 2.5.
     """
-    if write.L_w >= 1.0:
-        warnings.warn("compressed pulse length L_w >= L: the pulse does not fit "
-                      "inside the medium", ValidityWarning, stacklevel=2)
     amp = -E0 * scheme.p * scheme.R_p / (write.Omega_w * write.beta_w_mid)
     return StoredCoherenceProfile(
         amplitude=amp.astype(complex),
@@ -411,7 +402,8 @@ def total_efficiency(scheme: ConversionScheme, write: WriteChannelParams,
     """Energy conversion efficiency xi_total = xi_1 xi_2 with xi_1 = 1/(beta_w beta_r).
 
     Uses the read_channel broadening (beta_w-consistent); the large-depth
-    simple chain is available via xi1_simple.
+    simple chain is available via xi1_simple.  See the write_channel and
+    read_channel flags for the regime.
     """
     xi2 = coherence_mismatch(scheme)
     xi1 = 1.0 / (write.beta_w_mid * read.beta_r_L)
@@ -428,19 +420,13 @@ def relative_efficiency_single(eta: float, kappa: float, D_p: float,
                                D_c: float) -> float:
     """Conversion efficiency relative to same-channel retrieval, single subsystem.
 
+    relative_efficiency_multi of single_lambda_scheme(D_p, D_c):
     xi_R = sqrt((1 + X/D_p) / (1 + X/D_c)) with
     X = 16 ln2 (1 - kappa/eta) eta^2 / beta_w^2; the write-channel cost
     cancels, leaving only the read-out bandwidth mismatch between the two
-    channels.
+    channels.  See the write_channel flags for the regime.
     """
-    if D_p <= 0 or D_c <= 0:
-        raise ValueError("optical depths must be positive")
-    if eta <= kappa:
-        raise ValueError("eta must exceed kappa")
-    _check_validity(eta, kappa)
-    bw2 = 1.0 + _16LN2 * eta * kappa / D_p
-    X = _16LN2 * eta * (eta - kappa) / bw2
-    return math.sqrt((1.0 + X / D_p) / (1.0 + X / D_c))
+    return relative_efficiency_multi(single_lambda_scheme(D_p, D_c), eta, kappa)
 
 
 def relative_efficiency_multi(scheme: ConversionScheme, eta: float,
@@ -449,14 +435,14 @@ def relative_efficiency_multi(scheme: ConversionScheme, eta: float,
 
     xi_R = xi_2 * sqrt((1 + X Q_w/P_w^2) / (1 + X Q_r/P_r^2)) with
     P = sum_j p_j R_j^2, Q = sum_j p_j R_j^4/(a_j^2 alpha), and
-    X = 16 ln2 eta (eta - kappa) / beta_w^2.  Reduces exactly to the
-    single-subsystem form when one state is populated, and to xi_2 alone
-    whenever the two channels share the same bandwidth sums (for instance
-    for populations symmetric under m -> -m with alpha_p = alpha_c).
+    X = 16 ln2 eta (eta - kappa) / beta_w^2.  With one populated state it
+    is relative_efficiency_single; it reduces to xi_2 alone whenever the
+    two channels share the same bandwidth sums (for instance for
+    populations symmetric under m -> -m with alpha_p = alpha_c).  See the
+    write_channel flags for the regime.
     """
     if eta <= kappa:
         raise ValueError("eta must exceed kappa")
-    _check_validity(eta, kappa)
     xi2 = coherence_mismatch(scheme)
     w, r = scheme.channel("write"), scheme.channel("read")
     qw = w.S4 / (w.alpha * w.S2 * w.S2)

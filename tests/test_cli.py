@@ -131,27 +131,40 @@ class TestScenarioCommand:
             pytest.approx(t_r - t_start, rel=1e-9)
         assert report["t_end"] == pytest.approx(t_r + t[-1], rel=1e-12)
 
-    @pytest.mark.parametrize("ratio, flagged", [(2.0, True), (1.0, False)])
+    @pytest.mark.parametrize("protocol, flag", [
+        pytest.param({"control_ratio": 2.0}, "adiabaticity", id="2.0-True"),
+        pytest.param({"control_ratio": 1.0}, None, id="1.0-False"),
+        pytest.param({"control_ratio": 1.0, "eta": 2.0}, "eta < 2.5",
+                     id="eta-2.0"),
+        pytest.param({"control_ratio": 1.0, "kappa": 1.0}, "kappa < 1.1",
+                     id="kappa-1.0"),
+    ])
     def test_validity_flags_reported_not_warned(self, tmp_path, capsys,
-                                                ratio, flagged):
+                                                protocol, flag):
         """A read control twice the write control leaves the closed form's
-        read regime: the flag goes to the summary and the printed line,
-        and no ValidityWarning is raised."""
+        read regime, eta 2 leaves the pulse poorly compressed and kappa 1
+        clips its trailing edge: the flag goes to the summary and the
+        printed line, and no ValidityWarning is raised."""
         doc = minimal_doc(engines=["analytic"])
         doc["scheme"]["ccp2"] = 1.0
-        doc["protocol"]["control_ratio"] = ratio
+        doc["protocol"].update(protocol)
         f = write_json(tmp_path / "s.json", doc)
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["scenario", f, "--out", str(out)]) == 0
+            assert main(["scenario", f, "--out", str(tmp_path / "csv"),
+                         "--format", "csv"]) == 0
         assert not [w for w in caught
                     if issubclass(w.category, ValidityWarning)]
         report = json.loads((out / "efficiency_analytic.json").read_text())
         stdout = capsys.readouterr().out
-        if flagged:
-            assert report["flags"].startswith("adiabaticity")
-            assert "flags: adiabaticity" in stdout
+        rows = (tmp_path / "csv" / "efficiency_analytic.csv").read_text()
+        assert all(len(line.split(",")) == 2 for line in rows.splitlines())
+        if flag:
+            assert report["flags"].startswith(flag)
+            assert f"flags: {flag}" in stdout
+            assert f"flags,{flag}" in rows
         else:
             assert report["flags"] == ""
             assert "flags:" not in stdout
@@ -557,6 +570,19 @@ class TestSweepCommand:
         manifest = load_manifest(out)
         assert len(manifest["failures"]) == 1
         assert manifest["failures"][0]["assignments"] == {"scheme.ccp2": -1.0}
+
+    def test_flagged_points_listed_in_manifest(self, tmp_path):
+        doc = self.sweep_doc([{"path": "protocol.eta", "values": [2.0, 4.0]}])
+        doc["template"]["engines"] = ["analytic"]
+        f = write_json(tmp_path / "w.json", doc)
+        out = tmp_path / "sweep"
+        assert main(["sweep", f, "--out", str(out)]) == 0
+        flagged = load_manifest(out)["flagged"]
+        assert [x["index"] for x in flagged] == [0]
+        assert flagged[0]["assignments"] == {"protocol.eta": 2.0}
+        assert flagged[0]["flags"].startswith("eta < 2.5")
+        header, _ = read_csv(out / "sweep.csv")
+        assert "analytic.flags" not in header
 
     def test_all_points_failing_exits_2(self, tmp_path):
         doc = self.sweep_doc(

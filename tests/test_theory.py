@@ -8,7 +8,6 @@ depth ratio sweep are tabulated in TestRelativeEfficiency.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from eitconvert import (
     PopulationDistribution,
     UnitSystem,
-    ValidityWarning,
     beta_r_simple,
     beta_w_simple,
     build_cesium_d1_scheme,
@@ -41,10 +39,8 @@ ETA, KAPPA, D = 4.0, 1.35, 500.0
 def _single_chain(D_p=D, D_c=D, eta=ETA, kappa=KAPPA, T_p=1.0):
     """Build the standard single-subsystem write/read parameter pair."""
     sch = single_lambda_scheme(D_p, D_c)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        w = write_channel(sch, control_for_eta(sch, eta, T_p), T_p, kappa)
-        r = read_channel(sch, control_for_eta(sch, eta, T_p, "read"), w)
+    w = write_channel(sch, control_for_eta(sch, eta, T_p), T_p, kappa)
+    r = read_channel(sch, control_for_eta(sch, eta, T_p, "read"), w)
     return sch, w, r
 
 
@@ -62,9 +58,7 @@ class TestWriteChannel:
     def test_broadening_matches_simple_form(self):
         """Single subsystem: beta_w(z_mid)^2 = 1 + 16 ln2 eta kappa / D."""
         _, w, _ = _single_chain()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            expect = beta_w_simple(ETA, KAPPA, D)
+        expect = beta_w_simple(ETA, KAPPA, D)
         assert w.beta_w_mid == pytest.approx(expect, rel=1e-12)
 
     def test_frozen_value(self):
@@ -80,10 +74,8 @@ class TestWriteChannel:
             sch = build_cesium_d1_scheme("plus_to_minus",
                                          PopulationDistribution.isotropic(),
                                          200.0, 200.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ValidityWarning)
-                w = write_channel(sch, control_for_eta(sch, ETA, 1.0), 1.0,
-                                  KAPPA)
+            w = write_channel(sch, control_for_eta(sch, ETA, 1.0), 1.0,
+                              KAPPA)
         assert 0.0 < w.z_mid < 1.0
         assert w.beta_w(w.z_mid) == w.beta_w_mid
 
@@ -92,9 +84,7 @@ class TestWriteChannel:
         pop = PopulationDistribution(p=np.array([0.3, 0, 0.1, 0.2, 0, 0.1, 0.3]))
         sch = build_cesium_d1_scheme("plus_to_minus", pop, D, D)
         Om = 2.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            w = write_channel(sch, Om, 1.0, KAPPA)
+        w = write_channel(sch, Om, 1.0, KAPPA)
         mask = sch.p > 0
         S2 = math.fsum(sch.p[mask] * sch.R_p[mask] ** 2)
         S4 = math.fsum(sch.p[mask] * sch.R_p[mask] ** 4 / sch.a_p[mask] ** 2)
@@ -106,10 +96,21 @@ class TestWriteChannel:
     def test_bandwidth_warning(self):
         sch = single_lambda_scheme(D, D)
         # very short pulse: T_p * delta_omega_w < 1; flagged, not warned
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ValidityWarning)
-            w = write_channel(sch, 1.0, 0.001, KAPPA)
+        w = write_channel(sch, 1.0, 0.001, KAPPA)
         assert any(f.startswith("pulse-bandwidth") for f in w.flags)
+
+    @pytest.mark.parametrize("eta, kappa, rule", [
+        pytest.param(ETA, 0.9, "kappa", id="kappa-0.9"),
+        pytest.param(1.5, KAPPA, "eta", id="eta-1.5"),
+        pytest.param(0.8, 0.4, "eta", id="eta-0.8-kappa-0.4"),
+    ])
+    def test_eta_kappa_flags(self, eta, kappa, rule):
+        """A clipped control cut or a poorly compressed pulse is flagged;
+        at eta 0.8 the compressed pulse, L_w = 1/eta, does not fit inside
+        the medium."""
+        sch = single_lambda_scheme(D, D)
+        w = write_channel(sch, control_for_eta(sch, eta, 1.0), 1.0, kappa)
+        assert any(f.startswith(rule) for f in w.flags)
 
     def test_zero_control_rejected(self):
         sch = single_lambda_scheme(D, D)
@@ -132,9 +133,7 @@ class TestReadChannel:
     def test_stored_pulse_outside_medium_rejected(self):
         # kappa > eta puts z_mid = (kappa/eta) L beyond the exit face
         sch = single_lambda_scheme(D, D)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            w = write_channel(sch, control_for_eta(sch, 1.0, 1.0), 1.0, 1.35)
+        w = write_channel(sch, control_for_eta(sch, 1.0, 1.0), 1.0, 1.35)
         with pytest.raises(ValueError):
             read_channel(sch, 1.0, w)
 
@@ -150,17 +149,13 @@ class TestReadChannel:
         """A read control twice the write control converts into a bandwidth
         above Gamma_r, outside the adiabatic regime of the model."""
         sch, w = self._unflagged_write()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ValidityWarning)
-            r = read_channel(sch, 2.0 * w.Omega_w, w)
+        r = read_channel(sch, 2.0 * w.Omega_w, w)
         assert any(f.startswith("adiabaticity") for f in r.flags)
 
     def test_matched_read_unflagged(self):
         sch, w = self._unflagged_write()
         assert w.flags == ()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ValidityWarning)
-            r = read_channel(sch, w.Omega_w, w)
+        r = read_channel(sch, w.Omega_w, w)
         assert r.flags == ()
 
     def test_deep_medium_limit(self):
@@ -171,34 +166,22 @@ class TestReadChannel:
         """
         _, _, r = _single_chain(D_c=5000.0)
         assert r.beta_r_L == pytest.approx(1.01044, abs=2e-4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            assert beta_r_simple(ETA, KAPPA, 5000.0) == pytest.approx(1.01169,
-                                                                      abs=2e-4)
+        assert beta_r_simple(ETA, KAPPA, 5000.0) == pytest.approx(1.01169,
+                                                                  abs=2e-4)
 
 
 class TestSimpleForms:
     def test_frozen_values(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            assert beta_w_simple(ETA, KAPPA, D) == pytest.approx(1.0582, abs=2e-4)
-            assert beta_r_simple(ETA, KAPPA, D) == pytest.approx(1.1114, abs=2e-4)
-            assert xi1_simple(ETA, KAPPA, D, D) == pytest.approx(0.8503, abs=2e-4)
+        assert beta_w_simple(ETA, KAPPA, D) == pytest.approx(1.0582, abs=2e-4)
+        assert beta_r_simple(ETA, KAPPA, D) == pytest.approx(1.1114, abs=2e-4)
+        assert xi1_simple(ETA, KAPPA, D, D) == pytest.approx(0.8503, abs=2e-4)
 
     def test_beta_r_domain(self):
         with pytest.raises(ValueError):
             beta_r_simple(1.0, 1.35, D)
 
-    def test_validity_warnings(self):
-        with pytest.warns(ValidityWarning):
-            beta_w_simple(4.0, 0.9, D)
-        with pytest.warns(ValidityWarning):
-            beta_w_simple(1.5, 1.35, D)
-
     def test_beta_monotone_in_depth(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            vals = [beta_w_simple(ETA, KAPPA, d) for d in (50, 100, 500, 5000)]
+        vals = [beta_w_simple(ETA, KAPPA, d) for d in (50, 100, 500, 5000)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -220,22 +203,15 @@ class TestStoredProfile:
         fwhm = above[-1] - above[0]
         assert fwhm == pytest.approx(w.L_w * w.beta_w_mid, rel=1e-3)
 
-    def test_warns_when_pulse_does_not_fit(self):
-        sch, w, _ = _single_chain(eta=0.8, kappa=0.4)
-        with pytest.warns(ValidityWarning):
-            stored_coherence_profile(sch, w)
-
 
 class TestConvertedSpectrum:
     def test_energy_ratio_equals_xi1_xi2(self):
         """Parseval: spectrum energy / input energy = xi_1 xi_2 exactly."""
         pop = PopulationDistribution(p=np.array([0.5, 0, 0, 0.2, 0, 0, 0.3]))
         sch = build_cesium_d1_scheme("plus_to_minus", pop, D, D)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            w = write_channel(sch, control_for_eta(sch, ETA, 1.0), 1.0, KAPPA)
-            r = read_channel(sch, 1.7, w)
-            rep = total_efficiency(sch, w, r)
+        w = write_channel(sch, control_for_eta(sch, ETA, 1.0), 1.0, KAPPA)
+        r = read_channel(sch, 1.7, w)
+        rep = total_efficiency(sch, w, r)
         cs = converted_spectrum(sch, w, r)
         assert cs.efficiency == pytest.approx(rep.xi_total, rel=1e-12)
 
@@ -290,42 +266,34 @@ class TestRelativeEfficiency:
     ANCHORS_100 = {0.1: 0.455798, 1.0: 1.0, 10.0: 1.271379}
 
     def test_frozen_anchor_values(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            for ratio, expect in self.ANCHORS_500.items():
-                got = relative_efficiency_single(ETA, KAPPA, 500.0, 500.0 * ratio)
-                assert got == pytest.approx(expect, abs=1e-6), ratio
-            for ratio, expect in self.ANCHORS_100.items():
-                got = relative_efficiency_single(ETA, KAPPA, 100.0, 100.0 * ratio)
-                assert got == pytest.approx(expect, abs=1e-6), ratio
+        for ratio, expect in self.ANCHORS_500.items():
+            got = relative_efficiency_single(ETA, KAPPA, 500.0, 500.0 * ratio)
+            assert got == pytest.approx(expect, abs=1e-6), ratio
+        for ratio, expect in self.ANCHORS_100.items():
+            got = relative_efficiency_single(ETA, KAPPA, 100.0, 100.0 * ratio)
+            assert got == pytest.approx(expect, abs=1e-6), ratio
 
     def test_equal_depths_give_unity(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            for eta in (3.0, 4.0, 6.0):
-                assert relative_efficiency_single(eta, KAPPA, 200.0, 200.0) == 1.0
+        for eta in (3.0, 4.0, 6.0):
+            assert relative_efficiency_single(eta, KAPPA, 200.0, 200.0) == 1.0
 
     def test_multi_reduces_to_single(self):
         sch = single_lambda_scheme(300.0, 60.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            a = relative_efficiency_multi(sch, ETA, KAPPA)
-            b = relative_efficiency_single(ETA, KAPPA, 300.0, 60.0)
+        a = relative_efficiency_multi(sch, ETA, KAPPA)
+        b = relative_efficiency_single(ETA, KAPPA, 300.0, 60.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_equals_total_efficiency_ratio(self):
         """xi_R must equal xi_T divided by the same-channel xi_T."""
         pop = PopulationDistribution(p=np.array([0.4, 0.1, 0, 0, 0.1, 0, 0.4]))
         sch = build_cesium_d1_scheme("minus_to_plus", pop, D, D)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            w = write_channel(sch, control_for_eta(sch, ETA, 1.0), 1.0, KAPPA)
-            r = read_channel(sch, 2.2, w)
-            rep = total_efficiency(sch, w, r)
-            orig = sch.with_original_readout()
-            wo = write_channel(orig, control_for_eta(orig, ETA, 1.0), 1.0, KAPPA)
-            ro = read_channel(orig, 1.4, wo)
-            rep_o = total_efficiency(orig, wo, ro)
+        w = write_channel(sch, control_for_eta(sch, ETA, 1.0), 1.0, KAPPA)
+        r = read_channel(sch, 2.2, w)
+        rep = total_efficiency(sch, w, r)
+        orig = sch.with_original_readout()
+        wo = write_channel(orig, control_for_eta(orig, ETA, 1.0), 1.0, KAPPA)
+        ro = read_channel(orig, 1.4, wo)
+        rep_o = total_efficiency(orig, wo, ro)
         assert rep.xi_total / rep_o.xi_total == pytest.approx(rep.xi_relative,
                                                               rel=1e-12)
 
@@ -339,10 +307,8 @@ class TestRelativeEfficiency:
             pop = PopulationDistribution(p=p / p.sum())
             sch = build_cesium_d1_scheme("plus_to_minus", pop, D, D)
             xi2 = coherence_mismatch(sch)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ValidityWarning)
-                a = relative_efficiency_multi(sch, 3.0, KAPPA)
-                b = relative_efficiency_multi(sch, 7.0, KAPPA)
+            a = relative_efficiency_multi(sch, 3.0, KAPPA)
+            b = relative_efficiency_multi(sch, 7.0, KAPPA)
             assert abs(a - b) < 1e-10
             assert abs(a - xi2) < 1e-10
 
@@ -354,18 +320,14 @@ class TestRelativeEfficiency:
             mirror = PopulationDistribution(p=pop.p[::-1].copy())
             a = build_cesium_d1_scheme("plus_to_minus", pop, D, D)
             b = build_cesium_d1_scheme("minus_to_plus", mirror, D, D)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ValidityWarning)
-                assert relative_efficiency_multi(a, ETA, KAPPA) == pytest.approx(
-                    relative_efficiency_multi(b, ETA, KAPPA), rel=1e-12)
+            assert relative_efficiency_multi(a, ETA, KAPPA) == pytest.approx(
+                relative_efficiency_multi(b, ETA, KAPPA), rel=1e-12)
 
     def test_trend_in_eta(self):
         """Deeper read channel rewards slower write: increasing in eta."""
         etas = np.linspace(2.5, 8.0, 12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            up = [relative_efficiency_single(e, KAPPA, D, 10 * D) for e in etas]
-            dn = [relative_efficiency_single(e, KAPPA, D, 0.1 * D) for e in etas]
+        up = [relative_efficiency_single(e, KAPPA, D, 10 * D) for e in etas]
+        dn = [relative_efficiency_single(e, KAPPA, D, 0.1 * D) for e in etas]
         assert all(a < b for a, b in zip(up, up[1:]))
         assert all(a > b for a, b in zip(dn, dn[1:]))
 
