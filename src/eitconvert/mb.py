@@ -26,12 +26,14 @@ Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage, at one uniform step per protocol phase: the write phase up to the
 read turn-on, the read phase after it (see _phase_rates).
 
-The relative efficiency needs a companion run that reads out in the
-original channel.  Its write phase is the main run's, so
+A run with a read turn-on stops once the medium is drained, before its
+automatic run length if the converted pulse has left by then.  Its record
+keeps the planned time axis up to that length, with zero exits after the
+stop, so its waveforms are compared with the other engines' on the same
+window either way.  The relative efficiency needs a companion run that
+reads out in the original channel.  Its write phase is the main run's, so
 run_original_readout resumes from the state the main record kept at the
-read turn-on, and, its only output being an energy, stops once the medium
-is drained.  The main run keeps its automatic run length: its waveforms
-are compared with the other engines' over their common window.
+read turn-on.
 
 Numpy call overhead, not arithmetic, sets the cost of a step on grids of a
 few hundred z samples, so the loop is laid out to make few calls:
@@ -95,11 +97,15 @@ LEDGER_TOL = 1e-2
 # wrong or diverged from 115.  A cesium-d1 read (alpha_c 4000, isotropic)
 # holds to 150 and fails at 300.  The benchmark items reach 20.
 DEPTH_STEP = 50.0
-# run_original_readout stops once the excitation left in the medium falls
-# below DRAIN_TOL of the pulse energy, checked every DRAIN_EVERY steps
-# after the read ramp.  The identical-channel relative efficiency of the
-# standard point (tests/test_mb.py) reads 1 - 5.1e-9 at a tolerance of
-# 1e-8 and within 3.7e-10 of 1 at 1e-9.
+# A run with a read turn-on stops once the excitation left in the medium
+# falls below DRAIN_TOL of the pulse energy, checked every DRAIN_EVERY
+# steps after the read ramp.  At the standard point (tests/test_mb.py) the
+# drained identical-channel companion converts 1 - 5.1e-9 of what the
+# main run stepped up to t_end converts at a tolerance of 1e-8, and
+# 1 - 3.6e-10 at 1e-9.  On the 34 options of the convert benchmark,
+# stopping the main runs this way instead of at t_end moves their
+# converted energies by at most 3.2e-9 relative and each engine
+# comparison's waveform RMS by at most 3.6e-9.
 DRAIN_TOL = 1e-9
 DRAIN_EVERY = 32
 
@@ -201,8 +207,13 @@ class SimulationRecord:
     converted / input is the total efficiency, leaked / input the leakage,
     and converted over the converted energy of run_original_readout the
     relative efficiency.  residual_stored is the excitation left in the
-    medium at the last sample, in all three coherences.  pulse and
+    medium at the last sample stepped, in all three coherences.  pulse and
     timeline are the ones the run was given.
+
+    t_exit is the planned time axis up to t_end.  A run that stopped once
+    the medium was drained (diagnostics "stop": "drained", else "t_end")
+    has zero exits after its last stepped sample; diagnostics n_t counts
+    the samples it stepped.
 
     resume is (k, state): the index on t_exit of the last sample that no
     RK4 stage with the read control on has reached, and a copy of the
@@ -316,6 +327,10 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     n_z doubled and stores the relative change of the converted (or
     transmitted) energy in the diagnostics.  The record keeps the state at
     the read turn-on (SimulationRecord.resume) for run_original_readout.
+    A run with a read turn-on stops once the medium is drained (see
+    _integrate) and keeps its planned time axis, the exits zero after the
+    stop; a slow-light run steps up to t_end, and so does a store-only run
+    whose medium still holds the excitation there.
     """
     n_z, n_t = grid if grid is not None else (200, 0)
     if n_z < 8:
@@ -405,10 +420,8 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
 
     record = integrate(n_z, segments)
     record.diagnostics.update({
-        "n_z": n_z, "n_t": record.t_exit.size - first,
-        "dt": max(dts.values()),
+        "n_z": n_z, "dt": max(dts.values()),
         "t_start": t_start, "t_end": t_end,
-        "stop": "drained" if record.t_exit.size < n_t else "t_end",
     })
     for name, (dt_max, limit) in bounds.items():
         record.diagnostics.update({f"dt_{name}": dts[name],
@@ -443,17 +456,21 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
                timeline: ControlTimeline, n_z: int, segments: list,
                start: SimulationRecord | None = None) -> SimulationRecord:
     """RK4 over uniform time segments [(t0, dt, steps), ...], each
-    starting where the one before ends; the diagnostics are left empty.
+    starting where the one before ends; the diagnostics hold only n_t, the
+    number of samples stepped, and stop.
 
     The record's resume point is the last sample that no stage time with
     the read control on has reached: t_r itself under a ramp, whose
     smoothstep is still 0 there, and the sample before t_r under a hard
     switch, whose last write step sees the read control at its final
     stage.  Given start, the run takes start's samples and state up to
-    start's resume point, steps on from there over segments, and stops
-    once the medium is drained: from t_r + ramp on, every DRAIN_EVERY
-    steps, it ends when the excitation left in the medium falls below
-    DRAIN_TOL of the pulse energy.
+    start's resume point and steps on from there over segments.
+
+    A run with a read turn-on stops once the medium is drained: from
+    t_r + ramp on, every DRAIN_EVERY steps, it ends when the excitation
+    left in the medium falls below DRAIN_TOL of the pulse energy (stop
+    "drained"; "t_end" for a run that reaches the last sample).  The
+    record keeps the whole axis, with zero exits after the stop.
     """
     write, read = scheme.channel("write"), scheme.channel("read")
     z = np.linspace(0.0, 1.0, n_z)
@@ -520,7 +537,7 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         t = t_axis[block, None] + step[block, None] * _STAGES
         return _control_table(timeline, t), pulse(t)
 
-    exits = np.empty((n_t, 2), dtype=complex)
+    exits = np.zeros((n_t, 2), dtype=complex)
     state = np.zeros((M, 3, n_z), dtype=complex)
     stage = np.empty_like(state)
     acc = np.empty_like(state)
@@ -535,13 +552,13 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         idx_resume = max(int(np.searchsorted(t_axis, timeline.t_r, side)) - 1,
                          0)
     resume = None
-    t_drain = math.inf
     if start is not None:
         exits[:first, 0] = start.probe_exit[:first]
         exits[:first, 1] = start.converted_exit[:first]
         state[...] = start.resume[1]
         snap_w = start.stored_write
-        t_drain = timeline.t_r + timeline.ramp
+    t_drain = (timeline.t_r + timeline.ramp if timeline.t_r is not None
+               else math.inf)
     drained = DRAIN_TOL * pulse.energy
 
     for k, dt in enumerate(step[first:].tolist(), first):
@@ -578,9 +595,8 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         np.multiply(k_buf, dt / 6.0, out=scaled)
         np.add(acc, scaled, out=state)
 
-    t_axis = t_axis[:k + 1]
-    probe_exit = exits[:k + 1, 0].copy()
-    conv_exit = exits[:k + 1, 1].copy()
+    probe_exit = exits[:, 0].copy()
+    conv_exit = exits[:, 1].copy()
     e_in = float(np.trapezoid(np.abs(pulse(t_axis)) ** 2, t_axis))
     e_trans = float(np.trapezoid(np.abs(probe_exit) ** 2, t_axis))
     if timeline.t_w is not None:
@@ -591,7 +607,7 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
     e_conv = scheme.energy_unit_ratio * e_conv_scaled
     e_stored = _medium_energy(scheme, snap_w) if snap_w is not None else 0.0
-    e_resid = medium_energy(state, t_axis[-1])
+    e_resid = medium_energy(state, t_axis[k])
     energies = {
         "input": e_in,
         "transmitted": e_trans,
@@ -604,7 +620,9 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     }
     return SimulationRecord(
         stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
-        converted_exit=conv_exit, energies=energies, diagnostics={},
+        converted_exit=conv_exit, energies=energies,
+        diagnostics={"n_t": k + 1 - first,
+                     "stop": "drained" if k < n_t - 1 else "t_end"},
         pulse=pulse, timeline=timeline, resume=resume)
 
 
@@ -617,11 +635,11 @@ def run_original_readout(scheme: ConversionScheme, record: SimulationRecord,
     read control turns on, so up to record.resume the companion's state
     is the main run's: it takes record's samples and state there and
     integrates on with the read control Omega_w0 on the write channel
-    (scheme.with_original_readout()).  Its only output is an energy, so
-    it stops once the medium is drained (diagnostics "stop": "drained")
-    or at its automatic t_end ("t_end").  Its record spans the whole run,
-    the shared samples included, and closes the same energy ledger;
-    diagnostics n_t counts the samples it stepped.  n_t = 0 sizes the
+    (scheme.with_original_readout()).  Like the main run it stops once
+    the medium is drained (diagnostics "stop": "drained") or at its
+    automatic t_end ("t_end").  Its record spans the whole run, the shared
+    samples included, and closes the same energy ledger; diagnostics n_t
+    counts the samples it stepped after resuming.  n_t = 0 sizes the
     time grid as run_protocol does; a forced n_t counts every sample, the
     shared ones included, on one uniform grid from the resume sample on.
     """

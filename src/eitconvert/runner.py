@@ -3,9 +3,9 @@
 All three engines report a converted waveform on a shared time axis
 whose origin is the read-control turn-on, so pointwise comparisons need
 no further alignment.  Summaries are flat dicts of numbers, plus the
-closed form's validity flags and the names of the rates that bounded the
-mb steps; a sweep row is the axis values followed by the numeric entries
-flattened as "engine.key" columns.
+closed form's validity flags, the names of the rates that bounded the mb
+steps and the mb stop reasons; a sweep row is the axis values followed
+by the numeric entries flattened as "engine.key" columns.
 
 Per-engine summary keys:
   analytic: xi1, xi2, xi_total, xi_relative, delta_omega_c, eta, kappa,
@@ -19,10 +19,14 @@ Per-engine summary keys:
             fwhm
   mb:       converted_energy, input_energy, xi_total, xi_relative,
             leakage, transmitted_energy, peak_time, peak_amplitude, fwhm,
-            residual_stored (fraction of the input still stored at
-            t_end), tail_intensity (last converted sample over the peak
-            intensity), n_t, t_end, and per phase the step and the rate
-            that set it: dt_write, dt_limit_write, dt_read, dt_limit_read
+            stop ("drained" once the medium is drained, or "t_end" at the
+            automatic run length), residual_stored (fraction of the input
+            still stored where the run stopped), tail_intensity (last
+            stepped converted sample over the peak intensity), n_t
+            (samples stepped; the waveforms keep the planned axis up to
+            t_end, zero after a drained stop), t_end, and per phase the
+            step and the rate that set it: dt_write, dt_limit_write,
+            dt_read, dt_limit_read
             (Gamma_w, Gamma_r, bandwidth, write_control, read_control,
             write_depth, read_depth or gamma_sg); of the original-readout
             companion behind xi_relative: companion_n_t (samples it
@@ -227,12 +231,15 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
         "leakage": energies["leaked"] / energies["input"],
     }
     summary.update(_waveform_stats(t, record.converted_exit))
-    # what the run left undone: the excitation still stored at t_end, and
-    # the converted intensity of the last sample against its peak
+    # what the run left undone: the excitation still stored where it
+    # stopped, and the converted intensity of the last stepped sample (the
+    # samples after a drained stop are zero) against its peak
     intensity = np.abs(record.converted_exit) ** 2
+    summary["stop"] = record.diagnostics["stop"]
     summary["residual_stored"] = energies["residual_stored"] / energies["input"]
-    summary["tail_intensity"] = (float(intensity[-1] / intensity.max())
-                                 if intensity.max() > 0 else 0.0)
+    summary["tail_intensity"] = (
+        float(intensity[record.diagnostics["n_t"] - 1] / intensity.max())
+        if intensity.max() > 0 else 0.0)
     for key in ("n_t", "t_end", "dt_write", "dt_limit_write", "dt_read",
                 "dt_limit_read"):
         if key in record.diagnostics:

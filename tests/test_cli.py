@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eitconvert import UnitSystem, relative_efficiency_single, runner
+from eitconvert import UnitSystem, mb, relative_efficiency_single, runner
 from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
 from eitconvert.config import ScenarioConfig, load_scenario
@@ -119,7 +119,6 @@ class TestScenarioCommand:
         report = json.loads((out / "efficiency_mb.json").read_text())
         assert report["dt_limit_write"] == limit
         t = read_csv(out / "converted_mb.csv")[1]["t"]
-        assert report["n_t"] == t.size
         # one uniform step per phase, changing at the read turn-on t = 0
         steps = np.diff(t)
         assert np.allclose(steps[t[:-1] < 0], report["dt_write"], rtol=1e-9)
@@ -130,6 +129,12 @@ class TestScenarioCommand:
         assert np.count_nonzero(t < 0) * report["dt_write"] == \
             pytest.approx(t_r - t_start, rel=1e-9)
         assert report["t_end"] == pytest.approx(t_r + t[-1], rel=1e-12)
+        # the rows are the planned grid up to t_end, drained stop or not;
+        # n_t counts the samples stepped
+        planned = (round((t_r - t_start) / report["dt_write"])
+                   + round((report["t_end"] - t_r) / report["dt_read"]) + 1)
+        assert t.size == planned
+        assert report["n_t"] <= t.size
 
     @pytest.mark.parametrize("protocol, flag", [
         pytest.param({"control_ratio": 2.0}, "adiabaticity", id="2.0-True"),
@@ -377,6 +382,29 @@ class TestComparison:
         summary = load_manifest(out)["engines"]["spectral"]
         assert summary["grid_doubling_rel"] < 1e-4
 
+    def test_drained_mb_record_compares_like_a_full_one(self, monkeypatch):
+        """A wide-band read drains the medium before the automatic run
+        length; its zero-filled tail leaves every comparison where the
+        full-length run puts it."""
+        doc = minimal_doc(engines=["analytic", "spectral", "mb"])
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 150.0, "ccp2": 1.0}
+        doc["protocol"] = {"eta": 3.5, "kappa": 1.35, "control_ratio": 2.0}
+        doc["grid"] = {"n_z": 50}
+        config = ScenarioConfig.from_dict(doc)
+        drained = run_scenario(config, persist=False)
+        monkeypatch.setattr(mb, "DRAIN_TOL", 0.0)
+        full = run_scenario(config, persist=False)
+        assert drained["engines"]["mb"]["stop"] == "drained"
+        assert full["engines"]["mb"]["stop"] == "t_end"
+        assert len(drained["comparison"]) == 3
+        for new, ref in zip(drained["comparison"], full["comparison"]):
+            assert new["engines"] == ref["engines"]
+            assert new.keys() == ref.keys()
+            for key, value in ref.items():
+                if key != "engines":
+                    assert new[key] == pytest.approx(value, rel=1e-8,
+                                                     abs=1e-8), key
+
 
 class TestMbRecord:
     def test_peak_on_a_two_step_grid(self):
@@ -392,15 +420,17 @@ class TestMbRecord:
                                      rel=1e-3)
 
     def test_tail_not_caught_is_reported(self):
-        """A short pulse at matched controls: the automatic run length
-        stops with about 6.6e-5 of the input still stored and the last
-        converted sample at about 2.6e-4 of the peak intensity."""
+        """A short pulse at matched controls: the run reaches its automatic
+        run length undrained, with about 9.4e-5 of the input still stored
+        in the three coherences and the last converted sample at about
+        2.6e-4 of the peak intensity."""
         doc = minimal_doc(engines=["mb"])
         doc["scheme"] = {"kind": "single-lambda", "D_p": 100.0, "ccp2": 1.0}
         doc["units"]["T_p_us"] = 0.05
         doc["protocol"] = {"eta": 4.0, "kappa": 1.35, "control_ratio": 1.0}
         summary = run_scenario(ScenarioConfig.from_dict(doc),
                                persist=False)["engines"]["mb"]
+        assert summary["stop"] == "t_end"
         assert 3e-5 < summary["residual_stored"] < 1.5e-4
         assert 1e-4 < summary["tail_intensity"] < 6e-4
 

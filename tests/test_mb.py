@@ -254,10 +254,16 @@ def leakage(record):
 
 
 class TestEfficiency:
-    def test_identical_channel_ratio_is_one(self, fig2):
+    def test_identical_channel_ratio_is_one(self, fig2, monkeypatch):
+        """The drained companion against a main run stepped up to t_end,
+        so the drain error shows rather than cancels."""
         sch, Om, pulse, tl, rec = fig2
         ref = run_original_readout(sch, rec)
-        xi_relative = rec.energies["converted"] / ref.energies["converted"]
+        assert ref.diagnostics["stop"] == "drained"
+        monkeypatch.setattr(mb, "DRAIN_TOL", 0.0)
+        full = run_protocol(sch, pulse, tl)
+        assert full.diagnostics["stop"] == "t_end"
+        xi_relative = full.energies["converted"] / ref.energies["converted"]
         assert xi_relative == pytest.approx(1.0, abs=1e-9)
 
     def test_total_efficiency_near_closed_form(self, fig2):
@@ -452,12 +458,17 @@ def _oracle_cases():
 
 
 class TestStackedStepOracle:
-    """The stacked step reproduces the per-component loop to rounding."""
+    """The stacked step reproduces the per-component loop to rounding.
+
+    The loop steps up to t_end, so the runs it checks do too (DRAIN_TOL 0).
+    """
 
     @pytest.mark.parametrize("case", list(_oracle_cases()))
-    def test_matches_per_component_loop(self, case):
+    def test_matches_per_component_loop(self, case, monkeypatch):
+        monkeypatch.setattr(mb, "DRAIN_TOL", 0.0)
         sch, pulse, tl = _oracle_cases()[case]
         rec = run_protocol(sch, pulse, tl, grid=(24, 0))
+        assert rec.diagnostics["stop"] == "t_end"
         z, probe, conv, sg_w, y_end = _reference_run(sch, pulse, tl, rec)
         for new, old in ((rec.probe_exit, probe),
                          (rec.converted_exit, conv)):
@@ -579,7 +590,7 @@ class TestPhaseSteps:
             run_protocol(sch, pulse, tl, grid=(16, 50))
         n_t = int(re.search(r"need n_t >= (\d+)", str(info.value)).group(1))
         rec = run_protocol(sch, pulse, tl, grid=(16, n_t))
-        assert rec.diagnostics["n_t"] == n_t
+        assert rec.t_exit.size == n_t
 
     def test_forced_n_t_is_one_uniform_grid(self):
         sch = single_lambda_scheme(50.0, 50.0)
@@ -603,12 +614,26 @@ class TestPhaseSteps:
             run_protocol(sch, pulse, tl, grid=(16, n_t), t_end=t_end)
 
 
+def benchmark_case(T_p_us, eta, D_p, ccp2, ratio):
+    """A single-lambda protocol in the units of the convert benchmark."""
+    T_p = UnitSystem(gamma_2pi_MHz=4.56).time_in(T_p_us)
+    sch = single_lambda_scheme(D_p, ccp2 * D_p)
+    Om = control_for_eta(sch, eta, T_p)
+    return sch, GaussianPulse(T_p=T_p), timeline_for_protocol(
+        Om, ratio * Om, T_p, KAPPA)
+
+
 def full_companion(scheme, pulse, timeline, grid=None):
-    """The original-readout run from the start: the reference for the
-    companion that resumes from the main run."""
-    return run_protocol(scheme.with_original_readout(), pulse,
-                        replace(timeline, Omega_r0=timeline.Omega_w0),
-                        grid=grid)
+    """The original-readout run from the start, stepped up to t_end
+    (DRAIN_TOL 0): the reference for the companion that resumes from the
+    main run and stops once the medium is drained."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mb, "DRAIN_TOL", 0.0)
+        ref = run_protocol(scheme.with_original_readout(), pulse,
+                           replace(timeline, Omega_r0=timeline.Omega_w0),
+                           grid=grid)
+    assert ref.diagnostics["stop"] == "t_end"
+    return ref
 
 
 class TestCompanion:
@@ -641,7 +666,10 @@ class TestCompanion:
         assert comp.energies["converted"] == pytest.approx(
             ref.energies["converted"], rel=2e-9)
         assert np.array_equal(comp.t_exit[:k + 1], rec.t_exit[:k + 1])
-        assert comp.diagnostics["n_t"] == comp.t_exit.size - k
+        # n_t counts the samples stepped from k on; the rest read zero
+        stepped = k + comp.diagnostics["n_t"]
+        assert stepped <= comp.t_exit.size == ref.t_exit.size
+        assert not comp.converted_exit[stepped:].any()
         en = comp.energies
         closure = (en["transmitted"] + en["converted"]
                    + en["residual_stored"] + en["dissipated"])
@@ -654,11 +682,11 @@ class TestCompanion:
         the phases it spans."""
         sch, pulse, tl = self.case(0.2)
         auto = run_protocol(sch, pulse, tl, grid=(16, 0))
-        n_t = 2 * auto.diagnostics["n_t"]
+        n_t = 2 * auto.t_exit.size
         rec = run_protocol(sch, pulse, tl, grid=(16, n_t))
         comp = run_original_readout(sch, rec, n_t=n_t)
         k, _ = rec.resume
-        assert comp.t_exit.size <= n_t
+        assert comp.t_exit.size == n_t
         steps = np.diff(comp.t_exit[k:])
         assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
         ref = full_companion(sch, pulse, tl, grid=(16, 0))
@@ -675,24 +703,22 @@ class TestCompanion:
     def test_drain_stop(self, T_p_us, eta, D_p, ccp2, ratio, stop):
         """A wide-band read drains the medium well before the automatic
         run length; a weak narrow-band read is still emitting there."""
-        T_p = UnitSystem(gamma_2pi_MHz=4.56).time_in(T_p_us)
-        sch = single_lambda_scheme(D_p, ccp2 * D_p)
-        Om = control_for_eta(sch, eta, T_p)
-        pulse = GaussianPulse(T_p=T_p)
-        tl = timeline_for_protocol(Om, ratio * Om, T_p, KAPPA)
+        sch, pulse, tl = benchmark_case(T_p_us, eta, D_p, ccp2, ratio)
         rec = run_protocol(sch, pulse, tl, grid=(24, 0))
         comp = run_original_readout(sch, rec)
         ref = full_companion(sch, pulse, tl, grid=(24, 0))
         d = comp.diagnostics
         assert d["stop"] == stop
         assert d["t_end"] == ref.diagnostics["t_end"]
+        assert comp.t_exit.size == ref.t_exit.size
+        stepped = rec.resume[0] + d["n_t"]
         residual = comp.energies["residual_stored"]
         if stop == "drained":
-            assert comp.t_exit.size < ref.t_exit.size
-            assert comp.t_exit[-1] >= tl.t_r + tl.ramp
+            assert stepped < comp.t_exit.size
+            assert comp.t_exit[stepped - 1] >= tl.t_r + tl.ramp
             assert residual < mb.DRAIN_TOL * pulse.energy
         else:
-            assert comp.t_exit.size == ref.t_exit.size
+            assert stepped == comp.t_exit.size
             assert residual >= mb.DRAIN_TOL * pulse.energy
         assert comp.energies["converted"] == pytest.approx(
             ref.energies["converted"], rel=2e-9)
@@ -720,3 +746,49 @@ class TestCompanion:
         assert rec.resume is None
         with pytest.raises(ValueError, match="read turn-on"):
             run_original_readout(sch, rec)
+
+
+class TestMainRunDrain:
+    """A run with a read turn-on stops once the medium is drained and
+    keeps its planned time axis, the exits zero after the stop."""
+
+    # a wide-band read of the convert benchmark
+    WIDE = (0.2, 3.5, 150.0, 1.0, 2.0)
+
+    def test_wide_read_drains(self, monkeypatch):
+        """Up to the stop the drained run is the full one, bit for bit."""
+        sch, pulse, tl = benchmark_case(*self.WIDE)
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0))
+        drained = mb.DRAIN_TOL * pulse.energy
+        monkeypatch.setattr(mb, "DRAIN_TOL", 0.0)
+        full = run_protocol(sch, pulse, tl, grid=(24, 0))
+        d = rec.diagnostics
+        assert (d["stop"], full.diagnostics["stop"]) == ("drained", "t_end")
+        n = d["n_t"]
+        assert n < rec.t_exit.size == full.diagnostics["n_t"]
+        assert rec.t_exit[n - 1] >= tl.t_r + tl.ramp
+        assert np.array_equal(rec.t_exit, full.t_exit)
+        for new, ref in ((rec.probe_exit, full.probe_exit),
+                         (rec.converted_exit, full.converted_exit)):
+            assert np.array_equal(new[:n], ref[:n])
+            assert not new[n:].any()
+        assert rec.energies["residual_stored"] < drained
+        assert rec.energies["converted"] == pytest.approx(
+            full.energies["converted"], rel=1e-8)
+
+    def test_grid_check_on_a_drained_run(self):
+        sch, pulse, tl = benchmark_case(*self.WIDE)
+        rec = run_protocol(sch, pulse, tl, grid=(16, 0), grid_check=True)
+        d = rec.diagnostics
+        assert d["stop"] == "drained"
+        assert d["grid_converged"]
+        assert d["grid_doubling_rel"] < 0.01
+
+    def test_narrow_read_reaches_t_end(self):
+        """A short pulse read weakly out of a shallow read channel still
+        holds 3.5e-6 of the input at the automatic run length (the narrow
+        convert reads, deeper, all drain)."""
+        sch, pulse, tl = benchmark_case(0.02, 4.0, 100.0, 0.25, 0.3)
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0))
+        assert rec.diagnostics["stop"] == "t_end"
+        assert rec.diagnostics["n_t"] == rec.t_exit.size
