@@ -49,8 +49,7 @@ def dump(name, t, field):
 
 
 # 1. Slow light: constant control, no storage.
-record = run_protocol(scheme, pulse, ControlTimeline(Omega_w0=Omega_w),
-                      t_end=write.T_d + 8.0 * T_p)
+record = run_protocol(scheme, pulse, ControlTimeline(Omega_w0=Omega_w))
 dump("slow_light.csv", record.t_exit, record.probe_exit)
 i = int(np.argmax(np.abs(record.probe_exit)))
 print("slow light: delay %.3f us (model %.3f us), peak %.3f of input"

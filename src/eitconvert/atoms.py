@@ -344,25 +344,16 @@ def single_lambda_scheme(
     D_c: float,
     Gamma_r: float = 1.0,
     gamma_sg: float = 0.0,
-    R_p: float = 1.0,
-    R_c: float = 1.0,
 ) -> ConversionScheme:
     """One populated Lambda subsystem with unit CG values.
 
     D_p and D_c are the effective optical depths of the probe and converted
-    branches; the CG ratios default to 1 so the control-ratio knob is just
-    Omega_r/Omega_w.
+    branches.  Both CG ratios are 1, so the control-ratio knob is just
+    Omega_r/Omega_w: other ratios would only rescale the controls.
     """
-    for name, ratio in (("R_p", R_p), ("R_c", R_c)):
-        if ratio == 0:
-            raise SchemeError(f"{name} must be nonzero: the control CG "
-                              f"is 1/{name}")
+    one = np.array([1.0])
     return ConversionScheme(
-        p=np.array([1.0]),
-        a_p=np.array([1.0]),
-        a_w=np.array([1.0 / R_p]),
-        a_c=np.array([1.0]),
-        a_r=np.array([1.0 / R_c]),
+        p=one, a_p=one, a_w=one, a_c=one, a_r=one,
         alpha_p=float(D_p),
         alpha_c=float(D_c),
         Gamma_r=Gamma_r,

@@ -8,11 +8,13 @@ Subcommands:
 
 Flags: --out overrides the configured output directory, --engine picks
 engines and --grid-check turns on doubling validation (scenario and sweep
-only), --format csv|json selects the scalar-report format (scenario and
-pump only).  Exit codes: 0 on success, 2 for invalid configuration or
-arguments or a path that cannot be read or written, 3 for a numerical
-failure (a stiff time grid, aliasing, or an automatically sized grid
-over its budget); see errors.exit_code.
+only; both edit the document, a sweep's template, before it is checked,
+so the manifest records them), --format csv|json selects the
+scalar-report format (scenario and pump only).  Exit codes: 0 on
+success, 2 for invalid configuration or arguments or a path that cannot
+be read or written, 3 for a numerical failure (a stiff time grid,
+aliasing, or an automatically sized grid over its budget); see
+errors.exit_code.
 """
 
 from __future__ import annotations
@@ -73,11 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_edits(args, prefix="") -> dict:
+    """--engine and --grid-check as edits of the document at prefix."""
+    edits = {prefix + "engines": args.engine} if args.engine else {}
+    if args.grid_check:
+        edits[prefix + "grid.grid_check"] = True
+    return edits
+
+
 def _cmd_scenario(args) -> int:
-    config = load_scenario(args.file)
-    manifest = run_scenario(config, out_dir=args.out, engines=args.engine,
-                            grid_check=True if args.grid_check else None,
-                            fmt=args.format)
+    config = load_scenario(args.file, _flag_edits(args))
+    manifest = run_scenario(config, out_dir=args.out, fmt=args.format)
     for engine, summary in manifest["engines"].items():
         parts = [f"xi_total={summary['xi_total']:.6g}"]
         if "xi_relative" in summary:
@@ -104,9 +112,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_sweep(args.file)
-    manifest = run_sweep(spec, out_dir=args.out, engines=args.engine,
-                         grid_check=True if args.grid_check else None,
+    spec = load_sweep(args.file, _flag_edits(args, "template."))
+    manifest = run_sweep(spec, out_dir=args.out,
                          base_dir=Path(args.file).parent, progress=print)
     total = len(manifest["failures"]) + manifest["n_ok"]
     print(f"sweep: {manifest['n_ok']}/{total} points succeeded")

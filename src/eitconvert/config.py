@@ -19,12 +19,15 @@ A scenario document looks like
     }
 
 The scheme block accepts kind "single-lambda" with D_p plus either D_c
-or the control-coupling ratio ccp2 (D_c = ccp2 * D_p); a cesium-d1
+or the control-coupling ratio ccp2 (D_c = ccp2 * D_p); its control CGs
+are 1, so the read/write control ratio is Omega_r/Omega_w.  A cesium-d1
 scheme may replace "populations" with "pump_trajectory", a CSV written
-by the pump subcommand, plus an optional "pump_time_us" row selector.
-Exactly one of protocol.eta and protocol.Omega_w must be present; the
-read control is set by "Omega_r" or "control_ratio" (Omega_r/Omega_w),
-never both.
+by the pump subcommand, plus an optional "pump_time_us" row selector
+matched against the file's own t_us column.  Exactly one of
+protocol.eta and protocol.Omega_w must be present; the read control is
+set by "Omega_r" or "control_ratio" (Omega_r/Omega_w), never both.
+The loaders take edits, dotted paths set in the document before it is
+checked (the CLI flags), so a config's raw document is the one that ran.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _population_vector(value):
 
 
 def _number(block, key, path, issues, default=None, required=False,
-            minimum=None, exclusive=False, integer=False, nonzero=False):
+            minimum=None, exclusive=False, integer=False):
     """block[key] as a float (an int if integer), or default when it is
     missing or rejected; every rejection is added to issues."""
     if key not in block:
@@ -138,9 +141,6 @@ def _number(block, key, path, issues, default=None, required=False,
         if not exclusive and value < minimum:
             issues.add(path, f"must be at least {minimum:g}")
             return default
-    if nonzero and value == 0:
-        issues.add(path, "must be nonzero")
-        return default
     if integer:
         if not value.is_integer():
             issues.add(path, "must be an integer")
@@ -239,9 +239,6 @@ class SchemeSpec:
     D_c: float = _num(kind="single-lambda", minimum=0.0, exclusive=True)
     ccp2: float | None = _num(kind="single-lambda", minimum=0.0,
                               exclusive=True)
-    # the control CG is 1/R, so R = 0 leaves no control coupling
-    R_p: float = _num(1.0, kind="single-lambda", nonzero=True)
-    R_c: float = _num(1.0, kind="single-lambda", nonzero=True)
     gamma_sg: float = _num(0.0, minimum=0.0)
 
     @classmethod
@@ -296,17 +293,15 @@ class SchemeSpec:
             return math.sqrt(self.ccp2)
         return 1.0
 
-    def build(self, base_dir, units: UnitSystem) -> ConversionScheme:
+    def build(self, base_dir) -> ConversionScheme:
         if self.kind == "single-lambda":
             return single_lambda_scheme(self.D_p, self.D_c,
-                                        gamma_sg=self.gamma_sg,
-                                        R_p=self.R_p, R_c=self.R_c)
+                                        gamma_sg=self.gamma_sg)
         if self.populations is not None:
             populations = np.asarray(self.populations, dtype=float)
         else:
             populations = populations_from_trajectory(
-                Path(base_dir) / self.pump_trajectory,
-                self.pump_time_us, units)
+                Path(base_dir) / self.pump_trajectory, self.pump_time_us)
         return build_cesium_d1_scheme(self.direction, populations,
                                       self.alpha_p, self.alpha_c,
                                       gamma_sg=self.gamma_sg)
@@ -327,16 +322,17 @@ def _trajectory_columns(body: bytes):
     return tuple(header), types.MappingProxyType(cols)
 
 
-def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
+def populations_from_trajectory(path, pump_time_us):
     """Ground populations at one instant of a stored pump trajectory.
 
-    Accepts the trajectory CSV of the pump subcommand (column t in
-    internal units) or a hand-made file with a t_us column.  The excited
-    fraction still present at that instant is dropped and the seven
-    ground populations are renormalized, matching a conversion run that
-    starts after the pump light is switched off.  The nearest row is
-    taken; a time more than half the mean sample interval outside the
-    trajectory's span is rejected.
+    Reads the trajectory CSV of the pump subcommand, whose t_us column
+    holds the sample times in microseconds on the pump run's own clock;
+    pump_time_us (None: the last row) selects the nearest row by it.  The
+    excited fraction still present at that instant is dropped and the
+    seven ground populations are renormalized, matching a conversion run
+    that starts after the pump light is switched off.  A time more than
+    half the mean sample interval outside the trajectory's span is
+    rejected, and so is a file without a t_us column.
     """
     path = Path(path)
     if not path.exists():
@@ -350,14 +346,12 @@ def populations_from_trajectory(path, pump_time_us, units: UnitSystem):
         raise ConfigValidationError(
             f"pump trajectory {path} lacks columns {missing}",
             paths=["scheme.pump_trajectory"])
-    if "t_us" in cols:
-        t = cols["t_us"]
-    elif "t" in cols:
-        t = units.time_out(cols["t"])
-    else:
+    if "t_us" not in cols:
         raise ConfigValidationError(
-            f"pump trajectory {path} has no time column",
+            f"pump trajectory {path} has no t_us column (sample times in "
+            f"microseconds); repeat the pump run that wrote it",
             paths=["scheme.pump_trajectory"])
+    t = cols["t_us"]
     if t.size == 0:
         raise ConfigValidationError(
             f"pump trajectory {path} is empty",
@@ -467,7 +461,7 @@ class ScenarioConfig:
                    raw=doc, **values)
 
     def build_scheme(self) -> ConversionScheme:
-        return self.scheme.build(self.base_dir, self.units.system())
+        return self.scheme.build(self.base_dir)
 
     def controls(self, scheme: ConversionScheme) -> ResolvedControls:
         """Write/read Rabi frequencies and protocol times, internal units."""
@@ -493,20 +487,26 @@ class ScenarioConfig:
         )
 
 
-def _read_json(path: Path, what: str):
-    """Parse the JSON document at path; what names the file in errors."""
+def _read_json(path: Path, what: str, edits=None):
+    """Parse the JSON document at path, then set each dotted path of
+    edits in it (a document that is not an object is left for the loader
+    to refuse); what names the file in errors."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigValidationError(f"{what} file {path} does not exist")
     except json.JSONDecodeError as exc:
         raise ConfigValidationError(f"{what} file {path} is not valid "
                                     f"JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        for dotted, value in (edits or {}).items():
+            set_by_path(doc, dotted, value)
+    return doc
 
 
-def load_scenario(path) -> ScenarioConfig:
+def load_scenario(path, edits=None) -> ScenarioConfig:
     path = Path(path)
-    return ScenarioConfig.from_dict(_read_json(path, "scenario"),
+    return ScenarioConfig.from_dict(_read_json(path, "scenario", edits),
                                     base_dir=path.parent)
 
 
@@ -621,9 +621,9 @@ def set_by_path(doc: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def load_sweep(path) -> SweepSpec:
+def load_sweep(path, edits=None) -> SweepSpec:
     path = Path(path)
-    return SweepSpec.from_dict(_read_json(path, "sweep"),
+    return SweepSpec.from_dict(_read_json(path, "sweep", edits),
                                base_dir=path.parent)
 
 

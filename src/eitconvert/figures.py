@@ -86,9 +86,7 @@ def fig2(out: Path, progress=None) -> list:
     write = write_channel(scheme, Omega_w, T_P, KAPPA)
     beta_L = write.beta_w(1.0)
 
-    t_end = write.T_d + 6.0 * T_P * beta_L
-    slow = run_protocol(scheme, pulse, ControlTimeline(Omega_w0=Omega_w),
-                        t_end=t_end)
+    slow = run_protocol(scheme, pulse, ControlTimeline(Omega_w0=Omega_w))
     t = slow.t_exit
     _emit(out, "fig2_input.csv", ["t_us", "intensity"],
           [UNITS.time_out(t), np.abs(pulse(t)) ** 2], written)

@@ -144,7 +144,9 @@ class ControlTimeline:
     to zero over the interval [t_w - ramp, t_w], so the cutoff is complete
     at t_w.  The read control ramps from zero on [t_r, t_r + ramp] with
     t_r = t_w + t_s.  ramp = 0 gives hard switches.  t_w = None keeps the
-    write control on forever (slow-light mode, read channel unused).
+    write control on forever (slow-light mode, read channel unused); a
+    timeline with a cutoff needs a nonzero read control, as nothing reads
+    a store-only run.
     """
 
     Omega_w0: complex
@@ -156,6 +158,9 @@ class ControlTimeline:
     def __post_init__(self):
         if self.ramp < 0 or self.t_s < 0:
             raise ValueError("ramp and t_s must be nonnegative")
+        if self.t_w is not None and self.Omega_r0 == 0:
+            raise ValueError("a timeline with a write cutoff needs a "
+                             "nonzero read control Omega_r0")
 
     @property
     def t_r(self) -> float | None:
@@ -174,7 +179,7 @@ class ControlTimeline:
         """Read-control envelope at time(s) t."""
         t = np.asarray(t, dtype=float)
         t_r = self.t_r
-        if t_r is None or self.Omega_r0 == 0:
+        if t_r is None:
             return np.zeros(t.shape)
         if self.ramp == 0.0:
             return np.where(t >= t_r, self.Omega_r0, 0.0)
@@ -235,12 +240,11 @@ class SimulationRecord:
 def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
                 timeline: ControlTimeline) -> float:
     """Run length long enough to catch the slow or converted pulse tail."""
-    if timeline.t_w is not None and timeline.Omega_r0 == 0:
-        return timeline.t_r + 6.0 * pulse.T_p
     if timeline.t_w is None:
-        # slow light: the group delay does not depend on the cutoff
+        # slow light: the group delay plus six widths of the pulse broadened
+        # through the whole medium, neither of which depends on the cutoff
         write = write_channel(scheme, timeline.Omega_w0, pulse.T_p, 1.0)
-        return write.T_d + 6.0 * pulse.T_p
+        return write.T_d + 6.0 * pulse.T_p * write.beta_w(1.0)
     write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
                           timeline.t_w / pulse.T_p)
     if write.z_mid >= 1.0:
@@ -281,8 +285,8 @@ def _phase_rates(scheme: ConversionScheme, pulse: GaussianPulse,
     control, the read linewidth and the read depth count only in the read
     phase; the write control is off by then.  The write-phase step thus
     does not depend on the read channel, which lets run_original_readout
-    share the write phase of the main run.  A run without a read control
-    (slow light, or storage only) is one write phase.
+    share the write phase of the main run.  A slow-light run, without a
+    read turn-on, is one write phase.
     """
     write, read = scheme.channel("write"), scheme.channel("read")
     common = {"Gamma_w": write.Gamma,
@@ -292,7 +296,7 @@ def _phase_rates(scheme: ConversionScheme, pulse: GaussianPulse,
         common["gamma_sg"] = scheme.gamma_sg
     phases = {"write": {**common, "write_control": write.a_ctrl_max
                         * abs(timeline.Omega_w0)}}
-    if timeline.t_r is not None and timeline.Omega_r0 != 0:
+    if timeline.t_r is not None:
         phases["read"] = {"Gamma_w": write.Gamma, "Gamma_r": read.Gamma,
                           **common,
                           "read_control": read.a_ctrl_max
@@ -329,8 +333,7 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     the read turn-on (SimulationRecord.resume) for run_original_readout.
     A run with a read turn-on stops once the medium is drained (see
     _integrate) and keeps its planned time axis, the exits zero after the
-    stop; a slow-light run steps up to t_end, and so does a store-only run
-    whose medium still holds the excitation there.
+    stop; a slow-light run steps up to t_end.
     """
     n_z, n_t = grid if grid is not None else (200, 0)
     if n_z < 8:
@@ -431,7 +434,7 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
     if grid_check:
         fine = integrate(2 * n_z, [(t0, 0.5 * dt, 2 * steps)
                                    for t0, dt, steps in segments])
-        key = "converted" if timeline.Omega_r0 != 0 else "transmitted"
+        key = "converted" if timeline.t_r is not None else "transmitted"
         ref = fine.energies[key]
         rel = abs(record.energies[key] - ref) / ref if ref > 0 else 0.0
         record.diagnostics["grid_doubling_rel"] = rel

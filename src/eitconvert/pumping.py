@@ -195,9 +195,11 @@ class PumpTrajectory:
         p = self.ground[index]
         return PopulationDistribution(p=p / p.sum())
 
-    def to_csv(self, path) -> None:
-        cols = [self.t]
-        header = ["t"]
+    def to_csv(self, path, t_us) -> None:
+        """Write the columns t, t_us (the sample times in microseconds),
+        the ground populations and the excited fraction."""
+        cols = [self.t, t_us]
+        header = ["t", "t_us"]
         for i, m in enumerate(ZEEMAN_M):
             header.append(f"p_m{m:+d}")
             cols.append(self.ground[:, i])

@@ -5,7 +5,9 @@ whose origin is the read-control turn-on, so pointwise comparisons need
 no further alignment.  Summaries are flat dicts of numbers, plus the
 closed form's validity flags, the names of the rates that bounded the mb
 steps and the mb stop reasons; a sweep row is the axis values followed
-by the numeric entries flattened as "engine.key" columns.
+by the numeric entries flattened as "engine.key" columns.  Every run
+input comes from the config, which the CLI flags edit before it is
+built, so a manifest's "config" is what ran.
 
 Per-engine summary keys:
   analytic: xi1, xi2, xi_total, xi_relative, delta_omega_c, eta, kappa,
@@ -323,30 +325,23 @@ def _write_waveform(path: Path, t, waveform, units: UnitSystem) -> None:
                np.abs(waveform) ** 2])
 
 
-def run_scenario(config: ScenarioConfig, out_dir=None, engines=None,
-                 grid_check=None, fmt="json", persist=True) -> dict:
-    """Execute the selected engines and return the manifest.
+def run_scenario(config: ScenarioConfig, out_dir=None, fmt="json",
+                 persist=True) -> dict:
+    """Execute the config's engines and return the manifest.
 
     persist=False skips all file output (used by sweeps); otherwise the
     output directory receives one converted-waveform CSV and one
     efficiency report per engine, a comparison report when more than one
-    engine ran, and a manifest.  Re-running writes byte-identical CSV
-    bodies; only the manifest timestamp changes.
+    engine ran, and a manifest whose "config" is the document that ran.
+    Re-running writes byte-identical CSV bodies; only the manifest
+    timestamp changes.
     """
-    if engines:
-        bad = [e for e in engines if e not in _ENGINE_RUNNERS]
-        if bad:
-            raise ValueError(f"unknown engines {bad}")
-    engines = tuple(engines) if engines else config.engines
-    if grid_check is not None and grid_check != config.grid.grid_check:
-        config = replace(config,
-                         grid=replace(config.grid, grid_check=grid_check))
     scheme = config.build_scheme()
     controls = config.controls(scheme)
     units = config.units.system()
 
     outputs = [run_engine(name, scheme, config, controls)
-               for name in engines]
+               for name in config.engines]
     comparison = compare_outputs(outputs) if len(outputs) > 1 else []
     manifest = {
         "config": config.raw,
@@ -392,21 +387,19 @@ def _numeric_entries(engines: dict) -> dict:
             if isinstance(value, (int, float))}
 
 
-def _sweep_point(args):
+def _sweep_point(index, doc, base_dir):
     """Worker for one grid point; returns (index, summaries or error)."""
-    index, doc, base_dir, engines, grid_check = args
     try:
         config = ScenarioConfig.from_dict(doc, base_dir=base_dir)
-        manifest = run_scenario(config, engines=engines,
-                                grid_check=grid_check, persist=False)
+        manifest = run_scenario(config, persist=False)
         return index, {"ok": True, "engines": manifest["engines"]}
     except Exception as exc:
         return index, {"ok": False, "exit_code": exit_code(exc),
                        "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
-              base_dir=".", progress=None) -> dict:
+def run_sweep(spec: SweepSpec, out_dir=None, base_dir=".",
+              progress=None) -> dict:
     """Run the whole grid, axis-major, and write sweep.csv plus manifest.
 
     Failed points are reported in the manifest and leave NaN rows; the
@@ -414,8 +407,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
     validity flags are listed in the manifest as "flagged".  Rows appear
     in flat-index order, the first axis varying slowest.
     """
-    jobs = [(i, spec.point(i), str(base_dir), engines, grid_check)
-            for i in range(spec.size)]
+    jobs = [(i, spec.point(i), str(base_dir)) for i in range(spec.size)]
     results = []
 
     def done(result):
@@ -425,12 +417,12 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
 
     if spec.parallelism > 1 and spec.size > 1:
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            for future in as_completed([pool.submit(_sweep_point, job)
+            for future in as_completed([pool.submit(_sweep_point, *job)
                                         for job in jobs]):
                 done(future.result())
     else:
         for job in jobs:
-            done(_sweep_point(job))
+            done(_sweep_point(*job))
     results.sort(key=lambda item: item[0])
 
     first = next((payload for _, payload in results if payload["ok"]), None)
@@ -478,14 +470,16 @@ def run_sweep(spec: SweepSpec, out_dir=None, engines=None, grid_check=None,
 
 
 def run_pump(spec: PumpSpec, out_dir=None, fmt="json") -> dict:
-    """Integrate one pump run; write the trajectory CSV and a report."""
+    """Integrate one pump run; write the trajectory CSV, whose t_us
+    column is on the run's own gamma_2pi_MHz clock, and a report."""
     config = spec.pump_config()
     initial = np.asarray(spec.initial)
     trajectory = evolve_pumping(config, initial, n_samples=spec.n_samples)
     out = Path(out_dir) if out_dir is not None else Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj_path = out / "trajectory.csv"
-    trajectory.to_csv(traj_path)
+    trajectory.to_csv(traj_path, UnitSystem(spec.gamma_2pi_MHz).time_out(
+        trajectory.t))
     final = trajectory.final
     report = {
         "polarization": spec.polarization,

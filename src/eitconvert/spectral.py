@@ -335,8 +335,8 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     # 1/sqrt(2 pi): the stored coherence enters the one-sided transform
     # as an initial-condition source, which carries this factor in the
     # unitary convention
-    pref = (scheme.alpha_c * scheme.Gamma_r
-            / (_SQRT_2PI * np.conj(Omega_r)))
+    read = scheme.channel("read")
+    pref = read.alpha * read.Gamma / (_SQRT_2PI * np.conj(Omega_r))
     # omega block whose (M, block) accumulator stays near 1 MB, in cache
     block = max(1, (1 << 16) // scheme.R_c.size)
 

@@ -350,7 +350,8 @@ def converted_spectrum(scheme: ConversionScheme, write: WriteChannelParams,
     xi_1 * xi_2 times the input pulse energy.
     """
     mix = math.fsum(scheme.p * scheme.R_p * scheme.R_c)
-    C = (scheme.alpha_c * scheme.Gamma_r / 2.0
+    ch = scheme.channel("read")
+    C = (ch.alpha * ch.Gamma / 2.0
          * E0 * write.L_w * mix
          / (math.sqrt(LN2) * np.conj(read.Omega_r) * write.Omega_w))
     S = ((write.L_w * write.beta_w_mid) ** 2 * read.beta_r_L ** 2

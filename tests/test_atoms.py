@@ -233,11 +233,6 @@ class TestConversionScheme:
         with pytest.raises(SchemeError, match="write.*read"):
             single_lambda_scheme(500.0, 500.0).channel("probe")
 
-    @pytest.mark.parametrize("ratio", ["R_p", "R_c"])
-    def test_single_lambda_rejects_zero_ratio(self, ratio):
-        with pytest.raises(SchemeError, match=ratio):
-            single_lambda_scheme(500.0, 500.0, **{ratio: 0.0})
-
     def test_energy_unit_ratio(self):
         sch = single_lambda_scheme(500.0, 200.0, Gamma_r=2.0)
         assert sch.energy_unit_ratio == pytest.approx(500.0 / 400.0, rel=1e-15)

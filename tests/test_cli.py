@@ -251,13 +251,35 @@ class TestScenarioCommand:
         assert "scheme.populations" in err and "finite" in err
 
     @pytest.mark.parametrize("key", ["R_p", "R_c"])
-    def test_zero_cg_ratio_exits_2(self, tmp_path, capsys, key):
+    def test_cg_ratio_is_not_a_field(self, tmp_path, capsys, key):
+        """A single-lambda scheme's CG ratios are 1; any other value
+        would only rescale a control."""
         doc = minimal_doc()
-        doc["scheme"][key] = 0
+        doc["scheme"][key] = 2.0
         f = write_json(tmp_path / "s.json", doc)
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"scheme.{key}" in err and "nonzero" in err
+        assert f"scheme.{key}: unknown field" in capsys.readouterr().err
+
+    def test_flags_edit_the_recorded_config(self, tmp_path):
+        """--engine and --grid-check are edits of the document, so the
+        manifest's config records what ran."""
+        doc = minimal_doc(engines=["analytic"], grid={"n_z": 16})
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 50.0, "ccp2": 1.0}
+        f = write_json(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["scenario", f, "--out", str(out), "--engine", "mb",
+                     "--grid-check"]) == 0
+        manifest = load_manifest(out)
+        assert manifest["config"]["engines"] == ["mb"]
+        assert manifest["config"]["grid"] == {"n_z": 16, "grid_check": True}
+        assert list(manifest["engines"]) == ["mb"]
+        assert "grid_doubling_rel" in manifest["engines"]["mb"]
+
+    def test_repeated_engine_flag_exits_2(self, tmp_path, capsys):
+        f = write_json(tmp_path / "s.json", minimal_doc())
+        assert main(["scenario", f, "--out", str(tmp_path / "out"),
+                     "--engine", "analytic", "--engine", "analytic"]) == 2
+        assert "engines" in capsys.readouterr().err
 
     def test_undersized_frequency_grid_exits_3(self, tmp_path):
         doc = minimal_doc(engines=["spectral"],
@@ -361,11 +383,12 @@ class TestComparison:
         def always_checked(*args, **kwargs):
             return real(*args, **{**kwargs, "quadrature_check": True})
 
-        config = ScenarioConfig.from_dict(minimal_doc(engines=["spectral"]))
+        config = ScenarioConfig.from_dict(minimal_doc(
+            engines=["spectral"], grid={"grid_check": True}))
         rel = {}
         for name, wrapper in (("spy", spy), ("checked", always_checked)):
             monkeypatch.setattr(runner, "converted_field_exact", wrapper)
-            rel[name] = run_scenario(config, grid_check=True, persist=False)[
+            rel[name] = run_scenario(config, persist=False)[
                 "engines"]["spectral"]["grid_doubling_rel"]
         assert checks == [True, False]
         assert rel["spy"] == rel["checked"]
@@ -539,6 +562,21 @@ class TestSweepCommand:
         assert header[0] == "protocol.eta"
         assert cols["analytic.xi_total"].shape == (1,)
         assert abs(cols["analytic.xi_total"][0] - xi_scenario) < 1e-14
+
+    def test_flags_reach_every_point(self, tmp_path):
+        doc = self.sweep_doc([{"path": "protocol.eta", "values": [3.0, 4.0]}],
+                             parallelism=2)
+        doc["template"]["scheme"] = {"kind": "single-lambda", "D_p": 50.0,
+                                     "ccp2": 1.0}
+        doc["template"]["grid"] = {"n_z": 16}
+        f = write_json(tmp_path / "w.json", doc)
+        out = tmp_path / "sweep"
+        assert main(["sweep", f, "--out", str(out), "--engine", "mb",
+                     "--grid-check"]) == 0
+        header, cols = read_csv(out / "sweep.csv")
+        assert not [name for name in header if name.startswith("analytic.")]
+        assert np.all(np.isfinite(cols["mb.grid_doubling_rel"]))
+        assert cols["mb.grid_doubling_rel"].shape == (2,)
 
     def test_symmetric_populations_make_eta_sweep_flat(self, tmp_path):
         doc = self.sweep_doc([{"path": "protocol.eta",
@@ -739,6 +777,27 @@ class TestPumpCommand:
         f = write_json(tmp_path / "p.json", self.pump_doc())
         assert main(["pump", f, "--out", existing_file(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_scenario_reads_the_pump_clock(self, tmp_path):
+        """A scenario at another linewidth selects rows by the pump run's
+        own microseconds: 0.8 and 1.6 us, not 0.72 and 1.44."""
+        f = write_json(tmp_path / "p.json", self.pump_doc(gamma_2pi_MHz=5.0))
+        out = tmp_path / "pump"
+        assert main(["pump", f, "--out", str(out)]) == 0
+        header, cols = read_csv(out / "trajectory.csv")
+        assert header[:2] == ["t", "t_us"]
+        assert cols["t_us"] == pytest.approx(np.linspace(0.0, 1.6, 41),
+                                             abs=1e-12)
+        for time_us in (0.8, 1.6):
+            row = int(np.argmin(np.abs(cols["t_us"] - time_us)))
+            assert cols["t_us"][row] == pytest.approx(time_us, abs=1e-12)
+            ground = np.array([cols[f"p_m{m:+d}"][row]
+                               for m in range(-3, 4)])
+            doc = minimal_doc()
+            doc["scheme"] = dict(cesium_from_trajectory(
+                out / "trajectory.csv"), pump_time_us=time_us)
+            scheme = ScenarioConfig.from_dict(doc).build_scheme()
+            assert np.max(np.abs(scheme.p - ground / ground.sum())) < 1e-12
 
     def test_trajectory_feeds_scenario(self, tmp_path):
         f = write_json(tmp_path / "p.json", self.pump_doc())

@@ -248,21 +248,24 @@ class TestTrajectoryPopulations:
         early = [0.9] + [0.0] * 6 + [0.1]
         late = [0.0] * 6 + [0.8] + [0.2]
         self.write_trajectory(path, "t_us", [0.0, 1.0], [early, late])
-        units = UnitSystem(gamma_2pi_MHz=4.56)
-        p = populations_from_trajectory(path, 0.9, units)
+        p = populations_from_trajectory(path, 0.9)
         assert abs(p[6] - 1.0) < 1e-12
         assert abs(p.sum() - 1.0) < 1e-12
-        p0 = populations_from_trajectory(path, 0.1, units)
+        p0 = populations_from_trajectory(path, 0.1)
         assert abs(p0[0] - 1.0) < 1e-12
 
-    def test_internal_time_column(self, tmp_path):
+    def test_internal_time_only_refused(self, tmp_path):
+        """A trajectory with only the internal time t is refused: its
+        microseconds depend on the pump run's linewidth."""
         path = tmp_path / "traj.csv"
-        units = UnitSystem(gamma_2pi_MHz=4.56)
         iso = [1 / 7] * 7 + [0.0]
-        t_internal = [0.0, units.time_in(1.0)]
-        self.write_trajectory(path, "t", t_internal, [iso, iso])
-        p = populations_from_trajectory(path, 1.0, units)
-        assert np.max(np.abs(p - 1 / 7)) < 1e-12
+        self.write_trajectory(path, "t", [0.0, 28.65], [iso, iso])
+        with pytest.raises(ConfigValidationError) as excinfo:
+            populations_from_trajectory(path, 1.0)
+        assert exit_code(excinfo.value) == 2
+        assert excinfo.value.paths == ["scheme.pump_trajectory"]
+        message = str(excinfo.value)
+        assert "t_us" in message and "repeat the pump run" in message
 
     @pytest.mark.parametrize("time_us, inside", [
         (1.4, True), (-0.4, True), (1.6, False), (-0.6, False), (5.0, False),
@@ -273,12 +276,11 @@ class TestTrajectoryPopulations:
         early = [0.9] + [0.0] * 6 + [0.1]
         late = [0.0] * 6 + [0.8] + [0.2]
         self.write_trajectory(path, "t_us", [0.0, 1.0], [early, late])
-        units = UnitSystem(gamma_2pi_MHz=4.56)
         if inside:
-            populations_from_trajectory(path, time_us, units)
+            populations_from_trajectory(path, time_us)
             return
         with pytest.raises(ConfigValidationError) as excinfo:
-            populations_from_trajectory(path, time_us, units)
+            populations_from_trajectory(path, time_us)
         assert excinfo.value.paths == ["scheme.pump_time_us"]
 
     def test_rewritten_trajectory_is_read_again(self, tmp_path, monkeypatch):
@@ -294,21 +296,19 @@ class TestTrajectoryPopulations:
         path = tmp_path / "traj.csv"
         early = [0.9] + [0.0] * 6 + [0.1]
         late = [0.0] * 6 + [0.8] + [0.2]
-        units = UnitSystem(gamma_2pi_MHz=4.56)
         self.write_trajectory(path, "t_us", [0.0, 1.0], [early, late])
         size = path.stat().st_size
-        assert populations_from_trajectory(path, 1.0, units)[6] == 1.0
-        assert populations_from_trajectory(path, 1.0, units)[6] == 1.0
+        assert populations_from_trajectory(path, 1.0)[6] == 1.0
+        assert populations_from_trajectory(path, 1.0)[6] == 1.0
         assert len(parsed) == 1
         self.write_trajectory(path, "t_us", [0.0, 1.0], [early, early])
         assert path.stat().st_size == size
-        assert populations_from_trajectory(path, 1.0, units)[0] == 1.0
+        assert populations_from_trajectory(path, 1.0)[0] == 1.0
         assert len(parsed) == 2
 
     def test_missing_file_reports_field_path(self, tmp_path):
-        units = UnitSystem(gamma_2pi_MHz=4.56)
         with pytest.raises(ConfigValidationError) as excinfo:
-            populations_from_trajectory(tmp_path / "none.csv", 0.5, units)
+            populations_from_trajectory(tmp_path / "none.csv", 0.5)
         assert "scheme.pump_trajectory" in excinfo.value.paths
 
     def test_scenario_consumes_trajectory(self, tmp_path):
@@ -554,7 +554,8 @@ def load_bound_doc(kind, doc):
 
 
 # (document kind, field path, out-of-bound value, boundary value; None
-# where the bound is exclusive or the rule is "nonzero")
+# where the bound is exclusive).  scheme.R_p and scheme.R_c are no longer
+# fields: every value is refused under its path as an unknown field.
 FIELD_BOUNDS = [
     ("single", "scheme.D_p", 0.0, None),
     ("single", "scheme.D_c", 0.0, None),

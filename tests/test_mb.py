@@ -130,6 +130,11 @@ class TestControlTimeline:
         with pytest.raises(ValueError):
             ControlTimeline(Omega_w0=1.0, ramp=-0.1)
 
+    def test_store_only_rejected(self):
+        """A write cutoff without a read control stores and never reads."""
+        with pytest.raises(ValueError, match="read control"):
+            ControlTimeline(Omega_w0=1.0, t_w=4.0)
+
 
 class TestProtocolInvariants:
     def test_weak_probe_linearity(self, fig2):
@@ -213,6 +218,18 @@ class TestSlowLight:
         i = int(np.argmax(np.abs(rec.probe_exit)))
         shift = abs(rec.t_exit[i] - eta * T_P) / rec.diagnostics["dt"]
         assert shift < 2.0
+
+    def test_automatic_run_length(self):
+        """Group delay plus six widths of the pulse broadened through the
+        whole medium."""
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, 4.0, T_P)
+        rec = run_protocol(sch, GaussianPulse(T_p=T_P),
+                           ControlTimeline(Omega_w0=Om), grid=(16, 0))
+        write = write_channel(sch, Om, T_P, KAPPA)
+        assert write.beta_w(1.0) > 1.1
+        assert rec.diagnostics["t_end"] == (write.T_d + 6.0 * T_P
+                                            * write.beta_w(1.0))
 
     def test_transmission_matches_spectral_engine(self):
         sch = single_lambda_scheme(D, D)

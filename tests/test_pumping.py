@@ -351,12 +351,13 @@ class TestEvolution:
         cfg = PumpConfig(Omega_r_pump=1.2, duration=2.0)
         traj = evolve_pumping(cfg, ISO, n_samples=21)
         path = tmp_path / "pump.csv"
-        traj.to_csv(path)
+        traj.to_csv(path, 0.5 * traj.t)
         header, cols = read_csv(path)
-        assert header[0] == "t"
+        assert header[:2] == ["t", "t_us"]
         assert header[-1] == "excited_fraction"
-        assert len(header) == 9
+        assert len(header) == 10
         assert np.allclose(cols["t"], traj.t)
+        assert np.allclose(cols["t_us"], 0.5 * traj.t)
         assert np.allclose(cols["p_m+0"], traj.ground[:, 3])
 
 
