@@ -60,9 +60,11 @@ print("theory:   xi_total %.4f  xi_relative %.4f"
 
 # 2. Exact spectral propagation of the linearized equations.
 #    Storage runs on the write grid, the read-out on a grid sized by the
-#    read channel.
+#    protocol's time window, the one the time-domain run steps over.
+timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
 write_grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p)
-read_grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p, Omega_r)
+read_grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p, Omega_r,
+                                      window=timeline.window(scheme, T_p))
 probe = gaussian_probe_spectrum(write_grid, T_p)
 stored = stored_coherence_exact(scheme, Omega_w, probe, kappa * T_p,
                                 write_grid)
@@ -74,7 +76,6 @@ print("spectral: xi_total %.4f" % (res.energy / pulse_energy(T_p)))
 #    relative efficiency has its reference.  The companion continues from
 #    the main record at the read turn-on: the write phase is the same.
 pulse = GaussianPulse(T_p=T_p)
-timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
 record = run_protocol(scheme, pulse, timeline)
 companion = run_original_readout(scheme, record)
 xi_total = record.energies["converted"] / record.energies["input"]

@@ -67,8 +67,9 @@ import numpy as np
 from .atoms import ConversionScheme
 from .errors import GridBudgetError, StiffnessError
 from .fields import CoherenceField
-from .theory import (LN2, _slow_light, pulse_bandwidth, pulse_energy,
-                     read_channel, write_channel)
+from .theory import LN2, protocol_window, pulse_bandwidth, pulse_energy
+# mb calls neither; bench/spans.py wraps both under these names
+from .theory import read_channel, write_channel  # noqa: F401
 
 __all__ = [
     "GaussianPulse",
@@ -175,6 +176,12 @@ class ControlTimeline:
             return np.where(t < self.t_w, self.Omega_w0, 0.0)
         return self.Omega_w0 * (1.0 - _smoothstep((t - self.t_w) / self.ramp + 1.0))
 
+    def window(self, scheme: ConversionScheme, T_p: float):
+        """(t_start, t_end) of a run of a pulse of width T_p on scheme
+        (theory.protocol_window)."""
+        return protocol_window(scheme, T_p, self.Omega_w0, self.t_w,
+                               self.Omega_r0, self.t_s, self.ramp)
+
     def Omega_r(self, t):
         """Read-control envelope at time(s) t."""
         t = np.asarray(t, dtype=float)
@@ -235,29 +242,6 @@ class SimulationRecord:
     pulse: GaussianPulse
     timeline: ControlTimeline
     resume: tuple[int, np.ndarray] | None = None
-
-
-def _auto_t_end(scheme: ConversionScheme, pulse: GaussianPulse,
-                timeline: ControlTimeline) -> float:
-    """Run length long enough to catch the slow or converted pulse tail."""
-    if timeline.t_w is None:
-        # slow light: the group delay plus six widths of the pulse broadened
-        # through the whole medium, neither of which depends on the cutoff
-        write = write_channel(scheme, timeline.Omega_w0, pulse.T_p, 1.0)
-        return write.T_d + 6.0 * pulse.T_p * write.beta_w(1.0)
-    write = write_channel(scheme, timeline.Omega_w0, pulse.T_p,
-                          timeline.t_w / pulse.T_p)
-    if write.z_mid >= 1.0:
-        # The stored-pulse centre lies past the medium, where read_channel
-        # is undefined; bound the read-out by the read group delay through
-        # the whole medium.
-        T_d_read = _slow_light(scheme, "read", timeline.Omega_r0)[0]
-        return timeline.t_r + timeline.ramp + T_d_read + 6.0 * pulse.T_p
-    read = read_channel(scheme, timeline.Omega_r0, write)
-    stretch = write.beta_w_mid * read.beta_r_L
-    t_out = pulse.T_p * stretch * max(1.0, write.v_w / read.v_r)
-    return (timeline.t_r + timeline.ramp
-            + (1.0 - write.z_mid) / read.v_r + 6.0 * t_out)
 
 
 # Steps per block of tabulated envelopes.  Whole-run tables (hundreds of kB
@@ -353,9 +337,9 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
     only the rest of the run, and a forced n_t counts start's samples up
     to the resume sample too; diagnostics n_t counts the samples stepped.
     """
-    t_start = -2.0 * pulse.T_p
+    t_start, t_auto = timeline.window(scheme, pulse.T_p)
     if t_end is None:
-        t_end = _auto_t_end(scheme, pulse, timeline)
+        t_end = t_auto
     if not t_end > t_start:
         raise ValueError("t_end must exceed the padding start")
     first = 0 if start is None else start.resume[0]

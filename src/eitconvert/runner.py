@@ -2,9 +2,14 @@
 
 All three engines report a converted waveform on a shared time axis
 whose origin is the read-control turn-on, so pointwise comparisons need
-no further alignment.  Summaries are flat dicts of numbers, plus the
-closed form's validity flags, the names of the rates that bounded the mb
-steps and the mb stop reasons; a sweep row is the axis values followed
+no further alignment.  mb and spectral share the protocol's time window
+too (theory.protocol_window): the spectral engine sizes its read-out
+grid by it and keeps the samples of its waveforms inside the window of
+the matching mb run, the converted one on [t_start - t_r, t_end - t_r]
+and the slow-light probe on [-2 T_p, t_end].  Summaries are flat dicts
+of numbers, plus the closed form's validity flags, the names of the
+rules that set the spectral grids and of the rates that bounded the mb
+steps, and the mb stop reasons; a sweep row is the axis values followed
 by the numeric entries flattened as "engine.key" columns.  Every run
 input comes from the config, which the CLI flags edit before it is
 built, so a manifest's "config" is what ran.
@@ -17,8 +22,11 @@ Per-engine summary keys:
             inside its regime)
   spectral: converted_energy, input_energy, xi_total, transmission,
             quadrature_delta, n_omega_write, n_omega_read,
-            omega_max_write, omega_max_read, peak_time, peak_amplitude,
-            fwhm
+            omega_max_write, omega_max_read, and the rule that set each
+            (n_omega_limit_write, n_omega_limit_read: bandwidth, window,
+            floor or given; omega_max_limit_write, omega_max_limit_read:
+            bandwidth, linewidth, read_rabi or given), peak_time,
+            peak_amplitude, fwhm
   mb:       converted_energy, input_energy, xi_total, xi_relative,
             leakage, transmitted_energy, peak_time, peak_amplitude, fwhm,
             stop ("drained" once the medium is drained, or "t_end" at the
@@ -54,8 +62,8 @@ from .arrayio import write_csv
 from .atoms import ConversionScheme
 from .config import PumpSpec, ResolvedControls, ScenarioConfig, SweepSpec
 from .errors import exit_code
-from .mb import (GaussianPulse, run_original_readout, run_protocol,
-                 timeline_for_protocol)
+from .mb import (ControlTimeline, GaussianPulse, run_original_readout,
+                 run_protocol, timeline_for_protocol)
 from .pumping import evolve_pumping, steady_state
 from .spectral import (SpectralGrid, converted_field_exact,
                        gaussian_probe_spectrum, stored_coherence_exact,
@@ -151,16 +159,36 @@ def _run_analytic(scheme: ConversionScheme, config: ScenarioConfig,
     return EngineOutput("analytic", t, waveform, summary, {})
 
 
+def _timeline(config: ScenarioConfig, controls: ResolvedControls):
+    return timeline_for_protocol(controls.Omega_w, controls.Omega_r,
+                                 controls.T_p, controls.kappa,
+                                 t_s=controls.t_s,
+                                 ramp_fraction=config.grid.ramp_fraction)
+
+
+def _on_window(t, waveform, window):
+    """The samples of a uniform axis within half a step of window."""
+    half = 0.5 * (t[1] - t[0])
+    keep = (t > window[0] - half) & (t < window[1] + half)
+    return t[keep], waveform[keep]
+
+
 def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
                   controls: ResolvedControls) -> EngineOutput:
     over = config.grid
+    timeline = _timeline(config, controls)
+    window = timeline.window(scheme, controls.T_p)
+    # the mb run's window, from the read turn-on, and the slow-light one
+    read_window = (window[0] - timeline.t_r, window[1] - timeline.t_r)
+    probe_window = ControlTimeline(controls.Omega_w).window(scheme,
+                                                            controls.T_p)
 
     def stage_grid(Omega_r=None):
         """The write-stage grid, or with Omega_r the read-out grid; forced
         grid fields apply to both."""
         grid = SpectralGrid.for_protocol(
             scheme, controls.Omega_w, controls.T_p, Omega_r,
-            n_omega=over.n_omega, omega_max=over.omega_max)
+            n_omega=over.n_omega, omega_max=over.omega_max, window=window)
         return replace(grid, n_z=over.n_z) if over.n_z else grid
 
     write_grid, read_grid = stage_grid(), stage_grid(controls.Omega_r)
@@ -177,7 +205,8 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
             stored = replace(stored, sigma=decay * stored.sigma)
         return converted_field_exact(scheme, stored, controls.Omega_r,
                                      read_grid,
-                                     quadrature_check=quadrature_check)
+                                     quadrature_check=quadrature_check,
+                                     t_start=read_window[0])
 
     fine_grids = ((write_grid.refined(), read_grid.refined())
                   if over.grid_check else None)
@@ -196,24 +225,27 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
         "n_omega_read": read_grid.n_omega,
         "omega_max_write": write_grid.omega_max,
         "omega_max_read": read_grid.omega_max,
+        "n_omega_limit_write": write_grid.n_omega_limit,
+        "n_omega_limit_read": read_grid.n_omega_limit,
+        "omega_max_limit_write": write_grid.omega_max_limit,
+        "omega_max_limit_read": read_grid.omega_max_limit,
     }
-    summary.update(_waveform_stats(res.t, res.waveform))
+    t, waveform = _on_window(res.t, res.waveform, read_window)
+    summary.update(_waveform_stats(t, waveform))
     if fine_grids is not None:
         # only the refined energy is read: no quadrature check
         fine = convert(*fine_grids, quadrature_check=False)
         rel = abs(res.energy - fine.energy) / fine.energy
         summary["grid_doubling_rel"] = rel
-    return EngineOutput("spectral", res.t, res.waveform, summary,
-                        {"probe": (trans.t, trans.waveform)})
+    return EngineOutput("spectral", t, waveform, summary,
+                        {"probe": _on_window(trans.t, trans.waveform,
+                                             probe_window)})
 
 
 def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
             controls: ResolvedControls) -> EngineOutput:
     pulse = GaussianPulse(T_p=controls.T_p)
-    timeline = timeline_for_protocol(controls.Omega_w, controls.Omega_r,
-                                     controls.T_p, controls.kappa,
-                                     t_s=controls.t_s,
-                                     ramp_fraction=config.grid.ramp_fraction)
+    timeline = _timeline(config, controls)
     grid = None
     if config.grid.n_z or config.grid.n_t:
         grid = (config.grid.n_z or 200, config.grid.n_t or 0)

@@ -53,9 +53,16 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # largest n_omega SpectralGrid.for_protocol sizes on its own, per stage:
 # on the fig2 scheme (depth 500, T_p 0.2 us) 2**22 bins admit a read/write
-# control ratio of 0.01 (2**20) and refuse 0.001 (2**23), whose complex
-# spectra alone would take 128 MB each
+# control ratio of 0.001 (2**22) and refuse 1e-4 (2**26), whose complex
+# spectra alone would take 1 GB each
 MAX_N_OMEGA = 1 << 22
+# fewest bins SpectralGrid.for_protocol sizes on its own
+MIN_N_OMEGA = 4096
+# The read grid's time window 2 pi / d_omega spans this many protocol
+# windows.  The converted axis starts 1/16 of it before the run start,
+# and _check_aliasing refuses energy in its first and last 5%, so the
+# whole protocol window lies inside with a quiet stretch after it.
+WINDOW_MARGIN = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +75,15 @@ class SpectralGrid:
 
     omega spans [-omega_max, omega_max) with n_omega points (power of two,
     so omega = 0 is an exact sample); n_z samples cover [0, 1] inclusive.
+    n_omega_limit and omega_max_limit name the rule that set each size
+    (see for_protocol), "given" where the caller chose it.
     """
 
     omega_max: float
     n_omega: int = 4096
     n_z: int = 512
+    n_omega_limit: str = "given"
+    omega_max_limit: str = "given"
 
     def __post_init__(self):
         if self.omega_max <= 0:
@@ -99,7 +110,9 @@ class SpectralGrid:
     def for_protocol(cls, scheme: ConversionScheme, Omega_w: complex,
                      T_p: float, Omega_r: complex | None = None,
                      n_omega: int | None = None,
-                     omega_max: float | None = None) -> "SpectralGrid":
+                     omega_max: float | None = None,
+                     window: tuple[float, float] | None = None
+                     ) -> "SpectralGrid":
         """Size the grid of one stage of a conversion run.
 
         Without Omega_r the grid serves the write stage: storage and the
@@ -108,42 +121,66 @@ class SpectralGrid:
         only the bins that carry input, so a run stores on the write grid
         and reads out on the read grid.
 
-        Unless n_omega is forced, the spacing keeps 16 points across the
-        narrowest feature's FWHM: the input bandwidth, shrunk on the read
-        grid by |Omega_r/Omega_w|^2 when the read control is the weaker.
-        Unless omega_max is given, it is 8 times the largest of that
-        feature, the stage's power-broadened control linewidth
-        |a_max Omega|^2 / Gamma and, on the read grid, 3 |a_max Omega_r|:
-        the converted spectrum keeps a tail out to a few read Rabi
-        frequencies from the coherence stored near the exit face.  Against
-        a 16x wider span this read grid loses at most 9.3e-5 of the
-        converted energy at depths 100 and 500 and ratios 0.05-0.5, and
-        3.4e-5 on the benchmark's convert cases.
-        An automatic size above MAX_N_OMEGA raises GridBudgetError naming
-        the stage before anything is allocated; a forced n_omega is taken
-        as given.
+        Unless omega_max is given, it is 8 times the largest of the
+        stage's bandwidth (the input bandwidth, shrunk on the read grid
+        by |Omega_r/Omega_w|^2 when the read control is the weaker), its
+        power-broadened control linewidth |a_max Omega|^2 / Gamma and, on
+        the read grid, 3 |a_max Omega_r|: the converted spectrum keeps a
+        tail out to a few read Rabi frequencies from the coherence stored
+        near the exit face.  Against a 16x wider span this read grid
+        loses at most 9.3e-5 of the converted energy at depths 100 and
+        500 and ratios 0.05-0.5, and 3.4e-5 on the benchmark's convert
+        cases.
+
+        Unless n_omega is forced, the write grid keeps 16 points across
+        the input bandwidth's FWHM.  The read grid's spacing follows the
+        protocol's time window (t_start, t_end) (theory.protocol_window,
+        required here): its waveform's time window 2 pi / d_omega spans
+        WINDOW_MARGIN times t_end - t_start, so the converted pulse leaves
+        with the read channel's delay and stretch inside it, fast read or
+        slow.  Either grid has at least MIN_N_OMEGA bins.  An automatic
+        size above MAX_N_OMEGA raises GridBudgetError naming the stage
+        before anything is allocated; a forced n_omega is taken as given.
         """
-        domega0 = pulse_bandwidth(T_p)
         if Omega_r is None:
             stage, ch, Omega = "storage", scheme.channel("write"), Omega_w
-            finest, tail = domega0, 0.0
+            bandwidth, tail = pulse_bandwidth(T_p), 0.0
         else:
             stage, ch, Omega = "read-out", scheme.channel("read"), Omega_r
-            finest = domega0 * min(1.0, abs(Omega_r / Omega_w)) ** 2
+            bandwidth = (pulse_bandwidth(T_p)
+                         * min(1.0, abs(Omega_r / Omega_w)) ** 2)
             tail = 3.0
         a_Omega = ch.a_ctrl_max * abs(Omega)
+        span_limit = n_limit = "given"
         if omega_max is None:
-            omega_max = 8.0 * max(finest, a_Omega ** 2 / ch.Gamma,
-                                  tail * a_Omega)
+            spans = {"bandwidth": bandwidth,
+                     "linewidth": a_Omega ** 2 / ch.Gamma,
+                     "read_rabi": tail * a_Omega}
+            span_limit = max(spans, key=spans.get)
+            omega_max = 8.0 * spans[span_limit]
         if n_omega is None:
-            need = 2.0 * omega_max * 16 / finest
-            n_omega = max(4096, 1 << math.ceil(math.log2(need)))
+            if Omega_r is None:
+                n_limit, reason = "bandwidth", "to resolve the input bandwidth"
+                need = 2.0 * omega_max * 16 / bandwidth
+            elif window is None:
+                raise ValueError("the read-out grid is sized by the "
+                                 "protocol's time window; pass window")
+            else:
+                n_limit, reason = "window", (
+                    f"to span {WINDOW_MARGIN:g} times the protocol's time "
+                    f"window")
+                need = (omega_max * WINDOW_MARGIN * (window[1] - window[0])
+                        / math.pi)
+            n_omega = 1 << math.ceil(math.log2(need))
+            if n_omega < MIN_N_OMEGA:
+                n_omega, n_limit = MIN_N_OMEGA, "floor"
             if n_omega > MAX_N_OMEGA:
                 raise GridBudgetError(
                     f"spectral {stage} grid needs n_omega = {n_omega} bins "
-                    f"to resolve the narrowest feature, above the budget of "
-                    f"{MAX_N_OMEGA}; set grid.n_omega to force a size")
-        return cls(omega_max=omega_max, n_omega=n_omega)
+                    f"{reason}, above the budget of {MAX_N_OMEGA}; set "
+                    f"grid.n_omega to force a size")
+        return cls(omega_max=omega_max, n_omega=n_omega,
+                   n_omega_limit=n_limit, omega_max_limit=span_limit)
 
     def refined(self) -> "SpectralGrid":
         """Grid with half the frequency spacing and half the z spacing.
@@ -247,13 +284,15 @@ def _as_spectrum(probe_spectrum, grid):
 
 def _check_aliasing(x, values, what, domain="frequency"):
     """Reject samples with meaningful energy in the outer 10% of their
-    grid: a spectrum cut off by the frequency span, or a waveform wrapped
-    around the time window 2 pi / d_omega of its spectrum."""
+    grid, measured from its centre: a spectrum cut off by the frequency
+    span, or a waveform wrapped around the time window 2 pi / d_omega of
+    its spectrum, at either end of a window centred anywhere."""
     power = np.abs(values) ** 2
     total = power.sum()
     if total == 0:
         return
-    outer = np.abs(x) >= 0.9 * np.abs(x).max()
+    offset = np.abs(x - 0.5 * (x[0] + x[-1]))
+    outer = offset >= 0.9 * offset.max()
     frac = power[outer].sum() / total
     if frac > 1e-3:
         remedy = ("enlarge omega_max" if domain == "frequency"
@@ -318,17 +357,23 @@ class ConvertedFieldResult:
 def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
                           Omega_r: complex, grid: SpectralGrid,
                           truncate_A: bool = False, truncate_f: bool = False,
-                          quadrature_check: bool = True) -> ConvertedFieldResult:
+                          quadrature_check: bool = True,
+                          t_start: float = 0.0) -> ConvertedFieldResult:
     """Retrieve the stored coherence through the read channel.
 
     E~_c(L, omega) = (alpha_c Gamma_r / L Omega_r^*) sum_j R_j^c A_j^r(omega)
                      * integral_0^L sigma_j(z') e^{-f_r(omega)(L - z')} dz'
     by composite trapezoid over the stored samples, then an inverse
-    transform to the time domain.  A spectrum or a waveform with energy in
-    the outer 10% of its grid raises AliasingError: the waveform would
-    wrap around its time window, whose length 2 pi / d_omega only a larger
-    n_omega extends.  The quadrature flag compares the full z sampling
-    against a half-density subsample (Richardson style).
+    transform to the time domain.  The time axis, measured from the read
+    turn-on, covers the window 2 pi / d_omega from a pad of 1/16 of it
+    before t_start (the protocol's start; default the turn-on itself),
+    rounded out to keep t = 0 on a sample.  The pad keeps the turn-on
+    clear of the refused first 5% of the window on any grid, the grid
+    check's doubled one too.  A spectrum or a waveform with energy in the
+    outer 10% of its grid, either end, raises AliasingError: the waveform
+    would wrap around its time window, whose length only a larger n_omega
+    extends.  The quadrature flag compares the full z sampling against a
+    half-density subsample (Richardson style).
     """
     A_r, f_r = channel_transfer(scheme, "read", Omega_r, grid.omega,
                                 truncate_A, truncate_f)
@@ -385,7 +430,9 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
             delta = abs(energy_scaled - e_coarse) / (3.0 * energy_scaled)
             converged = delta < 5e-3
 
-    t, wave = time_from_spectrum(grid.omega, spec)
+    dt = math.pi / grid.omega_max
+    t0 = (math.floor(t_start / dt) - grid.n_omega // 16) * dt
+    t, wave = time_from_spectrum(grid.omega, spec, t0=t0)
     _check_aliasing(t, wave, "converted field", domain="time")
     return ConvertedFieldResult(
         omega=grid.omega, spectrum=spec, t=t, waveform=wave,

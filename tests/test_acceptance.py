@@ -154,7 +154,8 @@ class TestCriterion3:
             t = record.t_exit - timeline.t_r
             _, peak_mb, fwhm_mb = _peak_and_fwhm(t, record.converted_exit)
 
-            grid = SpectralGrid.for_protocol(scheme, Om_w, T_P, Om_r)
+            grid = SpectralGrid.for_protocol(
+                scheme, Om_w, T_P, Om_r, window=timeline.window(scheme, T_P))
             stored = stored_coherence_exact(
                 scheme, Om_w, gaussian_probe_spectrum(grid, T_P),
                 KAPPA * T_P, grid)
@@ -200,12 +201,14 @@ class TestCriterion4:
         T_d = 1.0 / write.v_w
         record = run_protocol(scheme, GaussianPulse(T_p=T_P),
                               ControlTimeline(Omega_w0=Om_w))
-        i = int(np.argmax(np.abs(record.probe_exit)))
+        # the interpolated intensity peak: the argmax sample moves by up
+        # to a step with the grid's phase, not with the delay
+        t_peak = _peak_and_fwhm(record.t_exit, record.probe_exit)[0]
         dt = record.diagnostics["dt"]
-        steps = abs(record.t_exit[i] - T_d) / dt
+        steps = abs(t_peak - T_d) / dt
         ok = steps < 2.0
         verdict(capfd, f"criterion 4: {'PASS' if ok else 'FAIL'} exit peak at "
-                f"{record.t_exit[i]:.4f} vs T_d = {T_d:.4f} "
+                f"{t_peak:.4f} vs T_d = {T_d:.4f} "
                 f"({steps:.2f} time steps, bound 2)")
         assert ok, f"peak {steps:.2f} steps from the group delay"
 

@@ -11,6 +11,7 @@ from eitconvert.arrayio import read_csv
 from eitconvert.cli import main
 from eitconvert.config import ScenarioConfig, load_scenario
 from eitconvert.errors import ValidityWarning
+from eitconvert.mb import ControlTimeline, timeline_for_protocol
 from eitconvert.runner import _peak_and_fwhm, run_scenario
 from eitconvert.spectral import SpectralGrid
 
@@ -208,7 +209,7 @@ class TestScenarioCommand:
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
-        assert "n_omega = 8388608" in err and "4194304" in err
+        assert "n_omega = 67108864" in err and "4194304" in err
 
     def test_grid_check_over_budget_exits_3(self, tmp_path, capsys):
         """The doubled grid is refused before the coarse one is built."""
@@ -288,15 +289,26 @@ class TestScenarioCommand:
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
 
     def test_wrapped_converted_pulse_exits_3(self, tmp_path, capsys):
-        """A weak read stretches the converted pulse past half the time
-        window of the read grid; wrapped around it, it came out with 3.5
-        times the analytic fwhm and exit code 0."""
-        doc = minimal_doc(engines=["analytic", "spectral"])
-        doc["protocol"]["control_ratio"] = 0.3
-        f = write_json(tmp_path / "s.json", doc)
-        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert "time grid" in err and "n_omega" in err
+        """A weak read stretches the converted pulse over a long window.
+        The read grid sized by the protocol window holds it; a forced
+        grid too short for it wraps the pulse around and is refused (it
+        used to come out with 3.5 times the analytic fwhm and exit 0)."""
+        xi = {}
+        for name, grid in (("auto", {}), ("forced", {"n_omega": 1 << 17}),
+                           ("short", {"n_omega": 1 << 14})):
+            doc = minimal_doc(engines=["spectral"], grid=grid)
+            doc["protocol"]["control_ratio"] = 0.3
+            f = write_json(tmp_path / f"{name}.json", doc)
+            out = tmp_path / name
+            code = main(["scenario", f, "--out", str(out)])
+            if name == "short":
+                assert code == 3
+                err = capsys.readouterr().err
+                assert "time grid" in err and "n_omega" in err
+            else:
+                assert code == 0
+                xi[name] = load_manifest(out)["engines"]["spectral"]["xi_total"]
+        assert xi["auto"] == pytest.approx(xi["forced"], rel=1e-3)
 
     def spectral_doc(self, **grid):
         doc = minimal_doc(engines=["spectral"], grid=grid)
@@ -308,8 +320,9 @@ class TestScenarioCommand:
                                           self.spectral_doc()))
         scheme = config.build_scheme()
         c = config.controls(scheme)
-        return SpectralGrid.for_protocol(scheme, c.Omega_w, c.T_p,
-                                         c.Omega_r).omega_max
+        # the span does not depend on n_omega
+        return SpectralGrid.for_protocol(scheme, c.Omega_w, c.T_p, c.Omega_r,
+                                         n_omega=4096).omega_max
 
     def test_omega_max_override_resizes_n_omega(self, tmp_path):
         """A wider span keeps the automatic bin spacing, and the result."""
@@ -481,9 +494,34 @@ class TestStageGrids:
         assert summary["omega_max_read"] < 0.2 * summary["omega_max_write"]
         for name, stage in (("converted", "read"), ("probe", "write")):
             t = read_csv(out / f"{name}_spectral.csv")[1]["t"]
-            assert t.size == summary[f"n_omega_{stage}"]
+            # rows on the protocol window, not one per bin
+            assert t.size < summary[f"n_omega_{stage}"]
             assert t[1] - t[0] == pytest.approx(
                 np.pi / summary[f"omega_max_{stage}"], rel=1e-9)
+
+    def test_each_csv_spans_its_window(self, tmp_path):
+        """converted_spectral.csv spans the mb run's window, from the read
+        turn-on, and probe_spectral.csv the slow-light run's, each to the
+        nearest sample.  A storage time puts the read turn-on well inside
+        the converted window."""
+        doc = self.weak_read_doc()
+        doc["protocol"]["t_s_us"] = 0.3
+        config = ScenarioConfig.from_dict(doc)
+        scheme = config.build_scheme()
+        c = config.controls(scheme)
+        timeline = timeline_for_protocol(c.Omega_w, c.Omega_r, c.T_p,
+                                         c.kappa, t_s=c.t_s)
+        t_start, t_end = timeline.window(scheme, c.T_p)
+        windows = {"converted": (t_start - timeline.t_r,
+                                 t_end - timeline.t_r),
+                   "probe": ControlTimeline(c.Omega_w).window(scheme, c.T_p)}
+        out = tmp_path / "out"
+        assert main(["scenario", write_json(tmp_path / "s.json", doc),
+                     "--out", str(out)]) == 0
+        for name, (lo, hi) in windows.items():
+            t = read_csv(out / f"{name}_spectral.csv")[1]["t"]
+            half = 0.5 * (t[1] - t[0])
+            assert abs(t[0] - lo) <= half and abs(t[-1] - hi) <= half, name
 
     def test_stage_grids_match_one_shared_grid(self):
         """Against the one grid that used to serve both stages: the write
@@ -507,8 +545,9 @@ class TestStageGrids:
             "grid_doubling_rel"] < 1e-4
 
     def test_very_weak_read_fits_the_budget(self, tmp_path):
-        """Ratio 0.02 asked one shared grid for 8388608 bins; the read
-        grid alone needs 262144."""
+        """Ratio 0.02 asked one shared grid for 8388608 bins, and a read
+        grid of its own 262144 at 16 points per converted bandwidth; sized
+        by the protocol window it needs 131072."""
         template = minimal_doc(engines=["spectral"])
         template["scheme"] = {"kind": "single-lambda", "D_p": 100.0,
                               "ccp2": 1.0}
@@ -518,7 +557,7 @@ class TestStageGrids:
         out = tmp_path / "sweep"
         assert main(["sweep", f, "--out", str(out)]) == 0
         cols = read_csv(out / "sweep.csv")[1]
-        assert cols["spectral.n_omega_read"][0] == 1 << 18
+        assert cols["spectral.n_omega_read"][0] == 1 << 17
         assert 0 < cols["spectral.xi_total"][0] < 1
 
 

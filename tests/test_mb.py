@@ -252,7 +252,8 @@ class TestCrossValidation:
         run uses 0.2 T_p ramps, so percent-level differences remain.
         """
         sch, Om, pulse, tl, rec = fig2
-        grid = SpectralGrid.for_protocol(sch, Om, T_P, Om)
+        grid = SpectralGrid.for_protocol(sch, Om, T_P, Om,
+                                         window=tl.window(sch, T_P))
         stored = stored_coherence_exact(
             sch, Om, gaussian_probe_spectrum(grid, T_P), tl.t_w, grid)
         res = converted_field_exact(sch, stored, Om, grid)

@@ -36,6 +36,7 @@ from eitconvert import (
     converted_spectrum,
     gaussian_probe_spectrum,
     channel_transfer,
+    protocol_window,
     read_channel,
     single_lambda_scheme,
     spectrum_from_time,
@@ -45,6 +46,7 @@ from eitconvert import (
     transmitted_probe,
     write_channel,
 )
+from eitconvert.spectral import _check_aliasing
 
 LN2 = math.log(2.0)
 T_P = UnitSystem().time_in(0.2)
@@ -64,11 +66,18 @@ def intensity_fwhm(t, field):
     return th - tl
 
 
+def _read_grid(sch, Om, Om_r, kappa=KAPPA):
+    """Read-out grid sized by the window of a protocol cut at kappa T_p."""
+    return SpectralGrid.for_protocol(
+        sch, Om, T_P, Om_r,
+        window=protocol_window(sch, T_P, Om, kappa * T_P, Om_r))
+
+
 def _fig2_setup(kappa=KAPPA):
     sch = single_lambda_scheme(D, D)
     Om = control_for_eta(sch, ETA, T_P)
     w = write_channel(sch, Om, T_P, kappa)
-    grid = SpectralGrid.for_protocol(sch, Om, T_P, Om)
+    grid = _read_grid(sch, Om, Om, kappa)
     return sch, Om, w, grid
 
 
@@ -91,7 +100,7 @@ def _truncated_channel(channel):
     Om_r = 0.8 * Om
     w = write_channel(sch, Om, T_P, KAPPA)
     r = read_channel(sch, Om_r, w)
-    grid = SpectralGrid.for_protocol(sch, Om, T_P, Om_r)
+    grid = _read_grid(sch, Om, Om_r)
     _, f = channel_transfer(sch, "read", Om_r, grid.omega, truncate_f=True)
     return sch, grid, f, r.T_d_read, r.delta_omega_r
 
@@ -271,7 +280,7 @@ class TestConvertedField:
         Om = control_for_eta(sch, 8.0, T_P)
         w = write_channel(sch, Om, T_P, 2.5)
         r = read_channel(sch, Om, w)
-        grid = SpectralGrid.for_protocol(sch, Om, T_P, Om)
+        grid = _read_grid(sch, Om, Om, 2.5)
         stored = stored_coherence_exact(
             sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
         return sch, Om, w, r, grid, stored
@@ -311,7 +320,7 @@ class TestConvertedField:
             sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
         e = []
         for scale in (1.0, 0.5):
-            g = SpectralGrid.for_protocol(sch, Om, T_P, scale * Om)
+            g = _read_grid(sch, Om, scale * Om)
             s = stored_coherence_exact(
                 sch, Om, gaussian_probe_spectrum(g, T_P), w.t_w, g)
             e.append(converted_field_exact(sch, s, scale * Om, g).energy_scaled)
@@ -339,6 +348,22 @@ class TestConvertedField:
             energies.append(converted_field_exact(sch, s, Om, g).energy_scaled)
         assert energies[1] == pytest.approx(energies[0], rel=1e-4)
 
+    def test_time_axis_starts_a_pad_before_t_start(self):
+        """1/16 of the window 2 pi / d_omega before t_start, rounded out
+        to the sample grid through the read turn-on t = 0, on the grid
+        and on its refined double."""
+        sch, Om, w, grid = _fig2_setup()
+        for g in (grid, grid.refined()):
+            stored = stored_coherence_exact(
+                sch, Om, gaussian_probe_spectrum(g, T_P), w.t_w, g)
+            res = converted_field_exact(sch, stored, Om, g, t_start=-20.0,
+                                        quadrature_check=False)
+            dt = res.t[1] - res.t[0]
+            assert dt * g.n_omega == pytest.approx(2.0 * np.pi / g.d_omega)
+            pad = g.n_omega // 16 * dt
+            assert -20.0 - pad - dt < res.t[0] <= -20.0 - pad
+            assert np.min(np.abs(res.t)) < 1e-6 * dt
+
     def test_causal_quiet_zone(self):
         # nothing retrieved before the read control turns on
         sch, Om, w, grid = _fig2_setup()
@@ -353,7 +378,7 @@ class TestConvertedField:
         sch = single_lambda_scheme(D, 0.5 * D)
         Om = control_for_eta(sch, ETA, T_P)
         w = write_channel(sch, Om, T_P, KAPPA)
-        grid = SpectralGrid.for_protocol(sch, Om, T_P, Om)
+        grid = _read_grid(sch, Om, Om)
         stored = stored_coherence_exact(
             sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
         res = converted_field_exact(sch, stored, Om, grid)
@@ -387,8 +412,7 @@ def _readout_case(kind):
     Om = control_for_eta(sch, ETA, T_P)
     Om_r = 0.8 * Om
     w = write_channel(sch, Om, T_P, KAPPA)
-    full = SpectralGrid.for_protocol(sch, Om, T_P, Om_r)
-    grid = SpectralGrid(omega_max=full.omega_max, n_omega=4096)
+    grid = SpectralGrid.for_protocol(sch, Om, T_P, Om_r, n_omega=4096)
     stored = stored_coherence_exact(
         sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
     z = stored.z
@@ -420,6 +444,28 @@ class TestHornerReadout:
         ref = _direct_readout(sch, stored, Om_r, grid)
         assert np.abs(ref).max() > 0
         assert np.max(np.abs(res.spectrum - ref)) < 1e-12 * np.abs(ref).max()
+
+
+class TestAliasingGuard:
+    """The refusal zones sit at both ends of an off-centre time window."""
+
+    # the converted axis of a read grid: 1024 samples from -30
+    T = -30.0 + 0.25 * np.arange(1024)
+
+    def pulse_at(self, fraction):
+        centre = self.T[0] + fraction * (self.T[-1] - self.T[0])
+        return np.exp(-((self.T - centre) / 2.0) ** 2)
+
+    @pytest.mark.parametrize("fraction", [0.02, 0.98])
+    def test_energy_at_either_end_refused(self, fraction):
+        with pytest.raises(AliasingError, match="time grid.*n_omega"):
+            _check_aliasing(self.T, self.pulse_at(fraction),
+                            "converted field", domain="time")
+
+    @pytest.mark.parametrize("fraction", [0.12, 0.5, 0.88])
+    def test_energy_inside_passes(self, fraction):
+        _check_aliasing(self.T, self.pulse_at(fraction), "converted field",
+                        domain="time")
 
 
 class TestTransmission:
@@ -459,22 +505,31 @@ class TestGridSizing:
         assert grid.omega_max >= 8.0 * abs(Om) ** 2
 
     def test_weak_read_control_refines_grid(self):
+        """A slow read stretches the protocol window: finer spacing."""
         sch = single_lambda_scheme(D, D)
         Om = control_for_eta(sch, ETA, T_P)
-        g1 = SpectralGrid.for_protocol(sch, Om, T_P, Om)
-        g2 = SpectralGrid.for_protocol(sch, Om, T_P, 0.3 * Om)
-        assert g2.n_omega > g1.n_omega
+        g1 = _read_grid(sch, Om, Om)
+        g2 = _read_grid(sch, Om, 0.3 * Om)
+        assert g2.d_omega < g1.d_omega
+        assert g1.n_omega_limit == g2.n_omega_limit == "window"
 
     def test_auto_size_over_budget_refused(self):
         sch = single_lambda_scheme(D, D)
         Om = control_for_eta(sch, ETA, T_P)
-        ok = SpectralGrid.for_protocol(sch, Om, T_P, 0.01 * Om)
-        assert ok.n_omega == 1 << 20
-        with pytest.raises(GridBudgetError, match="8388608.*4194304"):
-            SpectralGrid.for_protocol(sch, Om, T_P, 1e-3 * Om)
-        forced = SpectralGrid.for_protocol(sch, Om, T_P, 1e-3 * Om,
+        ok = _read_grid(sch, Om, 1e-3 * Om)
+        assert ok.n_omega == 1 << 22
+        with pytest.raises(GridBudgetError, match="67108864.*4194304"):
+            _read_grid(sch, Om, 1e-4 * Om)
+        forced = SpectralGrid.for_protocol(sch, Om, T_P, 1e-4 * Om,
                                            n_omega=1 << 23)
         assert forced.n_omega == 1 << 23
+        assert forced.n_omega_limit == "given"
+
+    def test_read_grid_needs_the_protocol_window(self):
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, ETA, T_P)
+        with pytest.raises(ValueError, match="window"):
+            SpectralGrid.for_protocol(sch, Om, T_P, Om)
 
     def test_bad_grids_rejected(self):
         with pytest.raises(GridError):
