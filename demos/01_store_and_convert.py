@@ -60,11 +60,12 @@ print("theory:   xi_total %.4f  xi_relative %.4f"
 
 # 2. Exact spectral propagation of the linearized equations.
 #    Storage runs on the write grid, the read-out on a grid sized by the
-#    protocol's time window, the one the time-domain run steps over.
+#    time window of the converted field, that of the time-domain run less
+#    the storage hold.
 timeline = timeline_for_protocol(Omega_w, Omega_r, T_p, kappa)
-write_grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p)
-read_grid = SpectralGrid.for_protocol(scheme, Omega_w, T_p, Omega_r,
-                                      window=timeline.window(scheme, T_p))
+write_grid = SpectralGrid.for_write(scheme, Omega_w, T_p)
+read_grid = SpectralGrid.for_read(scheme, Omega_w, T_p, Omega_r,
+                                  timeline.read_window(scheme, T_p))
 probe = gaussian_probe_spectrum(write_grid, T_p)
 stored = stored_coherence_exact(scheme, Omega_w, probe, kappa * T_p,
                                 write_grid)

@@ -67,9 +67,8 @@ import numpy as np
 from .atoms import ConversionScheme
 from .errors import GridBudgetError, StiffnessError
 from .fields import CoherenceField
-from .theory import LN2, protocol_window, pulse_bandwidth, pulse_energy
-# mb calls neither; bench/spans.py wraps both under these names
-from .theory import read_channel, write_channel  # noqa: F401
+from .theory import (LN2, _slow_light, pulse_bandwidth, pulse_energy,
+                     read_channel, write_channel)
 
 __all__ = [
     "GaussianPulse",
@@ -177,10 +176,43 @@ class ControlTimeline:
         return self.Omega_w0 * (1.0 - _smoothstep((t - self.t_w) / self.ramp + 1.0))
 
     def window(self, scheme: ConversionScheme, T_p: float):
-        """(t_start, t_end) of a run of a pulse of width T_p on scheme
-        (theory.protocol_window)."""
-        return protocol_window(scheme, T_p, self.Omega_w0, self.t_w,
-                               self.Omega_r0, self.t_s, self.ramp)
+        """Time window (t_start, t_end) of a run of a pulse of width T_p.
+
+        The run starts at t_start = -2 T_p, two pulse widths before the
+        probe peak enters the medium, and ends once the slow or converted
+        pulse tail has left it.  The Maxwell-Bloch run steps over this
+        window; the spectral engine sizes its read-out grid by read_window.
+        """
+        t_start = -2.0 * T_p
+        if self.t_w is None:
+            # slow light: the group delay plus six widths of the pulse
+            # broadened through the whole medium, neither of which depends
+            # on the cutoff
+            write = write_channel(scheme, self.Omega_w0, T_p, 1.0)
+            return t_start, write.T_d + 6.0 * T_p * write.beta_w(1.0)
+        write = write_channel(scheme, self.Omega_w0, T_p, self.t_w / T_p)
+        if write.z_mid >= 1.0:
+            # The stored-pulse centre lies past the medium, where
+            # read_channel is undefined; bound the read-out by the read
+            # group delay through the whole medium.
+            T_d_read = _slow_light(scheme, "read", self.Omega_r0)[0]
+            return t_start, self.t_r + self.ramp + T_d_read + 6.0 * T_p
+        read = read_channel(scheme, self.Omega_r0, write)
+        stretch = write.beta_w_mid * read.beta_r_L
+        t_out = T_p * stretch * max(1.0, write.v_w / read.v_r)
+        return t_start, (self.t_r + self.ramp
+                         + (1.0 - write.z_mid) / read.v_r + 6.0 * t_out)
+
+    def read_window(self, scheme: ConversionScheme, T_p: float):
+        """The run window less the storage hold, on the axis from the read
+        turn-on: (t_start - t_w, t_end - t_r).
+
+        The converted field is zero until the read turn-on, so the hold
+        adds nothing to it; the write phase before the cutoff stays, a
+        fixed few pulse widths.  Neither end depends on t_s.
+        """
+        t_start, t_end = self.window(scheme, T_p)
+        return t_start - self.t_w, t_end - self.t_r
 
     def Omega_r(self, t):
         """Read-control envelope at time(s) t."""

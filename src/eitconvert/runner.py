@@ -3,10 +3,12 @@
 All three engines report a converted waveform on a shared time axis
 whose origin is the read-control turn-on, so pointwise comparisons need
 no further alignment.  mb and spectral share the protocol's time window
-too (theory.protocol_window): the spectral engine sizes its read-out
-grid by it and keeps the samples of its waveforms inside the window of
-the matching mb run, the converted one on [t_start - t_r, t_end - t_r]
-and the slow-light probe on [-2 T_p, t_end].  Summaries are flat dicts
+too (mb.ControlTimeline.window).  The spectral engine sizes its read-out
+grid by that window less the storage hold, and keeps the converted
+samples on it, [t_start - t_w, t_end - t_r] from the read turn-on; it
+keeps the slow-light probe's samples within [-2 T_p, t_end] of the
+slow-light run, as far as the write grid's time axis reaches.  Summaries
+are flat dicts
 of numbers, plus the closed form's validity flags, the names of the
 rules that set the spectral grids and of the rates that bounded the mb
 steps, and the mb stop reasons; a sweep row is the axis values followed
@@ -176,22 +178,19 @@ def _on_window(t, waveform, window):
 def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
                   controls: ResolvedControls) -> EngineOutput:
     over = config.grid
-    timeline = _timeline(config, controls)
-    window = timeline.window(scheme, controls.T_p)
-    # the mb run's window, from the read turn-on, and the slow-light one
-    read_window = (window[0] - timeline.t_r, window[1] - timeline.t_r)
+    read_window = _timeline(config, controls).read_window(scheme,
+                                                          controls.T_p)
     probe_window = ControlTimeline(controls.Omega_w).window(scheme,
                                                             controls.T_p)
-
-    def stage_grid(Omega_r=None):
-        """The write-stage grid, or with Omega_r the read-out grid; forced
-        grid fields apply to both."""
-        grid = SpectralGrid.for_protocol(
-            scheme, controls.Omega_w, controls.T_p, Omega_r,
-            n_omega=over.n_omega, omega_max=over.omega_max, window=window)
-        return replace(grid, n_z=over.n_z) if over.n_z else grid
-
-    write_grid, read_grid = stage_grid(), stage_grid(controls.Omega_r)
+    # forced grid fields apply to both stages
+    forced = {"n_omega": over.n_omega, "omega_max": over.omega_max}
+    write_grid = SpectralGrid.for_write(scheme, controls.Omega_w,
+                                        controls.T_p, **forced)
+    read_grid = SpectralGrid.for_read(scheme, controls.Omega_w, controls.T_p,
+                                      controls.Omega_r, read_window, **forced)
+    if over.n_z:
+        write_grid = replace(write_grid, n_z=over.n_z)
+        read_grid = replace(read_grid, n_z=over.n_z)
     decay = math.exp(-scheme.gamma_sg * controls.t_s)
 
     def convert(write_grid, read_grid, quadrature_check=True):

@@ -51,17 +51,17 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# largest n_omega SpectralGrid.for_protocol sizes on its own, per stage:
+# largest n_omega the SpectralGrid stage sizers choose on their own:
 # on the fig2 scheme (depth 500, T_p 0.2 us) 2**22 bins admit a read/write
 # control ratio of 0.001 (2**22) and refuse 1e-4 (2**26), whose complex
 # spectra alone would take 1 GB each
 MAX_N_OMEGA = 1 << 22
-# fewest bins SpectralGrid.for_protocol sizes on its own
+# fewest bins they choose
 MIN_N_OMEGA = 4096
-# The read grid's time window 2 pi / d_omega spans this many protocol
-# windows.  The converted axis starts 1/16 of it before the run start,
-# and _check_aliasing refuses energy in its first and last 5%, so the
-# whole protocol window lies inside with a quiet stretch after it.
+# The read grid's time window 2 pi / d_omega spans this many converted
+# field windows.  The converted axis starts 1/16 of it before the
+# window's start, and _check_aliasing refuses energy in its first and
+# last 5%, so the whole window lies inside with a quiet stretch after it.
 WINDOW_MARGIN = 2.0
 
 
@@ -76,7 +76,7 @@ class SpectralGrid:
     omega spans [-omega_max, omega_max) with n_omega points (power of two,
     so omega = 0 is an exact sample); n_z samples cover [0, 1] inclusive.
     n_omega_limit and omega_max_limit name the rule that set each size
-    (see for_protocol), "given" where the caller chose it.
+    (see _for_stage), "given" where the caller chose it.
     """
 
     omega_max: float
@@ -107,49 +107,65 @@ class SpectralGrid:
         return np.linspace(0.0, 1.0, self.n_z)
 
     @classmethod
-    def for_protocol(cls, scheme: ConversionScheme, Omega_w: complex,
-                     T_p: float, Omega_r: complex | None = None,
-                     n_omega: int | None = None,
-                     omega_max: float | None = None,
-                     window: tuple[float, float] | None = None
-                     ) -> "SpectralGrid":
-        """Size the grid of one stage of a conversion run.
+    def for_write(cls, scheme: ConversionScheme, Omega_w: complex,
+                  T_p: float, n_omega: int | None = None,
+                  omega_max: float | None = None) -> "SpectralGrid":
+        """Size the write-stage grid: storage and the slow-light
+        transmission.
 
-        Without Omega_r the grid serves the write stage: storage and the
-        slow-light transmission.  With Omega_r it serves the read-out
-        alone, whose spectrum follows the read channel.  Storage keeps
-        only the bins that carry input, so a run stores on the write grid
-        and reads out on the read grid.
+        Unless n_omega is forced, the spacing keeps 16 points across the
+        input bandwidth's FWHM; the span and the bin limits are those of
+        _for_stage.
+        """
+        bandwidth = pulse_bandwidth(T_p)
+        return cls._for_stage(
+            "storage", scheme.channel("write"), Omega_w, bandwidth, 0.0,
+            32.0 * math.pi / bandwidth, "bandwidth",
+            "to resolve the input bandwidth", n_omega, omega_max)
+
+    @classmethod
+    def for_read(cls, scheme: ConversionScheme, Omega_w: complex,
+                 T_p: float, Omega_r: complex, window: tuple[float, float],
+                 n_omega: int | None = None,
+                 omega_max: float | None = None) -> "SpectralGrid":
+        """Size the read-out grid, whose spectrum follows the read channel.
+
+        Storage keeps only the bins that carry input, so a run stores on
+        the write grid and reads out on this one.  window is the converted
+        field's time window (ControlTimeline.read_window).  Unless n_omega
+        is forced, the waveform's time window 2 pi / d_omega spans
+        WINDOW_MARGIN times it, so the converted pulse leaves with the
+        read channel's delay and stretch inside it, fast read or slow.
+
+        The stage's bandwidth is the input bandwidth, shrunk by
+        |Omega_r/Omega_w|^2 when the read control is the weaker, and the
+        span reaches 3 |a_max Omega_r| too: the converted spectrum keeps a
+        tail out to a few read Rabi frequencies from the coherence stored
+        near the exit face.  Against a 16x wider span this grid loses at
+        most 9.3e-5 of the converted energy at depths 100 and 500 and
+        ratios 0.05-0.5, and 3.4e-5 on the benchmark's convert cases.
+        """
+        bandwidth = (pulse_bandwidth(T_p)
+                     * min(1.0, abs(Omega_r / Omega_w)) ** 2)
+        return cls._for_stage(
+            "read-out", scheme.channel("read"), Omega_r, bandwidth, 3.0,
+            WINDOW_MARGIN * (window[1] - window[0]), "window",
+            f"to span {WINDOW_MARGIN:g} times the converted field's window",
+            n_omega, omega_max)
+
+    @classmethod
+    def _for_stage(cls, stage, ch, Omega, bandwidth, tail, t_window, rule,
+                   reason, n_omega, omega_max) -> "SpectralGrid":
+        """Grid of one stage driven by the control Omega on channel ch.
 
         Unless omega_max is given, it is 8 times the largest of the
-        stage's bandwidth (the input bandwidth, shrunk on the read grid
-        by |Omega_r/Omega_w|^2 when the read control is the weaker), its
-        power-broadened control linewidth |a_max Omega|^2 / Gamma and, on
-        the read grid, 3 |a_max Omega_r|: the converted spectrum keeps a
-        tail out to a few read Rabi frequencies from the coherence stored
-        near the exit face.  Against a 16x wider span this read grid
-        loses at most 9.3e-5 of the converted energy at depths 100 and
-        500 and ratios 0.05-0.5, and 3.4e-5 on the benchmark's convert
-        cases.
-
-        Unless n_omega is forced, the write grid keeps 16 points across
-        the input bandwidth's FWHM.  The read grid's spacing follows the
-        protocol's time window (t_start, t_end) (theory.protocol_window,
-        required here): its waveform's time window 2 pi / d_omega spans
-        WINDOW_MARGIN times t_end - t_start, so the converted pulse leaves
-        with the read channel's delay and stretch inside it, fast read or
-        slow.  Either grid has at least MIN_N_OMEGA bins.  An automatic
-        size above MAX_N_OMEGA raises GridBudgetError naming the stage
-        before anything is allocated; a forced n_omega is taken as given.
+        stage's bandwidth, its power-broadened control linewidth
+        |a_max Omega|^2 / Gamma and tail |a_max Omega|.  Unless n_omega is
+        forced, it is the smallest power of two, at least MIN_N_OMEGA,
+        whose time window 2 pi / d_omega reaches t_window; a size above
+        MAX_N_OMEGA raises GridBudgetError naming the stage and the reason
+        before anything is allocated.  A forced n_omega is taken as given.
         """
-        if Omega_r is None:
-            stage, ch, Omega = "storage", scheme.channel("write"), Omega_w
-            bandwidth, tail = pulse_bandwidth(T_p), 0.0
-        else:
-            stage, ch, Omega = "read-out", scheme.channel("read"), Omega_r
-            bandwidth = (pulse_bandwidth(T_p)
-                         * min(1.0, abs(Omega_r / Omega_w)) ** 2)
-            tail = 3.0
         a_Omega = ch.a_ctrl_max * abs(Omega)
         span_limit = n_limit = "given"
         if omega_max is None:
@@ -159,19 +175,9 @@ class SpectralGrid:
             span_limit = max(spans, key=spans.get)
             omega_max = 8.0 * spans[span_limit]
         if n_omega is None:
-            if Omega_r is None:
-                n_limit, reason = "bandwidth", "to resolve the input bandwidth"
-                need = 2.0 * omega_max * 16 / bandwidth
-            elif window is None:
-                raise ValueError("the read-out grid is sized by the "
-                                 "protocol's time window; pass window")
-            else:
-                n_limit, reason = "window", (
-                    f"to span {WINDOW_MARGIN:g} times the protocol's time "
-                    f"window")
-                need = (omega_max * WINDOW_MARGIN * (window[1] - window[0])
-                        / math.pi)
-            n_omega = 1 << math.ceil(math.log2(need))
+            n_limit = rule
+            n_omega = 1 << math.ceil(math.log2(omega_max * t_window
+                                               / math.pi))
             if n_omega < MIN_N_OMEGA:
                 n_omega, n_limit = MIN_N_OMEGA, "floor"
             if n_omega > MAX_N_OMEGA:
@@ -366,8 +372,8 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     by composite trapezoid over the stored samples, then an inverse
     transform to the time domain.  The time axis, measured from the read
     turn-on, covers the window 2 pi / d_omega from a pad of 1/16 of it
-    before t_start (the protocol's start; default the turn-on itself),
-    rounded out to keep t = 0 on a sample.  The pad keeps the turn-on
+    before t_start (the start of ControlTimeline.read_window; default the
+    turn-on itself), rounded out to keep t = 0 on a sample.  The pad keeps the turn-on
     clear of the refused first 5% of the window on any grid, the grid
     check's doubled one too.  A spectrum or a waveform with energy in the
     outer 10% of its grid, either end, raises AliasingError: the waveform

@@ -40,7 +40,6 @@ __all__ = [
     "control_for_eta",
     "write_channel",
     "read_channel",
-    "protocol_window",
     "beta_w_simple",
     "beta_r_simple",
     "xi1_simple",
@@ -223,40 +222,6 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
         flags.append("adiabaticity: converted bandwidth not small against the "
                      "read-channel EIT linewidth scale")
     return replace(read, flags=tuple(flags))
-
-
-def protocol_window(scheme: ConversionScheme, T_p: float, Omega_w: complex,
-                    t_w: float | None = None, Omega_r: complex = 0.0,
-                    t_s: float = 0.0, ramp: float = 0.0):
-    """Time window (t_start, t_end) of one protocol run.
-
-    The run starts at t_start = -2 T_p, two pulse widths before the probe
-    peak enters the medium, and ends once the slow or converted pulse tail
-    has left it.  t_w = None is slow light: the group delay plus six
-    widths of the pulse broadened through the whole medium, neither of
-    which depends on a cutoff.  Otherwise the write control is cut at t_w
-    and the read control turns on at t_r = t_w + t_s, reaching Omega_r
-    after ramp; t_end adds the read delay of the stored pulse and six
-    widths of the converted pulse.  The Maxwell-Bloch run steps over this
-    window and the spectral engine sizes its read-out grid by it.
-    """
-    t_start = -2.0 * T_p
-    if t_w is None:
-        write = write_channel(scheme, Omega_w, T_p, 1.0)
-        return t_start, write.T_d + 6.0 * T_p * write.beta_w(1.0)
-    t_r = t_w + t_s
-    write = write_channel(scheme, Omega_w, T_p, t_w / T_p)
-    if write.z_mid >= 1.0:
-        # The stored-pulse centre lies past the medium, where read_channel
-        # is undefined; bound the read-out by the read group delay through
-        # the whole medium.
-        T_d_read = _slow_light(scheme, "read", Omega_r)[0]
-        return t_start, t_r + ramp + T_d_read + 6.0 * T_p
-    read = read_channel(scheme, Omega_r, write)
-    stretch = write.beta_w_mid * read.beta_r_L
-    t_out = T_p * stretch * max(1.0, write.v_w / read.v_r)
-    return t_start, (t_r + ramp + (1.0 - write.z_mid) / read.v_r
-                     + 6.0 * t_out)
 
 
 # ---------------------------------------------------------------------------

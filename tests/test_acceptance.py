@@ -154,8 +154,8 @@ class TestCriterion3:
             t = record.t_exit - timeline.t_r
             _, peak_mb, fwhm_mb = _peak_and_fwhm(t, record.converted_exit)
 
-            grid = SpectralGrid.for_protocol(
-                scheme, Om_w, T_P, Om_r, window=timeline.window(scheme, T_P))
+            grid = SpectralGrid.for_read(scheme, Om_w, T_P, Om_r,
+                                         timeline.read_window(scheme, T_P))
             stored = stored_coherence_exact(
                 scheme, Om_w, gaussian_probe_spectrum(grid, T_P),
                 KAPPA * T_P, grid)

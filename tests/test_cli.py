@@ -320,9 +320,11 @@ class TestScenarioCommand:
                                           self.spectral_doc()))
         scheme = config.build_scheme()
         c = config.controls(scheme)
-        # the span does not depend on n_omega
-        return SpectralGrid.for_protocol(scheme, c.Omega_w, c.T_p, c.Omega_r,
-                                         n_omega=4096).omega_max
+        timeline = timeline_for_protocol(c.Omega_w, c.Omega_r, c.T_p,
+                                         c.kappa)
+        return SpectralGrid.for_read(scheme, c.Omega_w, c.T_p, c.Omega_r,
+                                     timeline.read_window(scheme, c.T_p)
+                                     ).omega_max
 
     def test_omega_max_override_resizes_n_omega(self, tmp_path):
         """A wider span keeps the automatic bin spacing, and the result."""
@@ -500,10 +502,9 @@ class TestStageGrids:
                 np.pi / summary[f"omega_max_{stage}"], rel=1e-9)
 
     def test_each_csv_spans_its_window(self, tmp_path):
-        """converted_spectral.csv spans the mb run's window, from the read
-        turn-on, and probe_spectral.csv the slow-light run's, each to the
-        nearest sample.  A storage time puts the read turn-on well inside
-        the converted window."""
+        """converted_spectral.csv spans the mb run's window less the
+        storage hold, from the read turn-on, and probe_spectral.csv the
+        slow-light run's, each to the nearest sample."""
         doc = self.weak_read_doc()
         doc["protocol"]["t_s_us"] = 0.3
         config = ScenarioConfig.from_dict(doc)
@@ -512,7 +513,7 @@ class TestStageGrids:
         timeline = timeline_for_protocol(c.Omega_w, c.Omega_r, c.T_p,
                                          c.kappa, t_s=c.t_s)
         t_start, t_end = timeline.window(scheme, c.T_p)
-        windows = {"converted": (t_start - timeline.t_r,
+        windows = {"converted": (t_start - timeline.t_w,
                                  t_end - timeline.t_r),
                    "probe": ControlTimeline(c.Omega_w).window(scheme, c.T_p)}
         out = tmp_path / "out"
@@ -523,13 +524,31 @@ class TestStageGrids:
             half = 0.5 * (t[1] - t[0])
             assert abs(t[0] - lo) <= half and abs(t[-1] - hi) <= half, name
 
+    def test_storage_time_leaves_the_read_out_alone(self, tmp_path):
+        """Nothing leaves the medium during the storage hold, so a longer
+        hold sizes no larger read grid and writes no more rows: without
+        ground-state decay, 1 ms of storage writes the same
+        converted_spectral.csv as none."""
+        n_omega, body = [], []
+        for t_s_us in (0.0, 1000.0):
+            doc = self.weak_read_doc()
+            doc["protocol"]["t_s_us"] = t_s_us
+            out = tmp_path / f"hold{t_s_us:g}"
+            assert main(["scenario", write_json(tmp_path / "s.json", doc),
+                         "--out", str(out)]) == 0
+            summary = load_manifest(out)["engines"]["spectral"]
+            n_omega.append(summary["n_omega_read"])
+            body.append((out / "converted_spectral.csv").read_bytes())
+        assert n_omega[0] == n_omega[1]
+        assert body[0] == body[1]
+
     def test_stage_grids_match_one_shared_grid(self):
         """Against the one grid that used to serve both stages: the write
         span at the read spacing, forced on both."""
         config = ScenarioConfig.from_dict(self.weak_read_doc())
         scheme = config.build_scheme()
         c = config.controls(scheme)
-        span = SpectralGrid.for_protocol(scheme, c.Omega_w, c.T_p).omega_max
+        span = SpectralGrid.for_write(scheme, c.Omega_w, c.T_p).omega_max
         shared = self.spectral_summary(
             self.weak_read_doc(n_omega=1 << 17, omega_max=span))
         assert shared["n_omega_read"] == shared["n_omega_write"] == 1 << 17

@@ -237,7 +237,7 @@ class TestSlowLight:
         rec = run_protocol(sch, GaussianPulse(T_p=T_P),
                            ControlTimeline(Omega_w0=Om))
         ratio_mb = rec.energies["transmitted"] / rec.energies["input"]
-        grid = SpectralGrid.for_protocol(sch, Om, T_P)
+        grid = SpectralGrid.for_write(sch, Om, T_P)
         res = transmitted_probe(sch, Om, gaussian_probe_spectrum(grid, T_P),
                                 grid)
         assert ratio_mb == pytest.approx(res.energy_out / res.energy_in,
@@ -252,8 +252,8 @@ class TestCrossValidation:
         run uses 0.2 T_p ramps, so percent-level differences remain.
         """
         sch, Om, pulse, tl, rec = fig2
-        grid = SpectralGrid.for_protocol(sch, Om, T_P, Om,
-                                         window=tl.window(sch, T_P))
+        grid = SpectralGrid.for_read(sch, Om, T_P, Om,
+                                     tl.read_window(sch, T_P))
         stored = stored_coherence_exact(
             sch, Om, gaussian_probe_spectrum(grid, T_P), tl.t_w, grid)
         res = converted_field_exact(sch, stored, Om, grid)

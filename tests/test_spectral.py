@@ -36,7 +36,6 @@ from eitconvert import (
     converted_spectrum,
     gaussian_probe_spectrum,
     channel_transfer,
-    protocol_window,
     read_channel,
     single_lambda_scheme,
     spectrum_from_time,
@@ -46,6 +45,7 @@ from eitconvert import (
     transmitted_probe,
     write_channel,
 )
+from eitconvert.mb import timeline_for_protocol
 from eitconvert.spectral import _check_aliasing
 
 LN2 = math.log(2.0)
@@ -66,11 +66,10 @@ def intensity_fwhm(t, field):
     return th - tl
 
 
-def _read_grid(sch, Om, Om_r, kappa=KAPPA):
+def _read_grid(sch, Om, Om_r, kappa=KAPPA, n_omega=None):
     """Read-out grid sized by the window of a protocol cut at kappa T_p."""
-    return SpectralGrid.for_protocol(
-        sch, Om, T_P, Om_r,
-        window=protocol_window(sch, T_P, Om, kappa * T_P, Om_r))
+    window = timeline_for_protocol(Om, Om_r, T_P, kappa).read_window(sch, T_P)
+    return SpectralGrid.for_read(sch, Om, T_P, Om_r, window, n_omega=n_omega)
 
 
 def _fig2_setup(kappa=KAPPA):
@@ -244,7 +243,7 @@ class TestStoredCoherence:
                                                  0.1, 0.0, 0.3]))
         sch = build_cesium_d1_scheme("plus_to_minus", pop, D, D)
         Om = control_for_eta(sch, ETA, T_P)
-        grid = SpectralGrid.for_protocol(sch, Om, T_P)
+        grid = SpectralGrid.for_write(sch, Om, T_P)
         stored = stored_coherence_exact(
             sch, Om, gaussian_probe_spectrum(grid, T_P), KAPPA * T_P, grid)
         empty = sch.p == 0
@@ -412,7 +411,7 @@ def _readout_case(kind):
     Om = control_for_eta(sch, ETA, T_P)
     Om_r = 0.8 * Om
     w = write_channel(sch, Om, T_P, KAPPA)
-    grid = SpectralGrid.for_protocol(sch, Om, T_P, Om_r, n_omega=4096)
+    grid = _read_grid(sch, Om, Om_r, n_omega=4096)
     stored = stored_coherence_exact(
         sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
     z = stored.z
@@ -491,7 +490,7 @@ class TestTransmission:
             sch = single_lambda_scheme(rng.uniform(20.0, 800.0),
                                        rng.uniform(20.0, 800.0))
             Om = control_for_eta(sch, rng.uniform(1.0, 8.0), T_P)
-            grid = SpectralGrid.for_protocol(sch, Om, T_P, n_omega=4096)
+            grid = SpectralGrid.for_write(sch, Om, T_P, n_omega=4096)
             res = transmitted_probe(sch, Om,
                                     gaussian_probe_spectrum(grid, T_P), grid)
             assert res.energy_out <= res.energy_in
@@ -520,16 +519,9 @@ class TestGridSizing:
         assert ok.n_omega == 1 << 22
         with pytest.raises(GridBudgetError, match="67108864.*4194304"):
             _read_grid(sch, Om, 1e-4 * Om)
-        forced = SpectralGrid.for_protocol(sch, Om, T_P, 1e-4 * Om,
-                                           n_omega=1 << 23)
+        forced = _read_grid(sch, Om, 1e-4 * Om, n_omega=1 << 23)
         assert forced.n_omega == 1 << 23
         assert forced.n_omega_limit == "given"
-
-    def test_read_grid_needs_the_protocol_window(self):
-        sch = single_lambda_scheme(D, D)
-        Om = control_for_eta(sch, ETA, T_P)
-        with pytest.raises(ValueError, match="window"):
-            SpectralGrid.for_protocol(sch, Om, T_P, Om)
 
     def test_bad_grids_rejected(self):
         with pytest.raises(GridError):
