@@ -24,7 +24,9 @@ through the control envelopes, so the same integrator covers slow light
 (write control never switched), storage, and retrieval with finite ramps.
 Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage, at one uniform step per protocol phase: the write phase up to the
-read turn-on, the read phase after it (see _phase_rates).
+read turn-on, the read phase after it (see _phase_bounds).  Every run
+sums RK4's embedded error estimate over its steps and is refused when
+the sum exceeds ERR_TOL (see _integrate).
 
 A run with a read turn-on stops once the medium is drained, before its
 automatic run length if the converted pulse has left by then.  Its record
@@ -80,22 +82,42 @@ __all__ = [
 ]
 
 # largest n_t run_protocol sizes on its own: tests, figures, demos and
-# benchmark items use at most 11265 steps, and 2**20 steps take about
+# benchmark items use at most 5760 steps, and 2**20 steps take about
 # three minutes at n_z = 200 (the (n_t, 2) complex exit table alone is
 # 32 MB).  A read/write control ratio of 0.01 at D_p = 500, ccp2 = 10
 # would ask for about 5.2e8.
 MAX_N_T = 1 << 20
 # a run whose dissipated energy falls below -LEDGER_TOL of the input has
 # diverged; every test, figure, demo and benchmark item dissipates at
-# least +6.9e-4 of its input, diverged runs -0.28 and below
+# least +6.9e-4 of its input, the runs the tests make diverge -1e13 and
+# below
 LEDGER_TOL = 1e-2
-# largest dt * alpha * Gamma of either channel: the step rule's depth
-# rates are 0.1 * alpha * Gamma / DEPTH_STEP.  On single-lambda runs the
+# a run whose error estimate (diagnostics "err_est", see _integrate)
+# exceeds ERR_TOL is refused.  Every test, figure, demo and benchmark item
+# reads at most 0.038 (a narrow convert point switched hard in the tests;
+# the convert options at most 0.037).  At D_p 100, ccp2 25, control ratio 1, n_z 50,
+# a DEPTH_STEP of 50 reads 3.6e-3; raised to 80 it reads 0.050 (xi_total
+# 1e-4 off), to 100 0.40 (1% off) and to 115 1.87 (0.975 against 0.792,
+# with a closing ledger).
+ERR_TOL = 0.2
+# the accuracy limits of the step rule: each phase's step is at most
+# STEP_FACTOR over the largest of its rates (see _phase_bounds).  Going
+# from 0.1 to 0.2 halved the steps of the convert benchmark's 34 options
+# and moved their mb xi_total by at most 3.2e-4 relative.
+STEP_FACTOR = 0.2
+# the factor in place of STEP_FACTOR on a timeline with hard switches
+# (ramp 0).  With the 34 convert options switched hard, a factor of 0.2
+# refused all ten narrow ones (estimates 0.29-0.65, one diverged ledger)
+# and left a wide one's xi_total 6.9e-3 off; at 0.1 the estimates read at
+# most 0.046 and xi_total is within 7.5e-4 of a run at 0.0125.
+HARD_STEP_FACTOR = 0.1
+# largest dt * alpha * Gamma of either channel, a stability bound apart
+# from STEP_FACTOR and HARD_STEP_FACTOR (see _phase_bounds).  On single-lambda runs the
 # converted energy (read channel, alpha_c 2500) and the dissipated one
 # (probe channel in both phases, alpha_p 2000 and 10^4) stay within 2e-6
 # of converged up to 60, are off by 1e-4 at 80 and by 1% at 100, and are
 # wrong or diverged from 115.  A cesium-d1 read (alpha_c 4000, isotropic)
-# holds to 150 and fails at 300.  The benchmark items reach 20.
+# holds to 150 and fails at 300.  The benchmark items reach 25.
 DEPTH_STEP = 50.0
 # A run with a read turn-on stops once the excitation left in the medium
 # falls below DRAIN_TOL of the pulse energy, checked every DRAIN_EVERY
@@ -292,12 +314,18 @@ def _control_table(timeline: ControlTimeline, t: np.ndarray) -> np.ndarray:
     return np.stack([Ow, np.conj(Ow), np.conj(Or), Or], axis=-1)
 
 
-def _phase_rates(scheme: ConversionScheme, pulse: GaussianPulse,
-                 timeline: ControlTimeline) -> dict:
-    """The rates that bound the time step of each protocol phase.
+def _phase_bounds(scheme: ConversionScheme, pulse: GaussianPulse,
+                  timeline: ControlTimeline) -> dict:
+    """The step bounds of each protocol phase, by the limit that sets them.
 
-    The write phase ends at the read turn-on t_r and the read phase starts
-    there.  The read rows stay exactly zero while Omega_r = 0, so the read
+    The accuracy limits are STEP_FACTOR over a rate: Gamma_w, Gamma_r, the
+    pulse bandwidth, |a Omega| of the phase's control and gamma_sg;
+    HARD_STEP_FACTOR takes STEP_FACTOR's place on a timeline that switches
+    its controls without a ramp.  The depth limits write_depth and
+    read_depth are DEPTH_STEP / (alpha Gamma) of their channel, a
+    stability bound that does not scale with either factor.  The write
+    phase ends at the read turn-on t_r and the read phase starts there.
+    The read rows stay exactly zero while Omega_r = 0, so the read
     control, the read linewidth and the read depth count only in the read
     phase; the write control is off by then.  The write-phase step thus
     does not depend on the read channel, which lets run_original_readout
@@ -305,20 +333,22 @@ def _phase_rates(scheme: ConversionScheme, pulse: GaussianPulse,
     read turn-on, is one write phase.
     """
     write, read = scheme.channel("write"), scheme.channel("read")
-    common = {"Gamma_w": write.Gamma,
-              "bandwidth": pulse_bandwidth(pulse.T_p),
-              "write_depth": 0.1 * write.alpha * write.Gamma / DEPTH_STEP}
+    factor = (HARD_STEP_FACTOR if timeline.t_w is not None
+              and timeline.ramp == 0.0 else STEP_FACTOR)
+    common = {"Gamma_w": factor / write.Gamma,
+              "bandwidth": factor / pulse_bandwidth(pulse.T_p),
+              "write_depth": DEPTH_STEP / (write.alpha * write.Gamma)}
     if scheme.gamma_sg > 0:
-        common["gamma_sg"] = scheme.gamma_sg
-    phases = {"write": {**common, "write_control": write.a_ctrl_max
-                        * abs(timeline.Omega_w0)}}
+        common["gamma_sg"] = factor / scheme.gamma_sg
+    phases = {"write": {**common, "write_control": factor / (
+        write.a_ctrl_max * abs(timeline.Omega_w0))}}
     if timeline.t_r is not None:
-        phases["read"] = {"Gamma_w": write.Gamma, "Gamma_r": read.Gamma,
-                          **common,
-                          "read_control": read.a_ctrl_max
-                          * abs(timeline.Omega_r0),
-                          "read_depth": 0.1 * read.alpha * read.Gamma
-                          / DEPTH_STEP}
+        phases["read"] = {"Gamma_w": common["Gamma_w"],
+                          "Gamma_r": factor / read.Gamma, **common,
+                          "read_control": factor / (
+                              read.a_ctrl_max * abs(timeline.Omega_r0)),
+                          "read_depth": DEPTH_STEP / (read.alpha
+                                                      * read.Gamma)}
     return phases
 
 
@@ -330,26 +360,29 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     """Integrate the write/store/read protocol and return the full record.
 
     grid is (n_z, n_t); n_t = 0 or a missing grid picks the time grid from
-    the stiffness rule dt <= 0.1 / max(rates) of each phase (see
-    _phase_rates; the rates are Gamma_w, Gamma_r, the pulse bandwidth,
-    |a Omega| of the phase's control, the depth rates and gamma_sg).  The
-    write phase, up to the read turn-on, and the read phase after it each
-    get their own uniform step; diagnostics name each phase's step and the
-    rate that set it (dt_write, dt_limit_write, dt_read, dt_limit_read),
-    and dt is the larger step.  A forced n_t gives one uniform grid over
-    the whole run; one that violates the rule of a phase raises
-    StiffnessError naming the tightest phase bound and the n_t that meets
-    it, and so does a run whose energy ledger shows it
-    diverged (an energy not finite, or dissipated below -LEDGER_TOL of the
-    input).  An automatic n_t, or the doubled one of grid_check, above
-    MAX_N_T raises GridBudgetError before anything is allocated; a forced
-    n_t is taken as given.  grid_check reruns with every step halved and
-    n_z doubled and stores the relative change of the converted (or
-    transmitted) energy in the diagnostics.  The record keeps the state at
-    the read turn-on (SimulationRecord.resume) for run_original_readout.
-    A run with a read turn-on stops once the medium is drained (see
-    _integrate) and keeps its planned time axis, the exits zero after the
-    stop; a slow-light run steps up to t_end.
+    the step rule of each phase: dt <= STEP_FACTOR / max(rates)
+    (HARD_STEP_FACTOR under hard switches), the rates being Gamma_w,
+    Gamma_r, the pulse bandwidth, |a Omega| of the phase's control and
+    gamma_sg, and dt <= DEPTH_STEP / (alpha Gamma) of each
+    channel the phase drives (see _phase_bounds).  The write phase, up to
+    the read turn-on, and the read phase after it each get their own
+    uniform step; diagnostics name each phase's step and the limit that
+    set it (dt_write, dt_limit_write, dt_read, dt_limit_read), and dt is
+    the larger step.  A forced n_t gives one uniform grid over the whole
+    run; one that violates the rule of a phase raises StiffnessError
+    naming the tightest phase bound and the n_t that meets it.  So does a
+    run whose energy ledger shows it diverged (an energy not finite, or
+    dissipated below -LEDGER_TOL of the input), and one whose error
+    estimate (diagnostics err_est, see _integrate) exceeds ERR_TOL; both
+    messages name each phase's step.  An automatic n_t, or the doubled one
+    of grid_check, above MAX_N_T raises GridBudgetError before anything is
+    allocated; a forced n_t is taken as given.  grid_check reruns with
+    every step halved and n_z doubled and stores the relative change of
+    the converted (or transmitted) energy in the diagnostics.  The record
+    keeps the state at the read turn-on (SimulationRecord.resume) for
+    run_original_readout.  A run with a read turn-on stops once the medium
+    is drained (see _integrate) and keeps its planned time axis, the exits
+    zero after the stop; a slow-light run steps up to t_end.
     """
     n_z, n_t = grid if grid is not None else (200, 0)
     if n_z < 8:
@@ -377,17 +410,17 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
     first = 0 if start is None else start.resume[0]
     t_first = t_start if start is None else start.t_exit[first]
 
-    rates = _phase_rates(scheme, pulse, timeline)
+    limits = _phase_bounds(scheme, pulse, timeline)
     spans = {"write": (t_first, t_end)}
-    if "read" in rates:
+    if "read" in limits:
         t_r = min(max(timeline.t_r, t_first), t_end)
         spans = {"write": (t_first, t_r), "read": (t_r, t_end)}
-    # the step bound of each phase the run spans, and the rate that sets it
+    # the step bound of each phase the run spans, and the limit that sets it
     bounds = {}
     for name, (t0, t1) in spans.items():
         if t1 > t0:
-            limit = max(rates[name], key=rates[name].get)
-            bounds[name] = (0.1 / rates[name][limit], limit)
+            limit = min(limits[name], key=limits[name].get)
+            bounds[name] = (limits[name][limit], limit)
 
     if n_t > 0:
         steps = n_t - 1 - first
@@ -426,15 +459,19 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
     def integrate(n_z, segments):
         record = _integrate(scheme, pulse, timeline, n_z, segments, start)
         en = record.energies
+        used = ", ".join(f"{name}-phase dt = {dts[name]:.3e} (limit "
+                         f"{limit})" for name, (_, limit) in bounds.items())
         if not (all(map(math.isfinite, en.values()))
                 and en["dissipated"] >= -LEDGER_TOL * en["input"]):
-            used = ", ".join(f"{name}-phase dt = {dts[name]:.3e} (limit "
-                             f"{limit})"
-                             for name, (_, limit) in bounds.items())
             raise StiffnessError(
                 f"the run diverged: dissipated energy "
                 f"{en['dissipated'] / en['input']:.3g} of the input at "
                 f"{used}; force a larger n_t")
+        err = record.diagnostics["err_est"]
+        if not err <= ERR_TOL:
+            raise StiffnessError(
+                f"the run's error estimate {err:.3g} exceeds ERR_TOL = "
+                f"{ERR_TOL:g} at {used}; force a larger n_t")
         return record
 
     record = integrate(n_z, segments)
@@ -476,7 +513,16 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
                start: SimulationRecord | None = None) -> SimulationRecord:
     """RK4 over uniform time segments [(t0, dt, steps), ...], each
     starting where the one before ends; the diagnostics hold only n_t, the
-    number of samples stepped, and stop.
+    number of samples stepped, stop and err_est.
+
+    err_est is RK4's embedded error estimate (Hairer, Norsett & Wanner,
+    Solving Ordinary Differential Equations I, sec. II.4), summed over the
+    steps taken: e_n = dt/6 (k4 of step n - k1 of step n + 1) is the
+    difference between RK4 and the third-order method that shares its
+    stages plus f(y_n+1), and the next k1 is computed anyway.  Each
+    ||e_n|| is taken in the excitation norm, weights alpha_p Gamma_w dz /
+    p_j, and the sum is divided by the square root of the input energy.
+    Over a run it falls as dt^3.
 
     The record's resume point is the last sample that no stage time with
     the read control on has reached: t_r itself under a ramp, whose
@@ -536,6 +582,21 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         return _medium_energy(scheme, CoherenceField(
             z=z, sigma=y.reshape(3 * M, n_z), t=t))
 
+    # The error estimate's norm: diff holds k4 - k1, and its squared norm
+    # sums alpha_p Gamma_w dz / p_j |diff_j|^2 over the subsystems (weight
+    # 0 on empty ones) through per-subsystem squared norms.
+    diff = np.empty((M, 3, n_z), dtype=complex)
+    rows = diff.reshape(M, 3 * n_z).view(float)
+    live = scheme.p > 0
+    weight = np.where(live, write.alpha * write.Gamma * dz
+                      / np.where(live, scheme.p, 1.0), 0.0)
+    lhs, rhs, sq = rows[:, None, :], rows[:, :, None], np.empty((M, 1, 1))
+    sq_flat = sq.reshape(M)
+
+    def sq_norm():
+        np.matmul(lhs, rhs, out=sq)
+        return np.dot(weight, sq_flat)
+
     last, dt_last, n_last = segments[-1]
     axis = ([t0 + dt * np.arange(steps) for t0, dt, steps in segments]
             + [[last + dt_last * n_last]])
@@ -561,7 +622,9 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     stage = np.empty_like(state)
     acc = np.empty_like(state)
     k_buf = np.empty_like(state)
+    k4 = np.empty_like(state)
     scaled = np.empty_like(state)
+    err_sum = 0.0
     idx_w = (None if timeline.t_w is None
              else int(np.argmin(np.abs(t_axis - timeline.t_w))))
     snap_w = None
@@ -591,6 +654,12 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
             resume = (k, state.copy())
         rate(state, ctrl[j, 0], entry[j, 0], k_buf)
         exits[k] = fields[:, -1]
+        if k > first:
+            # embedded error estimate of the step just taken: dt/6 times
+            # its k4 less k1 of this sample
+            np.subtract(k4, k_buf, out=diff)
+            err_sum += dt_prev / 6.0 * math.sqrt(sq_norm())
+        dt_prev = dt
         if k == n_t - 1 or ((k - first) % DRAIN_EVERY == 0
                             and t_axis[k] >= t_drain
                             and medium_energy(state, t_axis[k]) < drained):
@@ -610,8 +679,8 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         acc += scaled
         np.multiply(k_buf, dt, out=scaled)
         np.add(state, scaled, out=stage)
-        rate(stage, ctrl[j, 2], entry[j, 2], k_buf)
-        np.multiply(k_buf, dt / 6.0, out=scaled)
+        rate(stage, ctrl[j, 2], entry[j, 2], k4)
+        np.multiply(k4, dt / 6.0, out=scaled)
         np.add(acc, scaled, out=state)
 
     probe_exit = exits[:, 0].copy()
@@ -641,7 +710,8 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
         converted_exit=conv_exit, energies=energies,
         diagnostics={"n_t": k + 1 - first,
-                     "stop": "drained" if k < n_t - 1 else "t_end"},
+                     "stop": "drained" if k < n_t - 1 else "t_end",
+                     "err_est": err_sum / math.sqrt(e_in)},
         pulse=pulse, timeline=timeline, resume=resume)
 
 

@@ -37,15 +37,17 @@ Per-engine summary keys:
             stepped converted sample over the peak intensity), n_t
             (samples stepped; the waveforms keep the planned axis up to
             t_end, zero after a drained stop), t_end, and per phase the
-            step and the rate that set it: dt_write, dt_limit_write,
+            step and the limit that set it: dt_write, dt_limit_write,
             dt_read, dt_limit_read
             (Gamma_w, Gamma_r, bandwidth, write_control, read_control,
-            write_depth, read_depth or gamma_sg); of the original-readout
+            write_depth, read_depth or gamma_sg), err_est (RK4's embedded
+            error estimate summed over the steps, relative to the input
+            amplitude; at most mb.ERR_TOL); of the original-readout
             companion behind xi_relative: companion_n_t (samples it
             stepped after resuming from the main run at the read
-            turn-on), companion_stop ("drained" or "t_end") and
+            turn-on), companion_stop ("drained" or "t_end"),
             companion_residual (fraction of the input still in the
-            medium where it stopped)
+            medium where it stopped) and companion_err_est
 """
 
 from __future__ import annotations
@@ -85,22 +87,26 @@ __all__ = [
 
 
 def _peak_and_fwhm(t: np.ndarray, field: np.ndarray):
-    """Interpolated intensity peak location, amplitude, and FWHM."""
+    """Interpolated intensity peak location, amplitude, and FWHM.
+
+    The peak is the maximum of the quartic through the five samples
+    around the largest one, each half-maximum crossing the root of the
+    cubic through the four samples around it, on their own spacings (the
+    mb grid changes step at t_r); Newton steps from the largest sample
+    and from the linear crossing reach them.  Both are fourth order in
+    the spacing: a three-point parabola and linear crossings move
+    peak_time and fwhm of a skewed pulse by up to 4e-4 of the fwhm
+    between a step and twice that step.
+    """
     inten = np.abs(np.asarray(field)) ** 2
     i = int(np.argmax(inten))
     t_pk, v_pk = t[i], inten[i]
     if 0 < i < t.size - 1:
-        # vertex of the parabola through the three samples around the
-        # maximum, on their own spacings (the mb grid changes step at t_r)
-        h0, h1 = t[i] - t[i - 1], t[i + 1] - t[i]
-        d0 = (inten[i] - inten[i - 1]) / h0
-        d1 = (inten[i + 1] - inten[i]) / h1
-        curv = (d1 - d0) / (h0 + h1)
-        if curv < 0:
-            slope = (d0 * h1 + d1 * h0) / (h0 + h1)
-            shift = -0.5 * slope / curv
-            t_pk = t[i] + shift
-            v_pk = inten[i] + 0.5 * slope * shift
+        fit = _local_fit(t, inten, i - 2, i + 3, t[i])
+        x = _newton(lambda x: _evaluate(fit, x)[1:], 0.0,
+                    float(t[i - 1] - t[i]), float(t[i + 1] - t[i]), 3)
+        if _evaluate(fit, x)[0] > v_pk:
+            t_pk, v_pk = t[i] + x, _evaluate(fit, x)[0]
     half = 0.5 * v_pk
     above = inten >= half
     if not above.any() or v_pk == 0:
@@ -108,15 +114,59 @@ def _peak_and_fwhm(t: np.ndarray, field: np.ndarray):
     lo = int(np.argmax(above))
     hi = int(t.size - 1 - np.argmax(above[::-1]))
 
-    def _cross(a, b):
-        if a < 0 or b >= t.size or inten[b] == inten[a]:
-            return t[max(a, 0)] if a >= 0 else t[0]
-        frac = (half - inten[a]) / (inten[b] - inten[a])
-        return t[a] + frac * (t[b] - t[a])
+    def _cross(a):
+        """Where the intensity crosses half between samples a and a + 1,
+        which lie on either side of it."""
+        h = float(t[a + 1] - t[a])
+        linear = h * (half - inten[a]) / (inten[a + 1] - inten[a])
+        fit = _local_fit(t, inten, a - 1, a + 3, t[a])
 
-    left = _cross(lo - 1, lo)
-    right = _cross(hi, hi + 1) if hi + 1 < t.size else t[hi]
+        def excess(x):
+            p, dp, _ = _evaluate(fit, x)
+            return p - half, dp
+
+        return t[a] + _newton(excess, linear, 0.0, h, 2)
+
+    left = _cross(lo - 1) if lo > 0 else t[0]
+    right = _cross(hi) if hi + 1 < t.size else t[hi]
     return float(t_pk), float(math.sqrt(v_pk)), float(right - left)
+
+
+def _local_fit(t, y, start, stop, origin):
+    """The polynomial through the samples start..stop - 1, clipped to the
+    axis, in Newton form: nodes in t - origin and divided differences."""
+    sl = slice(max(start, 0), min(stop, t.size))
+    nodes = (t[sl] - origin).tolist()
+    coef = y[sl].tolist()
+    for j in range(1, len(nodes)):
+        for k in range(len(nodes) - 1, j - 1, -1):
+            coef[k] = (coef[k] - coef[k - 1]) / (nodes[k] - nodes[k - j])
+    return nodes, coef
+
+
+def _evaluate(fit, x):
+    """Value, first and second derivative of a _local_fit polynomial."""
+    nodes, coef = fit
+    p, dp, d2p = coef[-1], 0.0, 0.0
+    for k in range(len(coef) - 2, -1, -1):
+        d2p = d2p * (x - nodes[k]) + 2.0 * dp
+        dp = dp * (x - nodes[k]) + p
+        p = p * (x - nodes[k]) + coef[k]
+    return p, dp, d2p
+
+
+def _newton(f, x, a, b, steps):
+    """steps Newton steps on f(x) -> (value, slope) from x, or x itself if
+    one would leave the interval between a and b."""
+    start = x
+    for _ in range(steps):
+        value, slope = f(x)
+        if slope == 0:
+            break
+        x -= value / slope
+        if not min(a, b) <= x <= max(a, b):
+            return start
+    return x
 
 
 @dataclass
@@ -157,7 +207,10 @@ def _run_analytic(scheme: ConversionScheme, config: ScenarioConfig,
         "xi_total": decay * decay * model.efficiency,
         "flags": "; ".join(write.flags + read.flags),
     })
-    summary.update(_waveform_stats(t, waveform))
+    # the waveform is a Gaussian: its peak and width in closed form
+    summary.update({"peak_time": model.t0,
+                    "peak_amplitude": decay * model.peak_amplitude,
+                    "fwhm": model.temporal_fwhm})
     return EngineOutput("analytic", t, waveform, summary, {})
 
 
@@ -274,11 +327,12 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
         float(intensity[record.diagnostics["n_t"] - 1] / intensity.max())
         if intensity.max() > 0 else 0.0)
     for key in ("n_t", "t_end", "dt_write", "dt_limit_write", "dt_read",
-                "dt_limit_read"):
+                "dt_limit_read", "err_est"):
         if key in record.diagnostics:
             summary[key] = record.diagnostics[key]
     summary["companion_n_t"] = companion.diagnostics["n_t"]
     summary["companion_stop"] = companion.diagnostics["stop"]
+    summary["companion_err_est"] = companion.diagnostics["err_est"]
     summary["companion_residual"] = (companion.energies["residual_stored"]
                                      / companion.energies["input"])
     for key in ("grid_doubling_rel", "grid_converged"):

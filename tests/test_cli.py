@@ -99,6 +99,9 @@ class TestScenarioCommand:
         assert 0.3 < summary["xi_total"] < 0.5
         assert (out / "converted_mb.csv").exists()
         assert (out / "probe_mb.csv").exists()
+        report = json.loads((out / "efficiency_mb.json").read_text())
+        for key in ("err_est", "companion_err_est"):
+            assert 0.0 < report[key] < mb.ERR_TOL
 
     def test_mb_runs_when_stored_pulse_overshoots(self, tmp_path):
         """eta 1.2 < kappa 1.35: spectral runs this protocol, so mb must too."""
@@ -229,7 +232,22 @@ class TestScenarioCommand:
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
-        assert "n_t = 519476872" in err and "1048576" in err
+        assert "n_t = 519476424" in err and "1048576" in err
+
+    def test_mb_error_estimate_over_bound_exits_3(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A read step past the depth limit gives xi_total 0.975 instead
+        of 0.792 with a closing energy ledger; the error estimate refuses
+        it."""
+        monkeypatch.setattr(mb, "DEPTH_STEP", 115.0)
+        doc = minimal_doc(engines=["mb"], grid={"n_z": 50})
+        doc["scheme"] = {"kind": "single-lambda", "D_p": 100.0, "ccp2": 25.0}
+        doc["protocol"]["control_ratio"] = 1.0
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "error estimate" in err and "ERR_TOL" in err
 
     def test_time_grid_check_over_budget_exits_3(self, tmp_path, capsys):
         """The doubled time grid is refused before the coarse run."""
@@ -457,6 +475,30 @@ class TestMbRecord:
         assert fwhm == pytest.approx(1.5 * np.sqrt(2.0 * np.log(2.0)),
                                      rel=1e-3)
 
+    def test_skewed_pulse_on_a_coarse_grid(self):
+        """Intensity t^4 exp(-2t), about 29 samples per fwhm: the peak
+        (exactly at t = 2) and the fwhm stay within 2e-5 of the fwhm.  A
+        three-point parabola with linear crossings put the peak 4.4e-4
+        and the fwhm 1.4e-4 off."""
+        intensity = lambda t: t ** 4 * np.exp(-2.0 * t)
+        half = 0.5 * intensity(2.0)
+
+        def crossing(a, b):
+            for _ in range(100):
+                m = 0.5 * (a + b)
+                if (intensity(a) - half) * (intensity(m) - half) <= 0:
+                    b = m
+                else:
+                    a = m
+            return 0.5 * (a + b)
+
+        fwhm = crossing(2.0, 10.0) - crossing(0.01, 2.0)
+        t = np.arange(0.0, 15.0, 0.1) + 0.037
+        t_pk, amp, width = _peak_and_fwhm(t, t ** 2 * np.exp(-t))
+        assert abs(t_pk - 2.0) < 2e-5 * fwhm
+        assert width == pytest.approx(fwhm, rel=2e-5)
+        assert amp == pytest.approx(np.sqrt(intensity(2.0)), rel=2e-5)
+
     def test_tail_not_caught_is_reported(self):
         """A short pulse at matched controls: the run reaches its automatic
         run length undrained, with about 9.4e-5 of the input still stored
@@ -635,6 +677,9 @@ class TestSweepCommand:
         assert not [name for name in header if name.startswith("analytic.")]
         assert np.all(np.isfinite(cols["mb.grid_doubling_rel"]))
         assert cols["mb.grid_doubling_rel"].shape == (2,)
+        for key in ("mb.err_est", "mb.companion_err_est"):
+            assert cols[key].shape == (2,)
+            assert np.all((cols[key] > 0.0) & (cols[key] < mb.ERR_TOL))
 
     def test_symmetric_populations_make_eta_sweep_flat(self, tmp_path):
         doc = self.sweep_doc([{"path": "protocol.eta",

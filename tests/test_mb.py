@@ -3,17 +3,18 @@
 Frozen anchors at the standard point (D_p = D_c = 500, eta = 4,
 kappa = 1.35, T_p = 5.7303, matched controls, default 0.2 T_p ramps):
 
-- storage-time independence of the converted energy at gamma_sg = 0: 5e-12
-- ground-coherence decay exp(-2 gamma t_s) reproduced to 2e-10
-- converted-energy swing across read ramps {0.02, 0.1, 0.2} T_p: 0.27%
+- storage-time independence of the converted energy at gamma_sg = 0: 1.1e-10
+- ground-coherence decay exp(-2 gamma t_s) reproduced to 1.3e-9
+- converted-energy swing across read ramps {0.02, 0.1, 0.2} T_p: 0.21%
 - against the frequency-domain propagator: peak +1.1%, intensity FWHM
   -1.3%, energy +0.19%
 - total efficiency 0.8486 vs closed form 0.8591 (-1.2%)
 - identical-channel relative efficiency exactly 1
-- leakage 5e-7 at eta = 4; 7% when the pulse does not fit (eta = 1,
+- leakage 6e-7 at eta = 4; 7% when the pulse does not fit (eta = 1,
   kappa = 0.5)
-- slow-light exit peak within 0.3 time steps of the group delay
+- slow-light exit peak sample within 0.43 time steps of the group delay
 - grid doubling moves the converted energy by 3.4e-5
+- error estimate (diagnostics err_est) 5.3e-3
 """
 
 import math
@@ -323,9 +324,9 @@ class TestNumerics:
                          grid=(4, 0))
 
     def test_diverged_run_rejected(self, monkeypatch):
-        """A step rule without the depth rates diverges at high read depth:
-        unguarded, this run returned xi_total 2.0 with dissipated -1.02 x
-        input.  The energy ledger refuses it."""
+        """A step rule without the depth limits diverges at high read depth:
+        unguarded, this run returned dissipated -3.8e14 x input.  The
+        energy ledger refuses it."""
         monkeypatch.setattr(mb, "DEPTH_STEP", math.inf)
         sch = single_lambda_scheme(100.0, 2500.0)
         Om = control_for_eta(sch, ETA, T_P)
@@ -368,6 +369,48 @@ class TestNumerics:
         assert e["residual_stored"] < 1e-8 * e["input"]
 
 
+class TestErrorEstimate:
+    """RK4's embedded error estimate checks every run (diagnostics
+    err_est; mb.ERR_TOL)."""
+
+    @pytest.mark.parametrize("depth_step", [100.0, 115.0])
+    def test_wrong_run_refused(self, depth_step, monkeypatch):
+        """D_p 100, ccp2 25, ratio 1 at n_z 50 with the depth limit raised:
+        unchecked, these runs returned xi_total 0.79997 (1% off the
+        converged 0.79246) and 0.975, with estimates 0.40 and 1.87; at 115
+        the ledger shows dissipated +0.023 of the input and passes.  At
+        the depth limit of 50 the run reads 3.6e-3."""
+        monkeypatch.setattr(mb, "DEPTH_STEP", depth_step)
+        sch = single_lambda_scheme(100.0, 2500.0)
+        Om = control_for_eta(sch, ETA, T_P)
+        with pytest.raises(StiffnessError,
+                           match=r"error estimate .* exceeds ERR_TOL = .* at "
+                                 r"write-phase dt = .*, read-phase dt = .* "
+                                 r"\(limit read_depth\)"):
+            run_protocol(sch, GaussianPulse(T_p=T_P),
+                         timeline_for_protocol(Om, Om, T_P, KAPPA),
+                         grid=(50, 0))
+
+    def test_third_order_in_the_step(self, fig2, monkeypatch):
+        """Halving every step cuts the estimate at least 6 times: dt^3
+        gives 8, and it reads 5.3e-3 -> 4.4e-4 here."""
+        sch, _, pulse, tl, rec = fig2
+        monkeypatch.setattr(mb, "STEP_FACTOR", 0.5 * mb.STEP_FACTOR)
+        monkeypatch.setattr(mb, "DEPTH_STEP", 0.5 * mb.DEPTH_STEP)
+        fine = run_protocol(sch, pulse, tl)
+        for phase in ("write", "read"):
+            assert fine.diagnostics[f"dt_{phase}"] == pytest.approx(
+                0.5 * rec.diagnostics[f"dt_{phase}"], rel=1e-2)
+        assert 0.0 < 6.0 * fine.diagnostics["err_est"] \
+            <= rec.diagnostics["err_est"]
+
+    def test_companion_reports_its_own(self, fig2):
+        sch, _, _, _, rec = fig2
+        comp = run_original_readout(sch, rec)
+        assert 0.0 < comp.diagnostics["err_est"] < mb.ERR_TOL
+        assert comp.diagnostics["err_est"] != rec.diagnostics["err_est"]
+
+
 class TestStepDecision:
     @pytest.mark.parametrize("depth, read_scale, limit", [
         (D, 1.0, "write_control"),
@@ -385,11 +428,46 @@ class TestStepDecision:
         assert d[f"dt_limit_{phase}"] == limit
         rate = {"write_control": abs(Om), "read_control": abs(2.0 * Om),
                 "Gamma_w": 1.0}[limit]
-        assert d[f"dt_max_{phase}"] == pytest.approx(0.1 / rate, rel=1e-14)
+        assert d[f"dt_max_{phase}"] == pytest.approx(mb.STEP_FACTOR / rate,
+                                                   rel=1e-14)
         assert d[f"dt_{phase}"] <= d[f"dt_max_{phase}"]
         steps = np.diff(rec.t_exit)
         assert np.all(steps <= max(d["dt_max_write"], d["dt_max_read"])
                       * (1 + 1e-9))
+
+
+class TestHardSwitch:
+    """A timeline with hard switches (ramp 0) steps at HARD_STEP_FACTOR."""
+
+    def test_smaller_factor(self):
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, ETA, T_P)
+        tl = timeline_for_protocol(Om, Om, T_P, KAPPA, ramp_fraction=0.0)
+        d = run_protocol(sch, GaussianPulse(T_p=T_P), tl, grid=(16, 0),
+                         t_end=tl.t_r + 1.0).diagnostics
+        assert d["dt_limit_write"] == "write_control"
+        assert d["dt_max_write"] == pytest.approx(
+            mb.HARD_STEP_FACTOR / abs(Om), rel=1e-14)
+
+    def test_narrow_point_holds(self, monkeypatch):
+        """A narrow point of the convert benchmark (T_p 0.08 us, eta 4,
+        D_p 350, ccp2 0.5, read/write control ratio 0.3) switched hard:
+        xi_total 0.703497 against 0.703585 at a quarter of every step,
+        estimate 0.037.  With HARD_STEP_FACTOR at 0.2 the run reads 0.57
+        and is refused."""
+        T = UnitSystem().time_in(0.08)
+        sch = single_lambda_scheme(350.0, 175.0)
+        Om = control_for_eta(sch, ETA, T)
+        pulse = GaussianPulse(T_p=T)
+        tl = timeline_for_protocol(Om, 0.3 * Om, T, KAPPA, ramp_fraction=0.0)
+        rec = run_protocol(sch, pulse, tl)
+        assert rec.diagnostics["err_est"] < 0.5 * mb.ERR_TOL
+        monkeypatch.setattr(mb, "HARD_STEP_FACTOR",
+                            0.25 * mb.HARD_STEP_FACTOR)
+        fine = run_protocol(sch, pulse, tl)
+        xi, xi_fine = (r.energies["converted"] / r.energies["input"]
+                       for r in (rec, fine))
+        assert xi == pytest.approx(xi_fine, rel=5e-4)
 
 
 def _reference_run(scheme, pulse, timeline, rec):
@@ -531,7 +609,7 @@ class TestPhaseSteps:
 
     def test_depth_rate_sets_read_step(self):
         """At this read depth the control rates alone allow dt * alpha_c
-        Gamma_r = 131, and the run diverged (dissipated -113 x input).
+        Gamma_r = 262, and the run diverged (dissipated -1.1e13 x input).
         The first 100 / Gamma of the read phase show it."""
         sch, pulse, tl = self.deep(1.0)
         rec = run_protocol(sch, pulse, tl, grid=(64, 0), grid_check=True,
