@@ -95,10 +95,10 @@ LEDGER_TOL = 1e-2
 # a run whose error estimate (diagnostics "err_est", see _integrate)
 # exceeds ERR_TOL is refused.  Every test, figure, demo and benchmark item
 # reads at most 0.038 (a narrow convert point switched hard in the tests;
-# the convert options at most 0.037).  At D_p 100, ccp2 25, control ratio 1, n_z 50,
-# a DEPTH_STEP of 50 reads 3.6e-3; raised to 80 it reads 0.050 (xi_total
-# 1e-4 off), to 100 0.40 (1% off) and to 115 1.87 (0.975 against 0.792,
-# with a closing ledger).
+# the convert options at most 0.037).  At D_p 100, ccp2 25, control ratio
+# 1, n_z 50, a DEPTH_STEP of 50 reads 3.6e-3; raised to 80 it reads 0.050
+# (xi_total 1e-4 off), to 100 0.40 (1% off) and to 115 1.87 (0.975
+# against 0.792, with a closing ledger).
 ERR_TOL = 0.2
 # the accuracy limits of the step rule: each phase's step is at most
 # STEP_FACTOR over the largest of its rates (see _phase_bounds).  Going
@@ -112,11 +112,11 @@ STEP_FACTOR = 0.2
 # most 0.046 and xi_total is within 7.5e-4 of a run at 0.0125.
 HARD_STEP_FACTOR = 0.1
 # largest dt * alpha * Gamma of either channel, a stability bound apart
-# from STEP_FACTOR and HARD_STEP_FACTOR (see _phase_bounds).  On single-lambda runs the
-# converted energy (read channel, alpha_c 2500) and the dissipated one
-# (probe channel in both phases, alpha_p 2000 and 10^4) stay within 2e-6
-# of converged up to 60, are off by 1e-4 at 80 and by 1% at 100, and are
-# wrong or diverged from 115.  A cesium-d1 read (alpha_c 4000, isotropic)
+# from STEP_FACTOR and HARD_STEP_FACTOR (see _phase_bounds).  On
+# single-lambda runs the converted energy (read channel, alpha_c 2500)
+# and the dissipated one (probe channel in both phases, alpha_p 2000 and
+# 10^4) stay within 2e-6 of converged up to 60, are off by 1e-4 at 80 and
+# by 1% at 100, and are wrong or diverged from 115.  A cesium-d1 read (alpha_c 4000, isotropic)
 # holds to 150 and fails at 300.  The benchmark items reach 25.
 DEPTH_STEP = 50.0
 # A run with a read turn-on stops once the excitation left in the medium
