@@ -22,6 +22,9 @@ constants reduce to optical depths:
 Both channels stay live through all phases; the protocol is expressed purely
 through the control envelopes, so the same integrator covers slow light
 (write control never switched), storage, and retrieval with finite ramps.
+The z-integrals, of the fields and of the excitation held in the medium,
+take one rule on n_z uniform samples (N_Z = 64 by default): the four-point
+rule of _z_weights, fourth order in dz.
 Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage, at one uniform step per protocol phase: the write phase up to the
 read turn-on, the read phase after it (see _phase_bounds).  Every run
@@ -38,7 +41,7 @@ run_original_readout resumes from the state the main record kept at the
 read turn-on.
 
 Numpy call overhead, not arithmetic, sets the cost of a step on grids of a
-few hundred z samples, so the loop is laid out to make few calls:
+few dozen z samples, so the loop is laid out to make few calls:
 
 - The coherences of all subsystems form one stacked state of shape
   (M, 3, n_z), rows (sigma_eg, sigma_sg, sigma_e'g).  The local coupling
@@ -47,8 +50,9 @@ few hundred z samples, so the loop is laid out to make few calls:
 - With sigma_sg in the middle row, the four control entries of the 3x3
   coupling sit at flat indices 1, 3, 5, 7 and are refreshed from four
   scalars through one strided view.
-- Both field integrals come from one cumulative sum over a (2, n_z)
-  trapezoid source whose first column holds the entry-face values.
+- Both field integrals come from one real product: the cumulative
+  weights of the z rule times the float view of a z-major source whose
+  first row holds the entry-face values.  Its cost grows as n_z^2.
 - The control envelopes and the input pulse are evaluated vectorized at
   every stage time, a block of steps at a time.  Only those scalars are
   stored: per-stage coupling matrices would hold M * 9 complex numbers per
@@ -61,6 +65,7 @@ the batched 3x3 products (2-core x86 host).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -81,43 +86,56 @@ __all__ = [
     "run_original_readout",
 ]
 
+# default number of z samples: with the z rule of _z_weights, xi_total
+# and xi_relative of each of the 34 convert benchmark options sit within
+# 4.5e-6 relative of a run at n_z = 800.
+N_Z = 64
 # largest n_t run_protocol sizes on its own: tests, figures, demos and
-# benchmark items use at most 5760 steps, and 2**20 steps take about
-# three minutes at n_z = 200 (the (n_t, 2) complex exit table alone is
-# 32 MB).  A read/write control ratio of 0.01 at D_p = 500, ccp2 = 10
-# would ask for about 5.2e8.
+# benchmark items use at most 5760 steps, and 2**20 steps of a
+# single-lambda run take about 80 s at n_z = N_Z (the (n_t, 2) complex
+# exit table alone is 32 MB).  A read/write control ratio of 0.01 at
+# D_p = 500, ccp2 = 10 would ask for about 5.2e8.
 MAX_N_T = 1 << 20
 # a run whose dissipated energy falls below -LEDGER_TOL of the input has
 # diverged; every test, figure, demo and benchmark item dissipates at
-# least +6.9e-4 of its input, the runs the tests make diverge -1e13 and
+# least +6.9e-4 of its input, the runs the tests make diverge -4e9 and
 # below
 LEDGER_TOL = 1e-2
 # a run whose error estimate (diagnostics "err_est", see _integrate)
 # exceeds ERR_TOL is refused.  Every test, figure, demo and benchmark item
 # reads at most 0.038 (a narrow convert point switched hard in the tests;
 # the convert options at most 0.037).  At D_p 100, ccp2 25, control ratio
-# 1, n_z 50, a DEPTH_STEP of 50 reads 3.6e-3; raised to 80 it reads 0.050
-# (xi_total 1e-4 off), to 100 0.40 (1% off) and to 115 1.87 (0.975
+# 1, n_z 50, a DEPTH_STEP of 50 reads 3.5e-3; raised to 80 it reads 0.046
+# (xi_total 1e-4 off), to 100 0.36 (0.9% off) and to 115 1.63 (0.961
 # against 0.792, with a closing ledger).
 ERR_TOL = 0.2
+# a run whose error estimate passes DIVERGED_EST stops stepping: it is
+# refused either way, and stepping on would overflow to inf and NaN once
+# the squares in the estimate's norm pass the float range (an estimate
+# of order 1e150)
+DIVERGED_EST = 1e50
 # the accuracy limits of the step rule: each phase's step is at most
 # STEP_FACTOR over the largest of its rates (see _phase_bounds).  Going
 # from 0.1 to 0.2 halved the steps of the convert benchmark's 34 options
-# and moved their mb xi_total by at most 3.2e-4 relative.
+# and moved their mb xi_total by at most 3.2e-4 relative (at n_z = 200).
 STEP_FACTOR = 0.2
 # the factor in place of STEP_FACTOR on a timeline with hard switches
-# (ramp 0).  With the 34 convert options switched hard, a factor of 0.2
-# refused all ten narrow ones (estimates 0.29-0.65, one diverged ledger)
-# and left a wide one's xi_total 6.9e-3 off; at 0.1 the estimates read at
-# most 0.046 and xi_total is within 7.5e-4 of a run at 0.0125.
+# (ramp 0).  With the 34 convert options switched hard (at n_z = 200), a
+# factor of 0.2 refused all ten narrow ones (estimates 0.29-0.65, one
+# diverged ledger) and left a wide one's xi_total 6.9e-3 off; at 0.1 the
+# estimates read at most 0.046 and xi_total is within 7.5e-4 of a run at
+# 0.0125.
 HARD_STEP_FACTOR = 0.1
 # largest dt * alpha * Gamma of either channel, a stability bound apart
-# from STEP_FACTOR and HARD_STEP_FACTOR (see _phase_bounds).  On
-# single-lambda runs the converted energy (read channel, alpha_c 2500)
-# and the dissipated one (probe channel in both phases, alpha_p 2000 and
-# 10^4) stay within 2e-6 of converged up to 60, are off by 1e-4 at 80 and
-# by 1% at 100, and are wrong or diverged from 115.  A cesium-d1 read (alpha_c 4000, isotropic)
-# holds to 150 and fails at 300.  The benchmark items reach 25.
+# from STEP_FACTOR and HARD_STEP_FACTOR (see _phase_bounds).  At n_z = N_Z,
+# against runs at a limit of 10 (eta 4, control ratio 1): the converted
+# energy of a single-lambda read (D_p 100, alpha_c 2500) stays within 3e-7
+# up to 60, is off by 1e-4 at 80 and by 0.9% at 100, and is wrong or
+# diverged from 115; the dissipated energy of a deep probe (alpha_p 10^4,
+# ccp2 0.01) is off by 1e-5 at 50, 6e-5 at 60 and 2e-3 at 80, as at
+# n_z = 200.  A cesium-d1 read (alpha_c 4000, isotropic, against 25)
+# holds to 150, is off by 2e-3 at 200 and fails at 300.  The benchmark
+# items reach 25.
 DEPTH_STEP = 50.0
 # A run with a read turn-on stops once the excitation left in the medium
 # falls below DRAIN_TOL of the pulse energy, checked every DRAIN_EVERY
@@ -359,8 +377,8 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
                  grid_check: bool = False) -> SimulationRecord:
     """Integrate the write/store/read protocol and return the full record.
 
-    grid is (n_z, n_t); n_t = 0 or a missing grid picks the time grid from
-    the step rule of each phase: dt <= STEP_FACTOR / max(rates)
+    grid is (n_z, n_t), (N_Z, 0) if missing; n_t = 0 picks the time grid
+    from the step rule of each phase: dt <= STEP_FACTOR / max(rates)
     (HARD_STEP_FACTOR under hard switches), the rates being Gamma_w,
     Gamma_r, the pulse bandwidth, |a Omega| of the phase's control and
     gamma_sg, and dt <= DEPTH_STEP / (alpha Gamma) of each
@@ -384,7 +402,7 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     is drained (see _integrate) and keeps its planned time axis, the exits
     zero after the stop; a slow-light run steps up to t_end.
     """
-    n_z, n_t = grid if grid is not None else (200, 0)
+    n_z, n_t = grid if grid is not None else (N_Z, 0)
     if n_z < 8:
         raise StiffnessError("need at least 8 z samples")
     return _simulate(scheme, pulse, timeline, n_z, n_t, t_end,
@@ -495,17 +513,42 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
     return record
 
 
+@functools.lru_cache(maxsize=8)
+def _z_weights(n_z: int) -> np.ndarray:
+    """Cumulative weights W of the z rule on n_z uniform samples of [0, 1].
+
+    The integral of g from 0 to z_i is sum_m g_m W[m, i], so the last
+    column holds the weights over the whole medium.  Each interval
+    [z_k, z_k+1] takes dz/24 (-g_k-1 + 13 g_k + 13 g_k+1 - g_k+2), the
+    first one dz/24 (9 g_0 + 19 g_1 - 5 g_2 + g_3) and the last one its
+    mirror: the four-point rule, fourth order in dz (Press et al.,
+    Numerical Recipes, sec. 4.1).  Read-only; needs n_z >= 4.
+    """
+    intervals = np.zeros((n_z - 1, n_z))
+    k = np.arange(1, n_z - 2)
+    for shift, w in enumerate((-1.0, 13.0, 13.0, -1.0), -1):
+        intervals[k, k + shift] = w
+    intervals[0, :4] = (9.0, 19.0, -5.0, 1.0)
+    intervals[-1, -4:] = (1.0, -5.0, 19.0, 9.0)
+    weights = np.zeros((n_z, n_z))
+    weights[:, 1:] = np.cumsum(intervals, axis=0).T / (24.0 * (n_z - 1))
+    weights.flags.writeable = False
+    return weights
+
+
 def _medium_energy(scheme: ConversionScheme, field: CoherenceField) -> float:
     """Excitation held by the coherences of field, in input units.
 
     The rows of field.sigma run over the subsystems, the same number of
-    rows each (sigma_sg alone, or the stacked state); the result is
-    alpha_p Gamma_w times the z-integral of sum_j sum_rows |sigma|^2 / p_j.
+    rows each (sigma_sg alone, or the stacked state), sampled on the run's
+    z grid; the result is alpha_p Gamma_w times the z-integral, by the
+    rule of _z_weights, of sum_j sum_rows |sigma|^2 / p_j.
     """
     write = scheme.channel("write")
     rows = field.sigma.shape[0] // scheme.p.size
     density = field.excitation_density(np.repeat(scheme.p, rows))
-    return float(write.alpha * write.Gamma * np.trapezoid(density, field.z))
+    return float(write.alpha * write.Gamma
+                 * np.dot(density, _z_weights(field.z.size)[:, -1]))
 
 
 def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
@@ -520,8 +563,9 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     steps taken: e_n = dt/6 (k4 of step n - k1 of step n + 1) is the
     difference between RK4 and the third-order method that shares its
     stages plus f(y_n+1), and the next k1 is computed anyway.  Each
-    ||e_n|| is taken in the excitation norm, weights alpha_p Gamma_w dz /
-    p_j, and the sum is divided by the square root of the input energy.
+    ||e_n|| is taken in the excitation norm, the square root of the medium
+    energy of e_n (see _medium_energy), and the sum is divided by the
+    square root of the input energy.
     Over a run it falls as dt^3.
 
     The record's resume point is the last sample that no stage time with
@@ -534,12 +578,12 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     A run with a read turn-on stops once the medium is drained: from
     t_r + ramp on, every DRAIN_EVERY steps, it ends when the excitation
     left in the medium falls below DRAIN_TOL of the pulse energy (stop
-    "drained"; "t_end" for a run that reaches the last sample).  The
-    record keeps the whole axis, with zero exits after the stop.
+    "drained"; "t_end" for a run that reaches the last sample).  Any run
+    stops once err_est passes DIVERGED_EST (stop "diverged").  The record
+    keeps the whole axis, with zero exits after the stop.
     """
     write, read = scheme.channel("write"), scheme.channel("read")
     z = np.linspace(0.0, 1.0, n_z)
-    dz = z[1] - z[0]
     M = scheme.p.size
 
     # Local coupling of subsystem j on its rows (sigma_eg, sigma_sg,
@@ -556,23 +600,28 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     D = np.zeros((M, 3, 2), dtype=complex)
     D[:, 0, 0] = 0.5j * scheme.a_p * scheme.p
     D[:, 2, 1] = 0.5j * scheme.a_c * scheme.p
-    # Field sources as trapezoid increments over the flattened state.
-    P = np.zeros((2, M, 3), dtype=complex)
-    P[0, :, 0] = 0.25j * dz * write.alpha * write.Gamma * scheme.a_p
-    P[1, :, 2] = 0.25j * dz * read.alpha * read.Gamma * scheme.a_c
-    P = P.reshape(2, 3 * M)
+    # Field sources dE/dz of the flattened state, one column per field.
+    P = np.zeros((M, 3, 2), dtype=complex)
+    P[:, 0, 0] = 0.5j * write.alpha * write.Gamma * scheme.a_p
+    P[:, 2, 1] = 0.5j * read.alpha * read.Gamma * scheme.a_c
+    P = P.reshape(3 * M, 2)
 
-    source = np.empty((2, n_z), dtype=complex)
-    increments = np.zeros((2, n_z), dtype=complex)
-    fields = np.empty((2, n_z), dtype=complex)
+    # The fields are kept z-major, (n_z, 2): row 0 of source holds the
+    # entry-face values and rows 1: the sources, so one real product of
+    # the z weights (with a column of ones in front) and the float view of
+    # source, (n_z + 1, 4), gives both fields, real and imaginary parts.
+    source = np.zeros((n_z + 1, 2), dtype=complex)
+    integral = np.ones((n_z, n_z + 1))
+    integral[:, 1:] = _z_weights(n_z).T
+    fields_z = np.empty((n_z, 2), dtype=complex)
+    fields = fields_z.T
     drive = np.empty((M, 3, n_z), dtype=complex)
 
     def rate(y, ctrl, entry, out):
         """d(state)/dt at y into out; refreshes the fields."""
-        np.matmul(P, y.reshape(3 * M, n_z), out=source)
-        np.add(source[:, 1:], source[:, :-1], out=increments[:, 1:])
-        increments[0, 0] = entry
-        np.cumsum(increments, axis=1, out=fields)
+        np.matmul(y.reshape(3 * M, n_z).T, P, out=source[1:])
+        source[0, 0] = entry
+        np.matmul(integral, source.view(float), out=fields_z.view(float))
         np.multiply(control_coef, ctrl, out=controls)
         np.matmul(A, y, out=out)
         np.matmul(D, fields, out=drive)
@@ -583,17 +632,22 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
             z=z, sigma=y.reshape(3 * M, n_z), t=t))
 
     # The error estimate's norm: diff holds k4 - k1, and its squared norm
-    # sums alpha_p Gamma_w dz / p_j |diff_j|^2 over the subsystems (weight
-    # 0 on empty ones) through per-subsystem squared norms.
+    # is the medium energy of diff, alpha_p Gamma_w / p_j |diff_j|^2
+    # integrated by the z rule and summed over the subsystems (weight 0 on
+    # empty ones): each subsystem's float rows, times the z weights laid
+    # out like them, dotted with themselves.
     diff = np.empty((M, 3, n_z), dtype=complex)
     rows = diff.reshape(M, 3 * n_z).view(float)
+    z_rows = np.tile(np.repeat(_z_weights(n_z)[:, -1], 2), 3)
+    weighted = np.empty_like(rows)
     live = scheme.p > 0
-    weight = np.where(live, write.alpha * write.Gamma * dz
+    weight = np.where(live, write.alpha * write.Gamma
                       / np.where(live, scheme.p, 1.0), 0.0)
-    lhs, rhs, sq = rows[:, None, :], rows[:, :, None], np.empty((M, 1, 1))
+    lhs, rhs, sq = weighted[:, None, :], rows[:, :, None], np.empty((M, 1, 1))
     sq_flat = sq.reshape(M)
 
     def sq_norm():
+        np.multiply(rows, z_rows, out=weighted)
         np.matmul(lhs, rhs, out=sq)
         return np.dot(weight, sq_flat)
 
@@ -642,6 +696,8 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     t_drain = (timeline.t_r + timeline.ramp if timeline.t_r is not None
                else math.inf)
     drained = DRAIN_TOL * pulse.energy
+    diverged = DIVERGED_EST * math.sqrt(pulse.energy)
+    stop = "t_end"
 
     for k, dt in enumerate(step[first:].tolist(), first):
         j = (k - first) % _TABLE_STEPS
@@ -660,9 +716,14 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
             np.subtract(k4, k_buf, out=diff)
             err_sum += dt_prev / 6.0 * math.sqrt(sq_norm())
         dt_prev = dt
-        if k == n_t - 1 or ((k - first) % DRAIN_EVERY == 0
-                            and t_axis[k] >= t_drain
-                            and medium_energy(state, t_axis[k]) < drained):
+        if not err_sum <= diverged:
+            stop = "diverged"
+            break
+        if k == n_t - 1:
+            break
+        if ((k - first) % DRAIN_EVERY == 0 and t_axis[k] >= t_drain
+                and medium_energy(state, t_axis[k]) < drained):
+            stop = "drained"
             break
         # classical RK4: acc collects state + dt/6 (k1 + 2 k2 + 2 k3 + k4)
         np.multiply(k_buf, dt / 6.0, out=acc)
@@ -710,7 +771,7 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
         stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
         converted_exit=conv_exit, energies=energies,
         diagnostics={"n_t": k + 1 - first,
-                     "stop": "drained" if k < n_t - 1 else "t_end",
+                     "stop": stop,
                      "err_est": err_sum / math.sqrt(e_in)},
         pulse=pulse, timeline=timeline, resume=resume)
 

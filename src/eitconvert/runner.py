@@ -66,7 +66,7 @@ from .arrayio import write_csv
 from .atoms import ConversionScheme
 from .config import PumpSpec, ResolvedControls, ScenarioConfig, SweepSpec
 from .errors import exit_code
-from .mb import (ControlTimeline, GaussianPulse, run_original_readout,
+from .mb import (N_Z, ControlTimeline, GaussianPulse, run_original_readout,
                  run_protocol, timeline_for_protocol)
 from .pumping import evolve_pumping, steady_state
 from .spectral import (SpectralGrid, converted_field_exact,
@@ -300,7 +300,7 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
     timeline = _timeline(config, controls)
     grid = None
     if config.grid.n_z or config.grid.n_t:
-        grid = (config.grid.n_z or 200, config.grid.n_t or 0)
+        grid = (config.grid.n_z or N_Z, config.grid.n_t or 0)
     record = run_protocol(scheme, pulse, timeline, grid=grid,
                           grid_check=config.grid.grid_check)
     companion = run_original_readout(scheme, record,

@@ -236,7 +236,7 @@ class TestScenarioCommand:
 
     def test_mb_error_estimate_over_bound_exits_3(self, tmp_path, capsys,
                                                   monkeypatch):
-        """A read step past the depth limit gives xi_total 0.975 instead
+        """A read step past the depth limit gives xi_total 0.961 instead
         of 0.792 with a closing energy ledger; the error estimate refuses
         it."""
         monkeypatch.setattr(mb, "DEPTH_STEP", 115.0)

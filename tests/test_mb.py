@@ -3,18 +3,18 @@
 Frozen anchors at the standard point (D_p = D_c = 500, eta = 4,
 kappa = 1.35, T_p = 5.7303, matched controls, default 0.2 T_p ramps):
 
-- storage-time independence of the converted energy at gamma_sg = 0: 1.1e-10
-- ground-coherence decay exp(-2 gamma t_s) reproduced to 1.3e-9
+- storage-time independence of the converted energy at gamma_sg = 0: 1.0e-10
+- ground-coherence decay exp(-2 gamma t_s) reproduced to 2.4e-9
 - converted-energy swing across read ramps {0.02, 0.1, 0.2} T_p: 0.21%
-- against the frequency-domain propagator: peak +1.1%, intensity FWHM
-  -1.3%, energy +0.19%
-- total efficiency 0.8486 vs closed form 0.8591 (-1.2%)
+- against the frequency-domain propagator: peak +1.0%, intensity FWHM
+  -1.2%, energy +0.19%
+- total efficiency 0.8485 vs closed form 0.8591 (-1.2%)
 - identical-channel relative efficiency exactly 1
 - leakage 6e-7 at eta = 4; 7% when the pulse does not fit (eta = 1,
   kappa = 0.5)
 - slow-light exit peak sample within 0.43 time steps of the group delay
-- grid doubling moves the converted energy by 3.4e-5
-- error estimate (diagnostics err_est) 5.3e-3
+- grid doubling moves the converted energy by 2.4e-6
+- error estimate (diagnostics err_est) 5.2e-3
 """
 
 import math
@@ -325,7 +325,7 @@ class TestNumerics:
 
     def test_diverged_run_rejected(self, monkeypatch):
         """A step rule without the depth limits diverges at high read depth:
-        unguarded, this run returned dissipated -3.8e14 x input.  The
+        unguarded, this run returned dissipated -4.3e9 x input.  The
         energy ledger refuses it."""
         monkeypatch.setattr(mb, "DEPTH_STEP", math.inf)
         sch = single_lambda_scheme(100.0, 2500.0)
@@ -369,6 +369,50 @@ class TestNumerics:
         assert e["residual_stored"] < 1e-8 * e["input"]
 
 
+class TestZRule:
+    """The field integrals and the medium energies share one z rule
+    (mb._z_weights), fourth order in dz."""
+
+    @pytest.mark.parametrize("n_z", [8, 13, 64])
+    def test_cubics_integrate_exactly(self, n_z):
+        z = np.linspace(0.0, 1.0, n_z)
+        weights = mb._z_weights(n_z)
+        for power in range(4):
+            assert z ** power @ weights == pytest.approx(
+                z ** (power + 1) / (power + 1), rel=1e-13, abs=1e-15)
+
+    def test_fourth_order_in_z(self, fig2):
+        """On one time grid, the converted energy moves 2.1e-4 and then
+        1.3e-5 between n_z 32, 64 and 128: 15 times less per doubling, 16
+        for a fourth-order rule; the trapezoid gave 4."""
+        sch, _, pulse, tl, rec = fig2
+        n_t = rec.t_exit.size
+        energies = [run_protocol(sch, pulse, tl, grid=(n_z, n_t))
+                    .energies["converted"] for n_z in (32, 64, 128)]
+        coarse, fine = np.abs(np.diff(energies))
+        assert fine > 0.0 and coarse >= 12.0 * fine
+
+    @pytest.mark.parametrize("case", ["narrow", "cesium"])
+    def test_default_grid_is_converged(self, case):
+        """xi_total at the default n_z (mb.N_Z) against n_z 400: a narrow
+        convert benchmark point and a cesium one (sigma+ -> sigma-,
+        isotropic, alpha 200, control ratio 0.85, eta 3.5) read 2.7e-6 and
+        6.9e-7 off."""
+        if case == "narrow":
+            sch, pulse, tl = benchmark_case(0.08, 4.0, 350.0, 0.5, 0.3)
+        else:
+            T_p = UnitSystem(gamma_2pi_MHz=4.56).time_in(0.2)
+            sch = build_cesium_d1_scheme("sigma+->sigma-", [1.0 / 7.0] * 7,
+                                         200.0, 200.0)
+            Om = control_for_eta(sch, 3.5, T_p)
+            pulse = GaussianPulse(T_p=T_p)
+            tl = timeline_for_protocol(Om, 0.85 * Om, T_p, KAPPA)
+        xi = [r.energies["converted"] / r.energies["input"]
+              for r in (run_protocol(sch, pulse, tl),
+                        run_protocol(sch, pulse, tl, grid=(400, 0)))]
+        assert xi[0] == pytest.approx(xi[1], rel=5e-6)
+
+
 class TestErrorEstimate:
     """RK4's embedded error estimate checks every run (diagnostics
     err_est; mb.ERR_TOL)."""
@@ -376,10 +420,10 @@ class TestErrorEstimate:
     @pytest.mark.parametrize("depth_step", [100.0, 115.0])
     def test_wrong_run_refused(self, depth_step, monkeypatch):
         """D_p 100, ccp2 25, ratio 1 at n_z 50 with the depth limit raised:
-        unchecked, these runs returned xi_total 0.79997 (1% off the
-        converged 0.79246) and 0.975, with estimates 0.40 and 1.87; at 115
-        the ledger shows dissipated +0.023 of the input and passes.  At
-        the depth limit of 50 the run reads 3.6e-3."""
+        unchecked, these runs returned xi_total 0.79940 (0.9% off the
+        converged 0.79227) and 0.961, with estimates 0.36 and 1.63; at 115
+        the ledger shows dissipated +0.037 of the input and passes.  At
+        the depth limit of 50 the run reads 3.5e-3."""
         monkeypatch.setattr(mb, "DEPTH_STEP", depth_step)
         sch = single_lambda_scheme(100.0, 2500.0)
         Om = control_for_eta(sch, ETA, T_P)
@@ -393,7 +437,7 @@ class TestErrorEstimate:
 
     def test_third_order_in_the_step(self, fig2, monkeypatch):
         """Halving every step cuts the estimate at least 6 times: dt^3
-        gives 8, and it reads 5.3e-3 -> 4.4e-4 here."""
+        gives 8, and it reads 5.2e-3 -> 4.4e-4 here."""
         sch, _, pulse, tl, rec = fig2
         monkeypatch.setattr(mb, "STEP_FACTOR", 0.5 * mb.STEP_FACTOR)
         monkeypatch.setattr(mb, "DEPTH_STEP", 0.5 * mb.DEPTH_STEP)
@@ -452,8 +496,8 @@ class TestHardSwitch:
     def test_narrow_point_holds(self, monkeypatch):
         """A narrow point of the convert benchmark (T_p 0.08 us, eta 4,
         D_p 350, ccp2 0.5, read/write control ratio 0.3) switched hard:
-        xi_total 0.703497 against 0.703585 at a quarter of every step,
-        estimate 0.037.  With HARD_STEP_FACTOR at 0.2 the run reads 0.57
+        xi_total 0.703455 against 0.703543 at a quarter of every step,
+        estimate 0.037.  With HARD_STEP_FACTOR at 0.2 the run reads 0.56
         and is refused."""
         T = UnitSystem().time_in(0.08)
         sch = single_lambda_scheme(350.0, 175.0)
@@ -470,35 +514,42 @@ class TestHardSwitch:
         assert xi == pytest.approx(xi_fine, rel=5e-4)
 
 
+def _cumulative_z(src):
+    """Integral of src from 0 to each z_i on a uniform grid of [0, 1], one
+    interval at a time: dz/24 (-1, 13, 13, -1) over the samples around an
+    inner interval, (9, 19, -5, 1) on the first and its mirror on the last."""
+    dz = 1.0 / (src.size - 1)
+    inc = np.empty(src.size - 1, dtype=src.dtype)
+    inc[1:-1] = 13.0 * (src[1:-2] + src[2:-1]) - src[:-3] - src[3:]
+    inc[0] = 9.0 * src[0] + 19.0 * src[1] - 5.0 * src[2] + src[3]
+    inc[-1] = 9.0 * src[-1] + 19.0 * src[-2] - 5.0 * src[-3] + src[-4]
+    out = np.zeros_like(src)
+    np.cumsum(inc * (dz / 24.0), out=out[1:])
+    return out
+
+
 def _reference_run(scheme, pulse, timeline, rec):
     """The per-component RK4 loop the stacked state replaced.
 
-    Three (M, n_z) coherence arrays, each field by its own trapezoid
-    integral, both envelopes evaluated at every stage; run on the grid rec
-    chose.  Returns the exit waveforms, sigma_sg at the write cutoff and
-    the three coherences at the end.
+    Three (M, n_z) coherence arrays, each field by its own interval-wise
+    z integral (_cumulative_z), both envelopes evaluated at every stage;
+    run on the grid rec chose.  Returns the exit waveforms, sigma_sg at the
+    write cutoff and the three coherences at the end.
     """
     n_z, t_axis = rec.diagnostics["n_z"], rec.t_exit
     n_t = t_axis.size
     z = np.linspace(0.0, 1.0, n_z)
-    dz = z[1] - z[0]
     M = scheme.p.size
     c_p = 0.5j * scheme.alpha_p * 1.0 / 1.0
     c_c = 0.5j * scheme.alpha_c * scheme.Gamma_r / 1.0
     drive_p = 0.5j * (scheme.a_p * scheme.p)[:, None]
     drive_c = 0.5j * (scheme.a_c * scheme.p)[:, None]
 
-    def cumtrapz(src):
-        out = np.empty_like(src)
-        out[0] = 0.0
-        np.cumsum((src[1:] + src[:-1]) * (0.5 * dz), out=out[1:])
-        return out
-
     def deriv(eg, e2g, sg, t):
         Ow = timeline.Omega_w(t)
         Or = timeline.Omega_r(t)
-        E_p = pulse(t) + c_p * cumtrapz(scheme.a_p @ eg)
-        E_c = c_c * cumtrapz(scheme.a_c @ e2g)
+        E_p = pulse(t) + c_p * _cumulative_z(scheme.a_p @ eg)
+        E_c = c_c * _cumulative_z(scheme.a_c @ e2g)
         d_eg = (0.5j * (scheme.a_w * Ow))[:, None] * sg \
             + drive_p * E_p[None, :] - 0.5 * 1.0 * eg
         d_e2g = (0.5j * (scheme.a_r * Or))[:, None] * sg \
@@ -576,7 +627,7 @@ class TestStackedStepOracle:
         def stored(sigma):
             field = CoherenceField(z=z, sigma=sigma, t=0.0)
             return (sch.alpha_p * 1.0 / 1.0
-                    * np.trapezoid(field.excitation_density(sch.p), z))
+                    * _cumulative_z(field.excitation_density(sch.p))[-1])
 
         ref = {
             "transmitted": np.trapezoid(np.abs(probe) ** 2, t),
@@ -609,7 +660,7 @@ class TestPhaseSteps:
 
     def test_depth_rate_sets_read_step(self):
         """At this read depth the control rates alone allow dt * alpha_c
-        Gamma_r = 262, and the run diverged (dissipated -1.1e13 x input).
+        Gamma_r = 262, and the run diverged (dissipated -6.1e12 x input).
         The first 100 / Gamma of the read phase show it."""
         sch, pulse, tl = self.deep(1.0)
         rec = run_protocol(sch, pulse, tl, grid=(64, 0), grid_check=True,
@@ -620,9 +671,11 @@ class TestPhaseSteps:
         assert d["dt_read"] * sch.alpha_c * sch.Gamma_r <= mb.DEPTH_STEP
         assert d["grid_doubling_rel"] < 0.01
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_deep_weak_read_is_physical(self, monkeypatch):
         """A weak read sets a long read step; without the depth rates it
-        diverges, with them the energy ledger closes."""
+        diverges, with them the energy ledger closes.  The diverged run
+        stops stepping before its state overflows (mb.DIVERGED_EST)."""
         sch, pulse, tl = self.deep(0.5)
         rec = run_protocol(sch, pulse, tl, grid=(16, 0),
                            t_end=tl.t_r + 100.0)
