@@ -77,7 +77,7 @@ print("spectral: xi_total %.4f" % (res.energy / pulse_energy(T_p)))
 #    relative efficiency has its reference.  The companion continues from
 #    the main record at the read turn-on: the write phase is the same.
 pulse = GaussianPulse(T_p=T_p)
-record = run_protocol(scheme, pulse, timeline)
+record = run_protocol(scheme, pulse, timeline, companion=True)
 companion = run_original_readout(scheme, record)
 xi_total = record.energies["converted"] / record.energies["input"]
 xi_rel = record.energies["converted"] / companion.energies["converted"]

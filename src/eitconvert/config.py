@@ -46,6 +46,7 @@ from .arrayio import read_csv
 from .atoms import (Direction, ConversionScheme, build_cesium_d1_scheme,
                     single_lambda_scheme)
 from .errors import ConfigValidationError, SchemeError
+from .mb import RAMP_FRACTION
 from .pumping import PumpConfig
 from .theory import control_for_eta, write_channel
 from .units import UnitSystem
@@ -414,7 +415,7 @@ class GridSpec:
     n_t: int | None = _num(integer=True, minimum=2)
     n_omega: int | None = _num(integer=True, minimum=16)
     omega_max: float | None = _num(minimum=0.0, exclusive=True)
-    ramp_fraction: float = _num(0.2, minimum=0.0)
+    ramp_fraction: float = _num(RAMP_FRACTION, minimum=0.0)
     grid_check: bool = False
 
 

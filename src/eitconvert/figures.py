@@ -137,7 +137,7 @@ def fig3(out: Path, progress=None) -> list:
                                              math.sqrt(r) * Omega_w,
                                              T_P, KAPPA)
             pulse = GaussianPulse(T_p=T_P)
-            record = run_protocol(scheme, pulse, timeline)
+            record = run_protocol(scheme, pulse, timeline, companion=True)
             companion = run_original_readout(scheme, record)
             xi_relative = (record.energies["converted"]
                            / companion.energies["converted"])

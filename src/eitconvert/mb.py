@@ -36,31 +36,47 @@ automatic run length if the converted pulse has left by then.  Its record
 keeps the planned time axis up to that length, with zero exits after the
 stop, so its waveforms are compared with the other engines' on the same
 window either way.  The relative efficiency needs a companion run that
-reads out in the original channel.  Its write phase is the main run's, so
-run_original_readout resumes from the state the main record kept at the
-read turn-on.
+reads out in the original channel.  Its write phase is the main run's:
+the read rows stay zero until the read control turns on.  So the
+integrator steps a batch of runs that share one state up to the resume
+sample: the main run alone through the write phase, then the main run
+and its companion together, each on its own time axis and step, with its
+own controls, channel constants, stop and error estimate.  A run that
+stops leaves the batch.  run_protocol(..., companion=True) steps the pair
+this way; run_original_readout returns that companion, or integrates one
+alone, a batch of one, from the state the main record kept at the read
+turn-on.
 
 Numpy call overhead, not arithmetic, sets the cost of a step on grids of a
-few dozen z samples, so the loop is laid out to make few calls:
+few dozen z samples, so the loop is laid out to make few calls, each over
+the whole batch of R runs:
 
-- The coherences of all subsystems form one stacked state of shape
-  (M, 3, n_z), rows (sigma_eg, sigma_sg, sigma_e'g).  The local coupling
-  (decays and controls) is one (M, 3, 3) matrix applied by a batched
-  product, and both fields feed back through one (M, 3, 2) product.
+- The coherences of all subsystems of all runs form one stacked state of
+  shape (R, M, 3, n_z), rows (sigma_eg, sigma_sg, sigma_e'g).  The local
+  coupling (decays and controls) is one (R M, 3, 3) matrix applied by a
+  batched product; the fields feed back through one (3M, 2) x (2, n_z)
+  product per run.
 - With sigma_sg in the middle row, the four control entries of the 3x3
   coupling sit at flat indices 1, 3, 5, 7 and are refreshed from four
-  scalars through one strided view.
-- Both field integrals come from one real product: the cumulative
-  weights of the z rule times the float view of a z-major source whose
-  first row holds the entry-face values.  Its cost grows as n_z^2.
+  scalars per run through one strided view.
+- All field integrals come from one real product: the cumulative weights
+  of the z rule times the float view of a z-major source, (n_z + 1, 2R),
+  whose first row holds the entry-face values.  Its cost grows as n_z^2.
+- The state and the four RK4 slopes of a step share one block, so each
+  RK4 combination (three stages and the new state) is one real product
+  of each run's coefficients, its own dt in them, and the block's float
+  view.
 - The control envelopes and the input pulse are evaluated vectorized at
   every stage time, a block of steps at a time.  Only those scalars are
   stored: per-stage coupling matrices would hold M * 9 complex numbers per
   stage.
 
-There is no dense (3M, 3M) product over all subsystems.  OpenBLAS threads
-it across cores, and at M = 7, n_z = 200 it took about 20 times as long as
-the batched 3x3 products (2-core x86 host).
+The companion thus costs less than a run of its own: at n_z 64 a step of
+the pair took 1.2 times a step of one run at M = 1 and 1.6 times at M = 7
+(2-core x86 host).  There is no dense (3M, 3M) product over all
+subsystems.  OpenBLAS threads it across cores, and at M = 7, n_z = 200 it
+took about 20 times as long as the batched 3x3 products (2-core x86
+host).
 """
 
 from __future__ import annotations
@@ -148,6 +164,10 @@ DEPTH_STEP = 50.0
 # comparison's waveform RMS by at most 3.6e-9.
 DRAIN_TOL = 1e-9
 DRAIN_EVERY = 32
+# the default control ramp, as a fraction of T_p: 0.2 T_p is the
+# realistic switching scale for a 0.2 us pulse (about 40 ns); the config
+# default grid.ramp_fraction reads it too
+RAMP_FRACTION = 0.2
 
 
 def _smoothstep(x):
@@ -267,12 +287,12 @@ class ControlTimeline:
 
 def timeline_for_protocol(Omega_w: complex, Omega_r: complex, T_p: float,
                           kappa: float, t_s: float = 0.0,
-                          ramp_fraction: float = 0.2) -> ControlTimeline:
+                          ramp_fraction: float = RAMP_FRACTION
+                          ) -> ControlTimeline:
     """Timeline with the write cutoff at kappa * T_p after pulse-peak entry.
 
-    The default ramp is 0.2 T_p, the realistic switching scale for a
-    0.2 us pulse (about 40 ns); hard switching is available through
-    ramp_fraction = 0.
+    The ramps take ramp_fraction * T_p (RAMP_FRACTION by default); hard
+    switching is available through ramp_fraction = 0.
     """
     return ControlTimeline(Omega_w0=Omega_w, Omega_r0=Omega_r,
                            t_w=kappa * T_p, t_s=t_s,
@@ -302,7 +322,10 @@ class SimulationRecord:
     resume is (k, state): the index on t_exit of the last sample that no
     RK4 stage with the read control on has reached, and a copy of the
     stacked (M, 3, n_z) state there; None without a read turn-on (slow
-    light).  run_original_readout resumes from it.
+    light).  run_original_readout resumes from it.  companion is (n_t,
+    record): the original-readout companion of a run_protocol call with
+    companion=True, for that call's n_t, which run_original_readout
+    returns; None otherwise.
     """
 
     stored_write: CoherenceField | None
@@ -314,6 +337,7 @@ class SimulationRecord:
     pulse: GaussianPulse
     timeline: ControlTimeline
     resume: tuple[int, np.ndarray] | None = None
+    companion: tuple[int, "SimulationRecord"] | None = None
 
 
 # Steps per block of tabulated envelopes.  Whole-run tables (hundreds of kB
@@ -374,7 +398,8 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
                  timeline: ControlTimeline,
                  grid: tuple[int, int] | None = None,
                  t_end: float | None = None,
-                 grid_check: bool = False) -> SimulationRecord:
+                 grid_check: bool = False,
+                 companion: bool = False) -> SimulationRecord:
     """Integrate the write/store/read protocol and return the full record.
 
     grid is (n_z, n_t), (N_Z, 0) if missing; n_t = 0 picks the time grid
@@ -396,37 +421,64 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     of grid_check, above MAX_N_T raises GridBudgetError before anything is
     allocated; a forced n_t is taken as given.  grid_check reruns with
     every step halved and n_z doubled and stores the relative change of
-    the converted (or transmitted) energy in the diagnostics.  The record
-    keeps the state at the read turn-on (SimulationRecord.resume) for
-    run_original_readout.  A run with a read turn-on stops once the medium
-    is drained (see _integrate) and keeps its planned time axis, the exits
-    zero after the stop; a slow-light run steps up to t_end.
+    the converted (or transmitted) energy in the diagnostics; the rerun
+    has no companion.  The record keeps the state at the read turn-on
+    (SimulationRecord.resume) for run_original_readout.  A run with a
+    read turn-on stops once the medium is drained (see _integrate) and
+    keeps its planned time axis, the exits zero after the stop; a
+    slow-light run steps up to t_end.
+
+    companion=True also steps the original-readout companion, in the same
+    batch as the read phase (see _integrate): the record carries the
+    companion run_original_readout(scheme, record, n_t) returns for
+    grid's n_t, and the companion's refusals (StiffnessError,
+    GridBudgetError) come from this call.  A timeline without a read
+    turn-on has no companion (ValueError).
     """
     n_z, n_t = grid if grid is not None else (N_Z, 0)
     if n_z < 8:
         raise StiffnessError("need at least 8 z samples")
     return _simulate(scheme, pulse, timeline, n_z, n_t, t_end,
-                     grid_check=grid_check)
+                     grid_check=grid_check, companion=companion)
 
 
-def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
-              timeline: ControlTimeline, n_z: int, n_t: int,
-              t_end: float | None, start: SimulationRecord | None = None,
-              grid_check: bool = False) -> SimulationRecord:
-    """Size the time grid, integrate, check the ledger, fill diagnostics.
+def _original_readout(scheme: ConversionScheme, timeline: ControlTimeline):
+    """The companion's scheme and timeline: the write channel read out by
+    a read control of the write control's strength."""
+    return (scheme.with_original_readout(),
+            replace(timeline, Omega_r0=timeline.Omega_w0))
 
-    Without start the run steps from t_start = -2 T_p.  With start it
-    steps from start's resume sample (see _integrate), the grid covers
-    only the rest of the run, and a forced n_t counts start's samples up
-    to the resume sample too; diagnostics n_t counts the samples stepped.
+
+@dataclass(frozen=True)
+class _Plan:
+    """The time grid of one run: its uniform segments [(t0, dt, steps),
+    ...], the step of each phase (dts), the bound of each phase and the
+    limit that sets it (bounds), the run window and the total n_t."""
+
+    segments: list
+    dts: dict
+    bounds: dict
+    t_start: float
+    t_end: float
+    n_t: int
+
+
+def _plan(scheme: ConversionScheme, pulse: GaussianPulse,
+          timeline: ControlTimeline, n_t: int, t_end: float | None,
+          resume_at: tuple[int, float] | None = None) -> _Plan:
+    """Size the time grid of a run, or refuse it.
+
+    Without resume_at the run steps from t_start = -2 T_p.  With
+    resume_at = (first, t_first) it steps from sample first at t_first:
+    the grid covers only the rest of the run, and a forced n_t counts the
+    first samples too.
     """
     t_start, t_auto = timeline.window(scheme, pulse.T_p)
     if t_end is None:
         t_end = t_auto
     if not t_end > t_start:
         raise ValueError("t_end must exceed the padding start")
-    first = 0 if start is None else start.resume[0]
-    t_first = t_start if start is None else start.t_exit[first]
+    first, t_first = resume_at if resume_at is not None else (0, t_start)
 
     limits = _phase_bounds(scheme, pulse, timeline)
     spans = {"write": (t_first, t_end)}
@@ -468,43 +520,91 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
             raise GridBudgetError(
                 f"time grid needs n_t = {n_t} steps for {wanted}, above the "
                 f"budget of {MAX_N_T}; set grid.n_t to force a size")
-    if grid_check and 2 * n_t - 1 > MAX_N_T:
-        raise GridBudgetError(
-            f"grid check needs n_t = {2 * n_t - 1} steps, above the budget "
-            f"of {MAX_N_T}; run without the grid check or set a smaller "
-            f"grid.n_t")
+    return _Plan(segments, dts, bounds, t_start, t_end, n_t)
 
-    def integrate(n_z, segments):
-        record = _integrate(scheme, pulse, timeline, n_z, segments, start)
-        en = record.energies
-        used = ", ".join(f"{name}-phase dt = {dts[name]:.3e} (limit "
-                         f"{limit})" for name, (_, limit) in bounds.items())
-        if not (all(map(math.isfinite, en.values()))
-                and en["dissipated"] >= -LEDGER_TOL * en["input"]):
-            raise StiffnessError(
-                f"the run diverged: dissipated energy "
-                f"{en['dissipated'] / en['input']:.3g} of the input at "
-                f"{used}; force a larger n_t")
-        err = record.diagnostics["err_est"]
-        if not err <= ERR_TOL:
-            raise StiffnessError(
-                f"the run's error estimate {err:.3g} exceeds ERR_TOL = "
-                f"{ERR_TOL:g} at {used}; force a larger n_t")
-        return record
 
-    record = integrate(n_z, segments)
+def _check(record: SimulationRecord, plan: _Plan) -> None:
+    """Refuse a run whose energy ledger shows it diverged or whose error
+    estimate exceeds ERR_TOL; the message names each phase's step."""
+    en = record.energies
+    used = ", ".join(f"{name}-phase dt = {plan.dts[name]:.3e} (limit "
+                     f"{limit})" for name, (_, limit) in plan.bounds.items())
+    if not (all(map(math.isfinite, en.values()))
+            and en["dissipated"] >= -LEDGER_TOL * en["input"]):
+        raise StiffnessError(
+            f"the run diverged: dissipated energy "
+            f"{en['dissipated'] / en['input']:.3g} of the input at "
+            f"{used}; force a larger n_t")
+    err = record.diagnostics["err_est"]
+    if not err <= ERR_TOL:
+        raise StiffnessError(
+            f"the run's error estimate {err:.3g} exceeds ERR_TOL = "
+            f"{ERR_TOL:g} at {used}; force a larger n_t")
+
+
+def _describe(record: SimulationRecord, plan: _Plan, n_z: int) -> None:
+    """Add the grid of plan to the record's diagnostics."""
     record.diagnostics.update({
-        "n_z": n_z, "dt": max(dts.values()),
-        "t_start": t_start, "t_end": t_end,
+        "n_z": n_z, "dt": max(plan.dts.values()),
+        "t_start": plan.t_start, "t_end": plan.t_end,
     })
-    for name, (dt_max, limit) in bounds.items():
-        record.diagnostics.update({f"dt_{name}": dts[name],
+    for name, (dt_max, limit) in plan.bounds.items():
+        record.diagnostics.update({f"dt_{name}": plan.dts[name],
                                    f"dt_max_{name}": dt_max,
                                    f"dt_limit_{name}": limit})
 
+
+def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
+              timeline: ControlTimeline, n_z: int, n_t: int,
+              t_end: float | None, start: SimulationRecord | None = None,
+              grid_check: bool = False,
+              companion: bool = False) -> SimulationRecord:
+    """Size the time grids, integrate, check the ledgers, fill diagnostics.
+
+    Without start the run steps from t_start = -2 T_p.  With start it
+    steps from start's resume sample (see _integrate), the grid covers
+    only the rest of the run, and a forced n_t counts start's samples up
+    to the resume sample too; diagnostics n_t counts the samples stepped.
+    companion sizes the original-readout companion the same way from this
+    run's resume sample, on its own automatic t_end, and steps it in the
+    same batch; the record carries it as (n_t, record).
+    """
+    resume_at = None
+    if start is not None:
+        resume_at = (start.resume[0], start.t_exit[start.resume[0]])
+    plan = _plan(scheme, pulse, timeline, n_t, t_end, resume_at)
+    if grid_check and 2 * plan.n_t - 1 > MAX_N_T:
+        raise GridBudgetError(
+            f"grid check needs n_t = {2 * plan.n_t - 1} steps, above the "
+            f"budget of {MAX_N_T}; run without the grid check or set a "
+            f"smaller grid.n_t")
+    fork = None
+    if companion:
+        if timeline.t_r is None:
+            raise ValueError("a run without a read turn-on has no "
+                             "companion")
+        t_axis = _time_axis(plan.segments)
+        k = _resume_index(timeline, t_axis)
+        fork_scheme, fork_timeline = _original_readout(scheme, timeline)
+        fork_plan = _plan(fork_scheme, pulse, fork_timeline, n_t, None,
+                          (k, t_axis[k]))
+        fork = (fork_scheme, fork_timeline, fork_plan.segments)
+
+    records = _integrate(scheme, pulse, timeline, n_z, plan.segments, start,
+                         fork)
+    record = records[0]
+    _check(record, plan)
+    _describe(record, plan, n_z)
+    if fork is not None:
+        _check(records[1], fork_plan)
+        _describe(records[1], fork_plan, n_z)
+        record.companion = (n_t, records[1])
+
     if grid_check:
-        fine = integrate(2 * n_z, [(t0, 0.5 * dt, 2 * steps)
-                                   for t0, dt, steps in segments])
+        fine = _integrate(scheme, pulse, timeline, 2 * n_z,
+                          [(t0, 0.5 * dt, 2 * steps)
+                           for t0, dt, steps in plan.segments], start)[0]
+        _check(fine, plan)
         key = "converted" if timeline.t_r is not None else "transmitted"
         ref = fine.energies[key]
         rel = abs(record.energies[key] - ref) / ref if ref > 0 else 0.0
@@ -551,12 +651,354 @@ def _medium_energy(scheme: ConversionScheme, field: CoherenceField) -> float:
                  * np.dot(density, _z_weights(field.z.size)[:, -1]))
 
 
+def _time_axis(segments: list, head=()) -> np.ndarray:
+    """The samples of a run that steps over segments after the samples of
+    head."""
+    last, dt_last, n_last = segments[-1]
+    return np.concatenate([np.asarray(head, dtype=float)]
+                          + [t0 + dt * np.arange(steps)
+                             for t0, dt, steps in segments]
+                          + [[last + dt_last * n_last]])
+
+
+def _resume_index(timeline: ControlTimeline, t_axis: np.ndarray):
+    """The last sample of t_axis that no RK4 stage with the read control
+    on reaches (None without a read turn-on): t_r itself under a ramp,
+    whose smoothstep is still 0 there, and the sample before t_r under a
+    hard switch, whose last write step sees the read control at its
+    final stage."""
+    if timeline.t_r is None:
+        return None
+    side = "right" if timeline.ramp > 0 else "left"
+    return max(int(np.searchsorted(t_axis, timeline.t_r, side)) - 1, 0)
+
+
+class _Run:
+    """One run of a batch: its channel constants, controls and time axis,
+    what it carries from one batch to the next, and what it records."""
+
+    def __init__(self, scheme: ConversionScheme, timeline: ControlTimeline,
+                 t_axis: np.ndarray, first: int, n_z: int):
+        write, read = scheme.channel("write"), scheme.channel("read")
+        M = scheme.p.size
+        self.scheme, self.timeline, self.t_axis = scheme, timeline, t_axis
+        # the first sample stepped; the samples before it are given
+        self.first = first
+        # step k runs from t_axis[k] to t_axis[k + 1], so a switch at a
+        # segment boundary falls on a stage time; the last sample takes no
+        # step
+        self.step = np.diff(t_axis, append=t_axis[-1])
+        # Local coupling of subsystem j on its rows (sigma_eg, sigma_sg,
+        # sigma_e'g); the control entries (0, 1), (1, 0), (1, 2), (2, 1),
+        # flat[1::2], are control_coef times the control table's entries.
+        self.A = np.zeros((M, 3, 3), dtype=complex)
+        self.A[:, 0, 0] = -0.5 * write.Gamma
+        self.A[:, 1, 1] = -scheme.gamma_sg
+        self.A[:, 2, 2] = -0.5 * read.Gamma
+        self.control_coef = 0.5j * np.stack([write.a_ctrl, write.a_ctrl,
+                                             read.a_ctrl, read.a_ctrl],
+                                            axis=1)
+        # Drive of each optical coherence by its field (E_p, E_c).
+        self.D = np.zeros((M, 3, 2), dtype=complex)
+        self.D[:, 0, 0] = 0.5j * scheme.a_p * scheme.p
+        self.D[:, 2, 1] = 0.5j * scheme.a_c * scheme.p
+        # Field sources dE/dz of the flattened state, one column per field.
+        P = np.zeros((M, 3, 2), dtype=complex)
+        P[:, 0, 0] = 0.5j * write.alpha * write.Gamma * scheme.a_p
+        P[:, 2, 1] = 0.5j * read.alpha * read.Gamma * scheme.a_c
+        self.P = P.reshape(3 * M, 2)
+        # the medium-energy weight alpha_p Gamma_w / p_j of each subsystem
+        # (0 on empty ones), for the error estimate's norm
+        live = scheme.p > 0
+        self.weight = np.where(live, write.alpha * write.Gamma
+                               / np.where(live, scheme.p, 1.0), 0.0)
+
+        self.exits = np.zeros((t_axis.size, 2), dtype=complex)
+        self.idx_w = (None if timeline.t_w is None
+                      else int(np.argmin(np.abs(t_axis - timeline.t_w))))
+        self.idx_resume = _resume_index(timeline, t_axis)
+        self.t_drain = (timeline.t_r + timeline.ramp
+                        if timeline.t_r is not None else math.inf)
+        # carried from batch to batch: the state at the sample reached, its
+        # k1, the k4 of the step before it and dt/6 of that step (0 before
+        # the first step, so the estimate adds nothing there), and the
+        # summed error estimate
+        self.state, self.k1, self.k4 = (np.zeros((M, 3, n_z), dtype=complex)
+                                        for _ in range(3))
+        self.h6 = 0.0
+        self.err = 0.0
+        self.snap_w = None
+        self.resume = None
+        # set once the run stops: why, and the last sample stepped
+        self.stop = None
+        self.k_stop = None
+
+
+class _Batch:
+    """Runs stepped together (see _integrate).
+
+    The coherences of the runs are stacked as (R, M, 3, n_z), and each
+    numpy call of a step covers all R runs.  A step keeps its state and
+    its four RK4 slopes in one block (5, R, M, 3, n_z), rows (y, k1, k2,
+    k3, k4), so each RK4 combination is one real product of an (R, iR)
+    matrix of each run's coefficients and the float view of the block's
+    first i rows.  Two blocks take turns: a step writes the new state into
+    the other one, whose k4 row still holds the slope the error estimate
+    compares with the next k1.
+    """
+
+    def __init__(self, runs: list, pulse: GaussianPulse, z: np.ndarray,
+                 integral: np.ndarray):
+        R = len(runs)
+        M, _, n_z = runs[0].state.shape
+        RM = R * M
+        self.runs, self.pulse, self.z = runs, pulse, z
+        blocks = np.zeros((2, 5, R, M, 3, n_z), dtype=complex)
+        blocks[0, 0] = [run.state for run in runs]
+        blocks[0, 1] = [run.k1 for run in runs]
+        blocks[1, 4] = [run.k4 for run in runs]
+        self.blocks = blocks
+        self.stage = np.empty((R, M, 3, n_z), dtype=complex)
+
+        A = np.concatenate([run.A for run in runs])
+        controls = A.reshape(R, M, 9)[:, :, 1::2]
+        coef = np.stack([run.control_coef for run in runs])
+        D = np.stack([run.D for run in runs]).reshape(R, 3 * M, 2)
+        # each run's sources come from its own rows of the stacked state
+        P = np.zeros((3 * RM, 2 * R), dtype=complex)
+        for r, run in enumerate(runs):
+            P[3 * M * r:3 * M * (r + 1), 2 * r:2 * r + 2] = run.P
+        # The fields are kept z-major, (n_z, 2R), columns (E_p, E_c) of
+        # each run: row 0 of source holds the entry-face values and rows 1:
+        # the sources, so one real product of the z weights (with a column
+        # of ones in front) and the float view of source, (n_z + 1, 4R),
+        # gives every field, real and imaginary parts.
+        source = np.zeros((n_z + 1, 2 * R), dtype=complex)
+        face = source[0, ::2]
+        fields_z = np.empty((n_z, 2 * R), dtype=complex)
+        fields = fields_z.reshape(n_z, R, 2).transpose(1, 2, 0)
+        # the drive of all subsystems of a run by its fields is one
+        # (3M, 2) x (2, n_z) product
+        drive = np.empty((R, 3 * M, n_z), dtype=complex)
+        drive_rows = drive.reshape(RM, 3, n_z)
+        # each run's exit values (E_p, E_c) at z = L
+        self.exits = list(fields_z[-1].reshape(R, 2))
+
+        def rate(y, ctrl, entry, out):
+            """d(state)/dt at y into out, both as views() gives them;
+            refreshes the fields."""
+            np.matmul(y[0], P, out=source[1:])
+            face[...] = entry
+            np.matmul(integral, source.view(float), out=fields_z.view(float))
+            np.multiply(coef, ctrl, out=controls)
+            rows = out[1]
+            np.matmul(A, y[1], out=rows)
+            np.matmul(D, fields, out=drive)
+            rows += drive_rows
+
+        # The error estimate's norm: diff holds k4 - k1, and its squared
+        # norm is the medium energy of diff, alpha_p Gamma_w / p_j
+        # |diff_j|^2 integrated by the z rule and summed over the
+        # subsystems: each run's float rows, times the z weights of each
+        # subsystem's rows scaled by its weight, dotted with themselves.
+        diff = np.empty_like(self.stage)
+        floats = diff.reshape(R, 3 * M * n_z).view(float)
+        z_rows = np.tile(np.repeat(_z_weights(n_z)[:, -1], 2), 3)
+        weights = np.stack([np.outer(run.weight, z_rows).ravel()
+                            for run in runs])
+        weighted = np.empty_like(floats)
+
+        def sq_norm(k4, k1):
+            """The squared norm of each run's k4 - k1, as a list."""
+            np.subtract(k4, k1, out=diff)
+            np.multiply(floats, weights, out=weighted)
+            return np.vecdot(weighted, floats).tolist()
+
+        def views(a):
+            """a as the source product and the coupling product take it."""
+            return a.reshape(3 * RM, n_z).T, a.reshape(RM, 3, n_z)
+
+        def float_rows(a, rows):
+            return a.reshape(rows, 3 * M * n_z).view(float)
+
+        # per block: the views of its rows, the operands of the three
+        # stage combinations and of the new state, the slopes the error
+        # estimate reads and the new state's place in the other block
+        self.sets = [
+            (*map(views, blocks[b]),
+             *(float_rows(blocks[b], 5 * R)[:i * R] for i in (2, 3, 4, 5)),
+             blocks[b, 1], blocks[b, 4], float_rows(blocks[1 - b], 5 * R)[:R])
+            for b in (0, 1)]
+        self.stage_views = views(self.stage)
+        self.stage_floats = float_rows(self.stage, R)
+        self.rate, self.sq_norm = rate, sq_norm
+
+    def tables(self, k: int):
+        """For the block of steps from k: each run's controls and
+        entry-face values at t_k, t_k + dt/2 and t_k + dt, the coefficient
+        matrices of the RK4 combinations (three stages and the new state)
+        and each run's dt/6; zero past a run's last sample."""
+        R = len(self.runs)
+        ctrl = np.zeros((_TABLE_STEPS, 3, R, 1, 4), dtype=complex)
+        entry = np.zeros((_TABLE_STEPS, 3, R), dtype=complex)
+        # row r of each matrix takes run r's state (column r) and slopes
+        # (column iR + r for k_i)
+        coef = np.zeros((_TABLE_STEPS, 4, R, 5 * R))
+        sixths = np.zeros((_TABLE_STEPS, R))
+        block = slice(k, k + _TABLE_STEPS)
+        for r, run in enumerate(self.runs):
+            dt = run.step[block]
+            n = dt.size
+            t = run.t_axis[block, None] + dt[:, None] * _STAGES
+            ctrl[:n, :, r, 0] = _control_table(run.timeline, t)
+            entry[:n, :, r] = self.pulse(t)
+            coef[:n, :, r, r] = 1.0
+            coef[:n, 0, r, R + r] = 0.5 * dt
+            coef[:n, 1, r, 2 * R + r] = 0.5 * dt
+            coef[:n, 2, r, 3 * R + r] = dt
+            sixths[:n, r] = dt / 6.0
+            for i, w in enumerate((sixths[:n, r], dt / 3.0, dt / 3.0,
+                                   sixths[:n, r]), 1):
+                coef[:n, 3, r, i * R + r] = w
+        return (ctrl, entry, coef[:, 0, :, :2 * R], coef[:, 1, :, :3 * R],
+                coef[:, 2, :, :4 * R], coef[:, 3], sixths.tolist())
+
+    def visit(self, r: int, k: int, err: float, state: np.ndarray) -> int:
+        """Snapshots and stop checks of run r at sample k, where its state
+        is state; returns the next sample that needs a visit."""
+        run, M = self.runs[r], state.shape[0]
+        t_k = run.t_axis[k]
+        if k == run.idx_w:
+            run.snap_w = CoherenceField(z=self.z, sigma=state[:, 1].copy(),
+                                        t=t_k)
+        if k == run.idx_resume:
+            run.resume = (k, state.copy())
+        if not err <= DIVERGED_EST * math.sqrt(self.pulse.energy):
+            run.stop = "diverged"
+        elif k == run.t_axis.size - 1:
+            run.stop = "t_end"
+        elif ((k - run.first) % DRAIN_EVERY == 0 and t_k >= run.t_drain
+              and _medium_energy(run.scheme, CoherenceField(
+                  z=self.z, sigma=state.reshape(3 * M, -1), t=t_k))
+              < DRAIN_TOL * self.pulse.energy):
+            run.stop = "drained"
+        due = [run.t_axis.size - 1,
+               k + DRAIN_EVERY - (k - run.first) % DRAIN_EVERY]
+        due += [i for i in (run.idx_w, run.idx_resume)
+                if i is not None and i > k]
+        return min(due)
+
+    def advance(self, k: int, fresh: bool, k_fork: int):
+        """Step every run from sample k until one stops or sample k_fork
+        is reached, then hand each run back what it carries.  fresh=False:
+        k1 of sample k is in place and that sample's exits, estimate and
+        checks are done.  Returns (k, fresh) where the batch left off."""
+        runs, R = self.runs, len(self.runs)
+        rate, sq_norm, exits, sets = (self.rate, self.sq_norm, self.exits,
+                                      self.sets)
+        G, stage = self.stage_views, self.stage_floats
+        out = [run.exits for run in runs]
+        err = [run.err for run in runs]
+        h6 = [run.h6 for run in runs]
+        # the next sample at which each run needs a visit (a run whose
+        # estimate diverges gets one at once)
+        due = [k] * R
+        diverged = DIVERGED_EST * math.sqrt(self.pulse.energy)
+        k_table, b, stopped = k, 0, False
+        ctrl, entry, c2, c3, c4, c5, sixths = self.tables(k)
+        while True:
+            j = k - k_table
+            if j == _TABLE_STEPS:
+                k_table, j = k, 0
+                ctrl, entry, c2, c3, c4, c5, sixths = self.tables(k)
+            (y, d1, d2, d3, d4, y_k1, y_k2, y_k3, y_k4,
+             k1, _, new) = sets[b]
+            if fresh:
+                rate(y, ctrl[j, 0], entry[j, 0], d1)
+                # embedded error estimate of each run's step just taken:
+                # dt/6 times its k4 (in the other block) less k1 of this
+                # sample
+                sq = sq_norm(sets[1 - b][-2], k1)
+                for r in range(R):
+                    out[r][k] = exits[r]
+                    err[r] += h6[r] * math.sqrt(sq[r])
+                    if k >= due[r] or not err[r] <= diverged:
+                        due[r] = self.visit(r, k, err[r],
+                                            self.blocks[b, 0, r])
+                        if runs[r].stop is not None:
+                            runs[r].k_stop, stopped = k, True
+                if stopped:
+                    break
+            fresh = True
+            # classical RK4, each run at its own dt: the stages y + dt/2
+            # k1, y + dt/2 k2 and y + dt k3, then the new state y + dt/6
+            # (k1 + 2 k2 + 2 k3 + k4)
+            np.matmul(c2[j], y_k1, out=stage)
+            rate(G, ctrl[j, 1], entry[j, 1], d2)
+            np.matmul(c3[j], y_k2, out=stage)
+            rate(G, ctrl[j, 1], entry[j, 1], d3)
+            np.matmul(c4[j], y_k3, out=stage)
+            rate(G, ctrl[j, 2], entry[j, 2], d4)
+            np.matmul(c5[j], y_k4, out=new)
+            b = 1 - b
+            h6 = sixths[j]
+            k += 1
+            if k == k_fork:
+                break
+        for r, run in enumerate(runs):
+            run.state, run.k1 = self.blocks[b, 0, r], self.blocks[b, 1, r]
+            run.k4 = self.blocks[1 - b, 4, r]
+            run.h6, run.err = h6[r], err[r]
+        return k, not stopped
+
+
+def _record(run: _Run, pulse: GaussianPulse, z: np.ndarray) -> SimulationRecord:
+    """The record of a run that has stopped."""
+    t_axis = run.t_axis
+    probe_exit = run.exits[:, 0].copy()
+    conv_exit = run.exits[:, 1].copy()
+    e_in = float(np.trapezoid(np.abs(pulse(t_axis)) ** 2, t_axis))
+    e_trans = float(np.trapezoid(np.abs(probe_exit) ** 2, t_axis))
+    if run.timeline.t_w is not None:
+        pre = t_axis <= run.timeline.t_w
+        e_leak = float(np.trapezoid(np.abs(probe_exit[pre]) ** 2, t_axis[pre]))
+    else:
+        e_leak = e_trans
+    e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
+    e_conv = run.scheme.energy_unit_ratio * e_conv_scaled
+    e_stored = (_medium_energy(run.scheme, run.snap_w)
+                if run.snap_w is not None else 0.0)
+    M = run.scheme.p.size
+    e_resid = _medium_energy(run.scheme, CoherenceField(
+        z=z, sigma=run.state.reshape(3 * M, z.size),
+        t=t_axis[run.k_stop]))
+    energies = {
+        "input": e_in,
+        "transmitted": e_trans,
+        "leaked": e_leak,
+        "stored_equivalent": e_stored,
+        "converted": e_conv,
+        "converted_scaled": e_conv_scaled,
+        "residual_stored": e_resid,
+        "dissipated": e_in - e_trans - e_conv - e_resid,
+    }
+    return SimulationRecord(
+        stored_write=run.snap_w, t_exit=t_axis, probe_exit=probe_exit,
+        converted_exit=conv_exit, energies=energies,
+        diagnostics={"n_t": run.k_stop + 1 - run.first,
+                     "stop": run.stop,
+                     "err_est": run.err / math.sqrt(e_in)},
+        pulse=pulse, timeline=run.timeline, resume=run.resume)
+
+
 def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
                timeline: ControlTimeline, n_z: int, segments: list,
-               start: SimulationRecord | None = None) -> SimulationRecord:
+               start: SimulationRecord | None = None,
+               fork: tuple | None = None) -> list:
     """RK4 over uniform time segments [(t0, dt, steps), ...], each
-    starting where the one before ends; the diagnostics hold only n_t, the
-    number of samples stepped, stop and err_est.
+    starting where the one before ends; returns the run's record, then
+    the fork's.  The diagnostics hold only n_t, the number of samples
+    stepped, stop and err_est.
 
     err_est is RK4's embedded error estimate (Hairer, Norsett & Wanner,
     Solving Ordinary Differential Equations I, sec. II.4), summed over the
@@ -569,211 +1011,54 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     Over a run it falls as dt^3.
 
     The record's resume point is the last sample that no stage time with
-    the read control on has reached: t_r itself under a ramp, whose
-    smoothstep is still 0 there, and the sample before t_r under a hard
-    switch, whose last write step sees the read control at its final
-    stage.  Given start, the run takes start's samples and state up to
-    start's resume point and steps on from there over segments.
+    the read control on has reached (see _resume_index).  Given start,
+    the run takes start's samples and state up to start's resume point
+    and steps on from there over segments.  fork = (scheme, timeline,
+    segments) is a second run that does the same from this run's resume
+    point: the original-readout companion.  Up to there the two runs are
+    one, so the fork joins the batch (_Batch) there, and from there each
+    loop iteration advances both, each by its own step, with every numpy
+    call of a step covering both.
 
     A run with a read turn-on stops once the medium is drained: from
     t_r + ramp on, every DRAIN_EVERY steps, it ends when the excitation
     left in the medium falls below DRAIN_TOL of the pulse energy (stop
     "drained"; "t_end" for a run that reaches the last sample).  Any run
-    stops once err_est passes DIVERGED_EST (stop "diverged").  The record
+    stops once err_est passes DIVERGED_EST (stop "diverged").  A run that
+    stops leaves the batch, and the other steps on alone.  The record
     keeps the whole axis, with zero exits after the stop.
     """
-    write, read = scheme.channel("write"), scheme.channel("read")
     z = np.linspace(0.0, 1.0, n_z)
-    M = scheme.p.size
-
-    # Local coupling of subsystem j on its rows (sigma_eg, sigma_sg,
-    # sigma_e'g); the control entries (0, 1), (1, 0), (1, 2), (2, 1) are
-    # the strided view flat[1::2] and are refreshed at every stage.
-    A = np.zeros((M, 3, 3), dtype=complex)
-    A[:, 0, 0] = -0.5 * write.Gamma
-    A[:, 1, 1] = -scheme.gamma_sg
-    A[:, 2, 2] = -0.5 * read.Gamma
-    controls = A.reshape(M, 9)[:, 1::2]
-    control_coef = 0.5j * np.stack([write.a_ctrl, write.a_ctrl,
-                                    read.a_ctrl, read.a_ctrl], axis=1)
-    # Drive of each optical coherence by its field (E_p, E_c).
-    D = np.zeros((M, 3, 2), dtype=complex)
-    D[:, 0, 0] = 0.5j * scheme.a_p * scheme.p
-    D[:, 2, 1] = 0.5j * scheme.a_c * scheme.p
-    # Field sources dE/dz of the flattened state, one column per field.
-    P = np.zeros((M, 3, 2), dtype=complex)
-    P[:, 0, 0] = 0.5j * write.alpha * write.Gamma * scheme.a_p
-    P[:, 2, 1] = 0.5j * read.alpha * read.Gamma * scheme.a_c
-    P = P.reshape(3 * M, 2)
-
-    # The fields are kept z-major, (n_z, 2): row 0 of source holds the
-    # entry-face values and rows 1: the sources, so one real product of
-    # the z weights (with a column of ones in front) and the float view of
-    # source, (n_z + 1, 4), gives both fields, real and imaginary parts.
-    source = np.zeros((n_z + 1, 2), dtype=complex)
     integral = np.ones((n_z, n_z + 1))
     integral[:, 1:] = _z_weights(n_z).T
-    fields_z = np.empty((n_z, 2), dtype=complex)
-    fields = fields_z.T
-    drive = np.empty((M, 3, n_z), dtype=complex)
-
-    def rate(y, ctrl, entry, out):
-        """d(state)/dt at y into out; refreshes the fields."""
-        np.matmul(y.reshape(3 * M, n_z).T, P, out=source[1:])
-        source[0, 0] = entry
-        np.matmul(integral, source.view(float), out=fields_z.view(float))
-        np.multiply(control_coef, ctrl, out=controls)
-        np.matmul(A, y, out=out)
-        np.matmul(D, fields, out=drive)
-        out += drive
-
-    def medium_energy(y, t):
-        return _medium_energy(scheme, CoherenceField(
-            z=z, sigma=y.reshape(3 * M, n_z), t=t))
-
-    # The error estimate's norm: diff holds k4 - k1, and its squared norm
-    # is the medium energy of diff, alpha_p Gamma_w / p_j |diff_j|^2
-    # integrated by the z rule and summed over the subsystems (weight 0 on
-    # empty ones): each subsystem's float rows, times the z weights laid
-    # out like them, dotted with themselves.
-    diff = np.empty((M, 3, n_z), dtype=complex)
-    rows = diff.reshape(M, 3 * n_z).view(float)
-    z_rows = np.tile(np.repeat(_z_weights(n_z)[:, -1], 2), 3)
-    weighted = np.empty_like(rows)
-    live = scheme.p > 0
-    weight = np.where(live, write.alpha * write.Gamma
-                      / np.where(live, scheme.p, 1.0), 0.0)
-    lhs, rhs, sq = weighted[:, None, :], rows[:, :, None], np.empty((M, 1, 1))
-    sq_flat = sq.reshape(M)
-
-    def sq_norm():
-        np.multiply(rows, z_rows, out=weighted)
-        np.matmul(lhs, rhs, out=sq)
-        return np.dot(weight, sq_flat)
-
-    last, dt_last, n_last = segments[-1]
-    axis = ([t0 + dt * np.arange(steps) for t0, dt, steps in segments]
-            + [[last + dt_last * n_last]])
-    first = 0
+    head = () if start is None else start.t_exit[:start.resume[0]]
+    main = _Run(scheme, timeline, _time_axis(segments, head), len(head), n_z)
     if start is not None:
-        first = start.resume[0]
-        axis.insert(0, start.t_exit[:first])
-    t_axis = np.concatenate(axis)
-    # step k runs from t_axis[k] to t_axis[k + 1], so a switch at a segment
-    # boundary falls on a stage time; the last sample takes no step
-    step = np.diff(t_axis, append=t_axis[-1])
-    n_t = t_axis.size
+        main.exits[:main.first, 0] = start.probe_exit[:main.first]
+        main.exits[:main.first, 1] = start.converted_exit[:main.first]
+        main.state[...] = start.resume[1]
+        main.snap_w = start.stored_write
+    runs, k_fork = [main], -1
+    if fork is not None:
+        k_fork = main.idx_resume
+        runs.append(_Run(fork[0], fork[1],
+                         _time_axis(fork[2], main.t_axis[:k_fork]), k_fork,
+                         n_z))
 
-    def stage_tables(k0):
-        """Controls and entry-face values at t_k, t_k + dt/2 and t_k + dt
-        for the block of steps starting at k0."""
-        block = slice(k0, k0 + _TABLE_STEPS)
-        t = t_axis[block, None] + step[block, None] * _STAGES
-        return _control_table(timeline, t), pulse(t)
-
-    exits = np.zeros((n_t, 2), dtype=complex)
-    state = np.zeros((M, 3, n_z), dtype=complex)
-    stage = np.empty_like(state)
-    acc = np.empty_like(state)
-    k_buf = np.empty_like(state)
-    k4 = np.empty_like(state)
-    scaled = np.empty_like(state)
-    err_sum = 0.0
-    idx_w = (None if timeline.t_w is None
-             else int(np.argmin(np.abs(t_axis - timeline.t_w))))
-    snap_w = None
-    idx_resume = None
-    if timeline.t_r is not None:
-        side = "right" if timeline.ramp > 0 else "left"
-        idx_resume = max(int(np.searchsorted(t_axis, timeline.t_r, side)) - 1,
-                         0)
-    resume = None
-    if start is not None:
-        exits[:first, 0] = start.probe_exit[:first]
-        exits[:first, 1] = start.converted_exit[:first]
-        state[...] = start.resume[1]
-        snap_w = start.stored_write
-    t_drain = (timeline.t_r + timeline.ramp if timeline.t_r is not None
-               else math.inf)
-    drained = DRAIN_TOL * pulse.energy
-    diverged = DIVERGED_EST * math.sqrt(pulse.energy)
-    stop = "t_end"
-
-    for k, dt in enumerate(step[first:].tolist(), first):
-        j = (k - first) % _TABLE_STEPS
-        if j == 0:
-            ctrl, entry = stage_tables(k)
-        if k == idx_w:
-            snap_w = CoherenceField(z=z, sigma=state[:, 1].copy(),
-                                    t=t_axis[k])
-        if k == idx_resume:
-            resume = (k, state.copy())
-        rate(state, ctrl[j, 0], entry[j, 0], k_buf)
-        exits[k] = fields[:, -1]
-        if k > first:
-            # embedded error estimate of the step just taken: dt/6 times
-            # its k4 less k1 of this sample
-            np.subtract(k4, k_buf, out=diff)
-            err_sum += dt_prev / 6.0 * math.sqrt(sq_norm())
-        dt_prev = dt
-        if not err_sum <= diverged:
-            stop = "diverged"
-            break
-        if k == n_t - 1:
-            break
-        if ((k - first) % DRAIN_EVERY == 0 and t_axis[k] >= t_drain
-                and medium_energy(state, t_axis[k]) < drained):
-            stop = "drained"
-            break
-        # classical RK4: acc collects state + dt/6 (k1 + 2 k2 + 2 k3 + k4)
-        np.multiply(k_buf, dt / 6.0, out=acc)
-        acc += state
-        np.multiply(k_buf, 0.5 * dt, out=scaled)
-        np.add(state, scaled, out=stage)
-        rate(stage, ctrl[j, 1], entry[j, 1], k_buf)
-        np.multiply(k_buf, dt / 3.0, out=scaled)
-        acc += scaled
-        np.multiply(k_buf, 0.5 * dt, out=scaled)
-        np.add(state, scaled, out=stage)
-        rate(stage, ctrl[j, 1], entry[j, 1], k_buf)
-        np.multiply(k_buf, dt / 3.0, out=scaled)
-        acc += scaled
-        np.multiply(k_buf, dt, out=scaled)
-        np.add(state, scaled, out=stage)
-        rate(stage, ctrl[j, 2], entry[j, 2], k4)
-        np.multiply(k4, dt / 6.0, out=scaled)
-        np.add(acc, scaled, out=state)
-
-    probe_exit = exits[:, 0].copy()
-    conv_exit = exits[:, 1].copy()
-    e_in = float(np.trapezoid(np.abs(pulse(t_axis)) ** 2, t_axis))
-    e_trans = float(np.trapezoid(np.abs(probe_exit) ** 2, t_axis))
-    if timeline.t_w is not None:
-        pre = t_axis <= timeline.t_w
-        e_leak = float(np.trapezoid(np.abs(probe_exit[pre]) ** 2, t_axis[pre]))
-    else:
-        e_leak = e_trans
-    e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
-    e_conv = scheme.energy_unit_ratio * e_conv_scaled
-    e_stored = _medium_energy(scheme, snap_w) if snap_w is not None else 0.0
-    e_resid = medium_energy(state, t_axis[k])
-    energies = {
-        "input": e_in,
-        "transmitted": e_trans,
-        "leaked": e_leak,
-        "stored_equivalent": e_stored,
-        "converted": e_conv,
-        "converted_scaled": e_conv_scaled,
-        "residual_stored": e_resid,
-        "dissipated": e_in - e_trans - e_conv - e_resid,
-    }
-    return SimulationRecord(
-        stored_write=snap_w, t_exit=t_axis, probe_exit=probe_exit,
-        converted_exit=conv_exit, energies=energies,
-        diagnostics={"n_t": k + 1 - first,
-                     "stop": stop,
-                     "err_est": err_sum / math.sqrt(e_in)},
-        pulse=pulse, timeline=timeline, resume=resume)
+    live, k, fresh = [main], main.first, True
+    while live:
+        if k == k_fork:
+            branch = runs[1]
+            branch.state[...] = main.state
+            branch.exits[:k] = main.exits[:k]
+            live.append(branch)
+            k_fork = -1
+        k, fresh = _Batch(live, pulse, z, integral).advance(k, fresh, k_fork)
+        live = [run for run in live if run.stop is None]
+    if fork is not None and runs[1].snap_w is None:
+        # the write cutoff lies before the fork: the snapshot is shared
+        runs[1].snap_w = main.snap_w
+    return [_record(run, pulse, z) for run in runs if run.stop is not None]
 
 
 def run_original_readout(scheme: ConversionScheme, record: SimulationRecord,
@@ -792,9 +1077,17 @@ def run_original_readout(scheme: ConversionScheme, record: SimulationRecord,
     counts the samples it stepped after resuming.  n_t = 0 sizes the
     time grid as run_protocol does; a forced n_t counts every sample, the
     shared ones included, on one uniform grid from the resume sample on.
+
+    A record of run_protocol(..., companion=True) carries the companion
+    for its grid's n_t, stepped in one batch with the main run's read
+    phase; for that n_t it is returned as it is.  For any other n_t, or a
+    record without it, the companion integrates alone from record.resume
+    (the same integrator, a batch of one).
     """
     if record.resume is None:
         raise ValueError("the record has no read turn-on to resume from")
-    tl = replace(record.timeline, Omega_r0=record.timeline.Omega_w0)
-    return _simulate(scheme.with_original_readout(), record.pulse, tl,
+    if record.companion is not None and record.companion[0] == n_t:
+        return record.companion[1]
+    companion, timeline = _original_readout(scheme, record.timeline)
+    return _simulate(companion, record.pulse, timeline,
                      record.diagnostics["n_z"], n_t, None, start=record)

@@ -302,7 +302,7 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
     if config.grid.n_z or config.grid.n_t:
         grid = (config.grid.n_z or N_Z, config.grid.n_t or 0)
     record = run_protocol(scheme, pulse, timeline, grid=grid,
-                          grid_check=config.grid.grid_check)
+                          grid_check=config.grid.grid_check, companion=True)
     companion = run_original_readout(scheme, record,
                                      n_t=config.grid.n_t or 0)
     energies = record.energies

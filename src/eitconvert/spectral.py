@@ -462,13 +462,18 @@ class TransmittedFieldResult:
 def transmitted_probe(scheme: ConversionScheme, Omega_w: complex,
                       probe_spectrum, grid: SpectralGrid,
                       truncate_f: bool = False) -> TransmittedFieldResult:
-    """Propagate the probe through the whole medium with the control held on."""
+    """Propagate the probe through the whole medium with the control held on.
+
+    An input spectrum, or a delayed waveform, with energy in the outer 10%
+    of its grid raises AliasingError, as in converted_field_exact.
+    """
     spec_in = _as_spectrum(probe_spectrum, grid)
     _check_aliasing(grid.omega, spec_in, "input probe")
     _, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
                               truncate_f=truncate_f)
     spec_out = spec_in * np.exp(-f_w)
     t, wave = time_from_spectrum(grid.omega, spec_out)
+    _check_aliasing(t, wave, "transmitted probe", domain="time")
     return TransmittedFieldResult(
         omega=grid.omega, spectrum=spec_out, t=t, waveform=wave,
         energy_in=float((np.abs(spec_in) ** 2).sum() * grid.d_omega),

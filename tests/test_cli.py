@@ -214,6 +214,19 @@ class TestScenarioCommand:
         assert "numerical failure" in err
         assert "n_omega = 67108864" in err and "4194304" in err
 
+    def test_wrapped_transmitted_probe_exits_3(self, tmp_path, capsys):
+        """At this forced n_omega the converted field fits its read grid,
+        but the probe, delayed by the whole medium at eta 8, wraps around
+        the time window of the write grid."""
+        doc = minimal_doc(engines=["spectral"], grid={"n_omega": 1024})
+        doc["scheme"]["ccp2"] = 1.0
+        doc["protocol"].update(eta=8.0, control_ratio=1.0)
+        f = write_json(tmp_path / "s.json", doc)
+        assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "transmitted probe" in err and "grid.n_omega" in err
+
     def test_grid_check_over_budget_exits_3(self, tmp_path, capsys):
         """The doubled grid is refused before the coarse one is built."""
         doc = minimal_doc(engines=["spectral"], grid={"n_omega": 1 << 22})

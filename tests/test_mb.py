@@ -706,9 +706,11 @@ class TestPhaseSteps:
     def test_grid_check_doubles_each_segment(self, monkeypatch):
         calls = []
 
-        def spy(scheme, pulse, timeline, n_z, segments, start=None):
+        def spy(scheme, pulse, timeline, n_z, segments, start=None,
+                fork=None):
             calls.append((n_z, segments))
-            return integrate(scheme, pulse, timeline, n_z, segments, start)
+            return integrate(scheme, pulse, timeline, n_z, segments, start,
+                             fork)
 
         integrate = mb._integrate
         monkeypatch.setattr(mb, "_integrate", spy)
@@ -895,6 +897,103 @@ class TestCompanion:
         assert rec.resume is None
         with pytest.raises(ValueError, match="read turn-on"):
             run_original_readout(sch, rec)
+        with pytest.raises(ValueError, match="read turn-on"):
+            run_protocol(sch, pulse, tl, grid=(16, 0), companion=True)
+
+    @staticmethod
+    def stacked_and_alone(scheme, pulse, timeline, grid):
+        """The record with its stacked companion, that companion, and the
+        same companion integrated alone from the record's resume sample."""
+        rec = run_protocol(scheme, pulse, timeline, grid=grid, companion=True)
+        stacked = run_original_readout(scheme, rec, n_t=grid[1])
+        assert stacked is rec.companion[1]
+        alone = run_original_readout(scheme, replace(rec, companion=None),
+                                     n_t=grid[1])
+        assert alone is not stacked
+        return rec, stacked, alone
+
+    @staticmethod
+    def assert_same_run(a, b):
+        for key in ("converted", "transmitted", "residual_stored"):
+            assert a.energies[key] == pytest.approx(b.energies[key],
+                                                    rel=1e-12, abs=1e-300)
+        assert a.diagnostics["err_est"] == pytest.approx(
+            b.diagnostics["err_est"], rel=1e-12)
+        for key in ("n_t", "stop", "t_end"):
+            assert a.diagnostics[key] == b.diagnostics[key]
+        assert np.array_equal(a.t_exit, b.t_exit)
+        for x, y in ((a.probe_exit, b.probe_exit),
+                     (a.converted_exit, b.converted_exit)):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("ramp_fraction", [0.2, 0.0])
+    def test_stacked_matches_alone(self, ramp_fraction):
+        """Under the hard switch the companion joins the batch at the
+        sample before t_r, and its first step already reads out."""
+        sch, pulse, tl = self.case(ramp_fraction)
+        rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl, (24, 0))
+        self.assert_same_run(stacked, alone)
+        # the main run is the same with its companion beside it
+        self.assert_same_run(rec, run_protocol(sch, pulse, tl, grid=(24, 0)))
+
+    def test_stacked_cesium(self):
+        """Seven subsystems, one of them empty, in each run of the batch."""
+        T_p = UnitSystem(gamma_2pi_MHz=4.56).time_in(0.2)
+        sch = build_cesium_d1_scheme(
+            "plus_to_minus", [0.3, 0.2, 0.1, 0.0, 0.1, 0.2, 0.1], 200.0,
+            200.0)
+        Om = control_for_eta(sch, 3.5, T_p)
+        pulse = GaussianPulse(T_p=T_p)
+        tl = timeline_for_protocol(Om, 0.85 * Om, T_p, KAPPA)
+        rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl, (24, 0))
+        assert sch.p.size == 7
+        self.assert_same_run(stacked, alone)
+
+    @pytest.mark.parametrize("T_p_us, eta, D_p, ccp2, ratio, stop", [
+        (0.15, 3.5, 150.0, 4.0, 1.5, "t_end"),
+        (0.08, 3.0, 375.0, 0.5, 0.3, "t_end"),
+        (0.2, 3.5, 150.0, 1.0, 2.0, "drained"),
+    ])
+    def test_stacked_companion_stops_first(self, T_p_us, eta, D_p, ccp2,
+                                           ratio, stop):
+        """The companion leaves the batch and the main run steps on alone
+        (1313 against 951 samples on the first read).  The companions of
+        the first two reads step up to their own t_end; the third
+        drains."""
+        sch, pulse, tl = benchmark_case(T_p_us, eta, D_p, ccp2, ratio)
+        rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl, (24, 0))
+        self.assert_same_run(stacked, alone)
+        assert stacked.diagnostics["stop"] == stop
+        assert (rec.diagnostics["n_t"]
+                > rec.resume[0] + stacked.diagnostics["n_t"])
+
+    def test_stacked_main_stops_first(self):
+        """A main run cut short by its t_end leaves the batch, and the
+        companion, on its own automatic t_end, steps on alone."""
+        sch, pulse, tl = self.case(0.2)
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0), t_end=tl.t_r + 10.0,
+                           companion=True)
+        stacked = run_original_readout(sch, rec)
+        alone = run_original_readout(sch, replace(rec, companion=None))
+        self.assert_same_run(stacked, alone)
+        assert rec.diagnostics["stop"] == "t_end"
+        assert (rec.resume[0] + stacked.diagnostics["n_t"]
+                > rec.diagnostics["n_t"])
+
+    def test_stacked_forced_n_t(self):
+        sch, pulse, tl = self.case(0.2)
+        n_t = 2 * run_protocol(sch, pulse, tl, grid=(16, 0)).t_exit.size
+        rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl,
+                                                     (16, n_t))
+        assert stacked.t_exit.size == n_t
+        self.assert_same_run(stacked, alone)
+        # another n_t integrates alone, and this one is refused
+        k, _ = rec.resume
+        with pytest.raises(StiffnessError,
+                           match=r"stability bound .* need n_t >= \d+"):
+            run_original_readout(sch, rec, n_t=k + 20)
+        # without the keyword the record carries no companion
+        assert run_protocol(sch, pulse, tl, grid=(16, n_t)).companion is None
 
 
 class TestMainRunDrain:

@@ -484,6 +484,18 @@ class TestTransmission:
         r2 = trunc.energy_out / trunc.energy_in
         assert r1 == pytest.approx(r2, rel=0.01)
 
+    def test_wrapped_probe_refused(self):
+        """A time window of twice the group delay puts the delayed probe
+        at its edge, wrapped half way round it."""
+        sch, Om, w, _ = _fig2_setup()
+        n = 1024
+        short = SpectralGrid(omega_max=math.pi * n / (2.0 * w.T_d),
+                             n_omega=n)
+        spec = gaussian_probe_spectrum(short, T_P)
+        with pytest.raises(AliasingError,
+                           match="transmitted probe: .* time grid"):
+            transmitted_probe(sch, Om, spec, short)
+
     def test_passive(self):
         rng = np.random.default_rng(11)
         for _ in range(4):
