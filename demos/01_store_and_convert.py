@@ -74,8 +74,8 @@ print("spectral: xi_total %.4f" % (res.energy / pulse_energy(T_p)))
 
 # 3. Time-domain Maxwell-Bloch run of the full switching protocol,
 #    plus a companion run that reads out on the original channel so the
-#    relative efficiency has its reference.  The companion continues from
-#    the main record at the read turn-on: the write phase is the same.
+#    relative efficiency has its reference.  companion=True steps it
+#    beside the main run from the read turn-on: the write phase is the same.
 pulse = GaussianPulse(T_p=T_p)
 record = run_protocol(scheme, pulse, timeline, companion=True)
 companion = run_original_readout(scheme, record)

@@ -43,9 +43,7 @@ sample: the main run alone through the write phase, then the main run
 and its companion together, each on its own time axis and step, with its
 own controls, channel constants, stop and error estimate.  A run that
 stops leaves the batch.  run_protocol(..., companion=True) steps the pair
-this way; run_original_readout returns that companion, or integrates one
-alone, a batch of one, from the state the main record kept at the read
-turn-on.
+this way, and run_original_readout returns the companion it carries.
 
 Numpy call overhead, not arithmetic, sets the cost of a step on grids of a
 few dozen z samples, so the loop is laid out to make few calls, each over
@@ -311,21 +309,18 @@ class SimulationRecord:
     converted / input is the total efficiency, leaked / input the leakage,
     and converted over the converted energy of run_original_readout the
     relative efficiency.  residual_stored is the excitation left in the
-    medium at the last sample stepped, in all three coherences.  pulse and
-    timeline are the ones the run was given.
+    medium at the last sample stepped, in all three coherences.
 
     t_exit is the planned time axis up to t_end.  A run that stopped once
     the medium was drained (diagnostics "stop": "drained", else "t_end")
     has zero exits after its last stepped sample; diagnostics n_t counts
     the samples it stepped.
 
-    resume is (k, state): the index on t_exit of the last sample that no
-    RK4 stage with the read control on has reached, and a copy of the
-    stacked (M, 3, n_z) state there; None without a read turn-on (slow
-    light).  run_original_readout resumes from it.  companion is (n_t,
-    record): the original-readout companion of a run_protocol call with
-    companion=True, for that call's n_t, which run_original_readout
-    returns; None otherwise.
+    resume is the index on t_exit of the last sample that no RK4 stage
+    with the read control on has reached, where the companion joins the
+    batch; None without a read turn-on (slow light).  companion is the
+    record of the original-readout companion of a run_protocol call with
+    companion=True, which run_original_readout returns; None otherwise.
     """
 
     stored_write: CoherenceField | None
@@ -334,10 +329,8 @@ class SimulationRecord:
     converted_exit: np.ndarray
     energies: dict
     diagnostics: dict
-    pulse: GaussianPulse
-    timeline: ControlTimeline
-    resume: tuple[int, np.ndarray] | None = None
-    companion: tuple[int, "SimulationRecord"] | None = None
+    resume: int | None = None
+    companion: "SimulationRecord | None" = None
 
 
 # Steps per block of tabulated envelopes.  Whole-run tables (hundreds of kB
@@ -370,8 +363,8 @@ def _phase_bounds(scheme: ConversionScheme, pulse: GaussianPulse,
     The read rows stay exactly zero while Omega_r = 0, so the read
     control, the read linewidth and the read depth count only in the read
     phase; the write control is off by then.  The write-phase step thus
-    does not depend on the read channel, which lets run_original_readout
-    share the write phase of the main run.  A slow-light run, without a
+    does not depend on the read channel, which lets the original-readout
+    companion share the write phase of the main run.  A slow-light run, without a
     read turn-on, is one write phase.
     """
     write, read = scheme.channel("write"), scheme.channel("read")
@@ -422,17 +415,15 @@ def run_protocol(scheme: ConversionScheme, pulse: GaussianPulse,
     allocated; a forced n_t is taken as given.  grid_check reruns with
     every step halved and n_z doubled and stores the relative change of
     the converted (or transmitted) energy in the diagnostics; the rerun
-    has no companion.  The record keeps the state at the read turn-on
-    (SimulationRecord.resume) for run_original_readout.  A run with a
-    read turn-on stops once the medium is drained (see _integrate) and
-    keeps its planned time axis, the exits zero after the stop; a
-    slow-light run steps up to t_end.
+    has no companion.  A run with a read turn-on stops once the medium is
+    drained (see _integrate) and keeps its planned time axis, the exits
+    zero after the stop; a slow-light run steps up to t_end.
 
     companion=True also steps the original-readout companion, in the same
-    batch as the read phase (see _integrate): the record carries the
-    companion run_original_readout(scheme, record, n_t) returns for
-    grid's n_t, and the companion's refusals (StiffnessError,
-    GridBudgetError) come from this call.  A timeline without a read
+    batch as the read phase (see _integrate): the record carries it
+    (SimulationRecord.companion, which run_original_readout returns), on
+    the same n_z and forced n_t, and the companion's refusals
+    (StiffnessError, GridBudgetError) come from this call.  A timeline without a read
     turn-on has no companion (ValueError).
     """
     n_z, n_t = grid if grid is not None else (N_Z, 0)
@@ -556,23 +547,17 @@ def _describe(record: SimulationRecord, plan: _Plan, n_z: int) -> None:
 
 def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
               timeline: ControlTimeline, n_z: int, n_t: int,
-              t_end: float | None, start: SimulationRecord | None = None,
-              grid_check: bool = False,
+              t_end: float | None, grid_check: bool = False,
               companion: bool = False) -> SimulationRecord:
     """Size the time grids, integrate, check the ledgers, fill diagnostics.
 
-    Without start the run steps from t_start = -2 T_p.  With start it
-    steps from start's resume sample (see _integrate), the grid covers
-    only the rest of the run, and a forced n_t counts start's samples up
-    to the resume sample too; diagnostics n_t counts the samples stepped.
-    companion sizes the original-readout companion the same way from this
-    run's resume sample, on its own automatic t_end, and steps it in the
-    same batch; the record carries it as (n_t, record).
+    The run steps from t_start = -2 T_p.  companion sizes the
+    original-readout companion from this run's resume sample, on its own
+    automatic t_end: its grid covers only the rest of the run, and a
+    forced n_t counts the shared samples too.  It is stepped in the same
+    batch, and the record carries it.
     """
-    resume_at = None
-    if start is not None:
-        resume_at = (start.resume[0], start.t_exit[start.resume[0]])
-    plan = _plan(scheme, pulse, timeline, n_t, t_end, resume_at)
+    plan = _plan(scheme, pulse, timeline, n_t, t_end)
     if grid_check and 2 * plan.n_t - 1 > MAX_N_T:
         raise GridBudgetError(
             f"grid check needs n_t = {2 * plan.n_t - 1} steps, above the "
@@ -590,20 +575,19 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
                           (k, t_axis[k]))
         fork = (fork_scheme, fork_timeline, fork_plan.segments)
 
-    records = _integrate(scheme, pulse, timeline, n_z, plan.segments, start,
-                         fork)
+    records = _integrate(scheme, pulse, timeline, n_z, plan.segments, fork)
     record = records[0]
     _check(record, plan)
     _describe(record, plan, n_z)
     if fork is not None:
         _check(records[1], fork_plan)
         _describe(records[1], fork_plan, n_z)
-        record.companion = (n_t, records[1])
+        record.companion = records[1]
 
     if grid_check:
         fine = _integrate(scheme, pulse, timeline, 2 * n_z,
                           [(t0, 0.5 * dt, 2 * steps)
-                           for t0, dt, steps in plan.segments], start)[0]
+                           for t0, dt, steps in plan.segments])[0]
         _check(fine, plan)
         key = "converted" if timeline.t_r is not None else "transmitted"
         ref = fine.energies[key]
@@ -728,7 +712,6 @@ class _Run:
         self.h6 = 0.0
         self.err = 0.0
         self.snap_w = None
-        self.resume = None
         # set once the run stops: why, and the last sample stepped
         self.stop = None
         self.k_stop = None
@@ -871,8 +854,6 @@ class _Batch:
         if k == run.idx_w:
             run.snap_w = CoherenceField(z=self.z, sigma=state[:, 1].copy(),
                                         t=t_k)
-        if k == run.idx_resume:
-            run.resume = (k, state.copy())
         if not err <= DIVERGED_EST * math.sqrt(self.pulse.energy):
             run.stop = "diverged"
         elif k == run.t_axis.size - 1:
@@ -884,8 +865,8 @@ class _Batch:
             run.stop = "drained"
         due = [run.t_axis.size - 1,
                k + DRAIN_EVERY - (k - run.first) % DRAIN_EVERY]
-        due += [i for i in (run.idx_w, run.idx_resume)
-                if i is not None and i > k]
+        if run.idx_w is not None and run.idx_w > k:
+            due.append(run.idx_w)
         return min(due)
 
     def advance(self, k: int, fresh: bool, k_fork: int):
@@ -988,12 +969,11 @@ def _record(run: _Run, pulse: GaussianPulse, z: np.ndarray) -> SimulationRecord:
         diagnostics={"n_t": run.k_stop + 1 - run.first,
                      "stop": run.stop,
                      "err_est": run.err / math.sqrt(e_in)},
-        pulse=pulse, timeline=run.timeline, resume=run.resume)
+        resume=run.idx_resume)
 
 
 def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
                timeline: ControlTimeline, n_z: int, segments: list,
-               start: SimulationRecord | None = None,
                fork: tuple | None = None) -> list:
     """RK4 over uniform time segments [(t0, dt, steps), ...], each
     starting where the one before ends; returns the run's record, then
@@ -1011,14 +991,13 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     Over a run it falls as dt^3.
 
     The record's resume point is the last sample that no stage time with
-    the read control on has reached (see _resume_index).  Given start,
-    the run takes start's samples and state up to start's resume point
-    and steps on from there over segments.  fork = (scheme, timeline,
-    segments) is a second run that does the same from this run's resume
-    point: the original-readout companion.  Up to there the two runs are
-    one, so the fork joins the batch (_Batch) there, and from there each
-    loop iteration advances both, each by its own step, with every numpy
-    call of a step covering both.
+    the read control on has reached (see _resume_index).  fork = (scheme,
+    timeline, segments) is a second run that takes this run's samples and
+    state up to its resume point and steps on from there over segments:
+    the original-readout companion.  Up to there the two runs are one, so
+    the fork joins the batch (_Batch) there, and from there each loop
+    iteration advances both, each by its own step, with every numpy call
+    of a step covering both.
 
     A run with a read turn-on stops once the medium is drained: from
     t_r + ramp on, every DRAIN_EVERY steps, it ends when the excitation
@@ -1031,13 +1010,7 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     z = np.linspace(0.0, 1.0, n_z)
     integral = np.ones((n_z, n_z + 1))
     integral[:, 1:] = _z_weights(n_z).T
-    head = () if start is None else start.t_exit[:start.resume[0]]
-    main = _Run(scheme, timeline, _time_axis(segments, head), len(head), n_z)
-    if start is not None:
-        main.exits[:main.first, 0] = start.probe_exit[:main.first]
-        main.exits[:main.first, 1] = start.converted_exit[:main.first]
-        main.state[...] = start.resume[1]
-        main.snap_w = start.stored_write
+    main = _Run(scheme, timeline, _time_axis(segments), 0, n_z)
     runs, k_fork = [main], -1
     if fork is not None:
         k_fork = main.idx_resume
@@ -1045,7 +1018,7 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
                          _time_axis(fork[2], main.t_axis[:k_fork]), k_fork,
                          n_z))
 
-    live, k, fresh = [main], main.first, True
+    live, k, fresh = [main], 0, True
     while live:
         if k == k_fork:
             branch = runs[1]
@@ -1061,33 +1034,24 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     return [_record(run, pulse, z) for run in runs if run.stop is not None]
 
 
-def run_original_readout(scheme: ConversionScheme, record: SimulationRecord,
-                         n_t: int = 0) -> SimulationRecord:
+def run_original_readout(scheme: ConversionScheme,
+                         record: SimulationRecord) -> SimulationRecord:
     """Companion run: same write phase, retrieval in the original channel.
 
-    record is the run_protocol record of scheme; the companion takes its
-    pulse, timeline and n_z from it.  The read rows stay zero until the
-    read control turns on, so up to record.resume the companion's state
-    is the main run's: it takes record's samples and state there and
-    integrates on with the read control Omega_w0 on the write channel
-    (scheme.with_original_readout()).  Like the main run it stops once
-    the medium is drained (diagnostics "stop": "drained") or at its
-    automatic t_end ("t_end").  Its record spans the whole run, the shared
-    samples included, and closes the same energy ledger; diagnostics n_t
-    counts the samples it stepped after resuming.  n_t = 0 sizes the
-    time grid as run_protocol does; a forced n_t counts every sample, the
-    shared ones included, on one uniform grid from the resume sample on.
-
-    A record of run_protocol(..., companion=True) carries the companion
-    for its grid's n_t, stepped in one batch with the main run's read
-    phase; for that n_t it is returned as it is.  For any other n_t, or a
-    record without it, the companion integrates alone from record.resume
-    (the same integrator, a batch of one).
+    record is the run_protocol(..., companion=True) record of scheme; the
+    companion is the run it carries, stepped in one batch with the main
+    run's read phase.  The read rows stay zero until the read control
+    turns on, so up to record.resume the companion's state is the main
+    run's; from there it steps on with the read control Omega_w0 on the
+    write channel (scheme.with_original_readout()), on the main run's n_z
+    and forced n_t.  Like the main run it stops once the medium is drained
+    (diagnostics "stop": "drained") or at its automatic t_end ("t_end").
+    Its record spans the whole run, the shared samples included, and
+    closes the same energy ledger; diagnostics n_t counts the samples it
+    stepped after the resume sample.  A record made without
+    companion=True raises ValueError.
     """
-    if record.resume is None:
-        raise ValueError("the record has no read turn-on to resume from")
-    if record.companion is not None and record.companion[0] == n_t:
-        return record.companion[1]
-    companion, timeline = _original_readout(scheme, record.timeline)
-    return _simulate(companion, record.pulse, timeline,
-                     record.diagnostics["n_z"], n_t, None, start=record)
+    if record.companion is None:
+        raise ValueError("the record carries no original-readout companion: "
+                         "run run_protocol with companion=True")
+    return record.companion

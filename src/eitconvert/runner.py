@@ -66,6 +66,8 @@ from .arrayio import write_csv
 from .atoms import ConversionScheme
 from .config import PumpSpec, ResolvedControls, ScenarioConfig, SweepSpec
 from .errors import exit_code
+# bench/spans.py wraps run_protocol and run_original_readout by name and
+# reads the scheme from the first argument
 from .mb import (N_Z, ControlTimeline, GaussianPulse, run_original_readout,
                  run_protocol, timeline_for_protocol)
 from .pumping import evolve_pumping, steady_state
@@ -303,8 +305,7 @@ def _run_mb(scheme: ConversionScheme, config: ScenarioConfig,
         grid = (config.grid.n_z or N_Z, config.grid.n_t or 0)
     record = run_protocol(scheme, pulse, timeline, grid=grid,
                           grid_check=config.grid.grid_check, companion=True)
-    companion = run_original_readout(scheme, record,
-                                     n_t=config.grid.n_t or 0)
+    companion = run_original_readout(scheme, record)
     energies = record.energies
     t = record.t_exit - timeline.t_r
     summary = {

@@ -72,7 +72,7 @@ def fig2():
     Om = control_for_eta(sch, ETA, T_P)
     pulse = GaussianPulse(T_p=T_P)
     tl = timeline_for_protocol(Om, Om, T_P, KAPPA)
-    rec = run_protocol(sch, pulse, tl)
+    rec = run_protocol(sch, pulse, tl, companion=True)
     return sch, Om, pulse, tl, rec
 
 
@@ -706,11 +706,9 @@ class TestPhaseSteps:
     def test_grid_check_doubles_each_segment(self, monkeypatch):
         calls = []
 
-        def spy(scheme, pulse, timeline, n_z, segments, start=None,
-                fork=None):
-            calls.append((n_z, segments))
-            return integrate(scheme, pulse, timeline, n_z, segments, start,
-                             fork)
+        def spy(*args, **kwargs):
+            calls.append(args[3:5])
+            return integrate(*args, **kwargs)
 
         integrate = mb._integrate
         monkeypatch.setattr(mb, "_integrate", spy)
@@ -776,8 +774,8 @@ def benchmark_case(T_p_us, eta, D_p, ccp2, ratio):
 
 def full_companion(scheme, pulse, timeline, grid=None):
     """The original-readout run from the start, stepped up to t_end
-    (DRAIN_TOL 0): the reference for the companion that resumes from the
-    main run and stops once the medium is drained."""
+    (DRAIN_TOL 0): the reference for the companion that joins the main
+    run at its resume sample and stops once the medium is drained."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mb, "DRAIN_TOL", 0.0)
         ref = run_protocol(scheme.with_original_readout(), pulse,
@@ -788,7 +786,7 @@ def full_companion(scheme, pulse, timeline, grid=None):
 
 
 class TestCompanion:
-    """run_original_readout resumes from the main record at the read
+    """The original-readout companion joins the main run at the read
     turn-on and stops once the medium is drained."""
 
     @staticmethod
@@ -807,8 +805,8 @@ class TestCompanion:
         control at its final stage, so the resume sample is the one before
         t_r; resuming at t_r itself is off by far more than 2e-9."""
         sch, pulse, tl = self.case(ramp_fraction)
-        rec = run_protocol(sch, pulse, tl, grid=(24, 0))
-        k, _ = rec.resume
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0), companion=True)
+        k = rec.resume
         assert rec.t_exit[k] == pytest.approx(tl.t_r - (ramp_fraction == 0)
                                               * rec.diagnostics["dt_write"],
                                               rel=1e-12)
@@ -834,9 +832,9 @@ class TestCompanion:
         sch, pulse, tl = self.case(0.2)
         auto = run_protocol(sch, pulse, tl, grid=(16, 0))
         n_t = 2 * auto.t_exit.size
-        rec = run_protocol(sch, pulse, tl, grid=(16, n_t))
-        comp = run_original_readout(sch, rec, n_t=n_t)
-        k, _ = rec.resume
+        rec = run_protocol(sch, pulse, tl, grid=(16, n_t), companion=True)
+        comp = run_original_readout(sch, rec)
+        k = rec.resume
         assert comp.t_exit.size == n_t
         steps = np.diff(comp.t_exit[k:])
         assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
@@ -845,7 +843,7 @@ class TestCompanion:
             ref.energies["converted"], rel=1e-4)
         with pytest.raises(StiffnessError,
                            match=r"stability bound .* need n_t >= \d+"):
-            run_original_readout(sch, rec, n_t=k + 20)
+            run_protocol(sch, pulse, tl, grid=(16, k + 20), companion=True)
 
     @pytest.mark.parametrize("T_p_us, eta, D_p, ccp2, ratio, stop", [
         (0.2, 3.5, 150.0, 1.0, 2.0, "drained"),
@@ -855,14 +853,14 @@ class TestCompanion:
         """A wide-band read drains the medium well before the automatic
         run length; a weak narrow-band read is still emitting there."""
         sch, pulse, tl = benchmark_case(T_p_us, eta, D_p, ccp2, ratio)
-        rec = run_protocol(sch, pulse, tl, grid=(24, 0))
+        rec = run_protocol(sch, pulse, tl, grid=(24, 0), companion=True)
         comp = run_original_readout(sch, rec)
         ref = full_companion(sch, pulse, tl, grid=(24, 0))
         d = comp.diagnostics
         assert d["stop"] == stop
         assert d["t_end"] == ref.diagnostics["t_end"]
         assert comp.t_exit.size == ref.t_exit.size
-        stepped = rec.resume[0] + d["n_t"]
+        stepped = rec.resume + d["n_t"]
         residual = comp.energies["residual_stored"]
         if stop == "drained":
             assert stepped < comp.t_exit.size
@@ -895,22 +893,38 @@ class TestCompanion:
         tl = ControlTimeline(Omega_w0=Om)
         rec = run_protocol(sch, pulse, tl, grid=(16, 0))
         assert rec.resume is None
-        with pytest.raises(ValueError, match="read turn-on"):
+        with pytest.raises(ValueError, match="companion=True"):
             run_original_readout(sch, rec)
         with pytest.raises(ValueError, match="read turn-on"):
             run_protocol(sch, pulse, tl, grid=(16, 0), companion=True)
 
+    def test_record_without_companion_refused(self):
+        sch, pulse, tl = self.case(0.2)
+        rec = run_protocol(sch, pulse, tl, grid=(16, 0))
+        assert rec.resume is not None and rec.companion is None
+        with pytest.raises(ValueError, match=r"companion=True"):
+            run_original_readout(sch, rec)
+
     @staticmethod
     def stacked_and_alone(scheme, pulse, timeline, grid):
         """The record with its stacked companion, that companion, and the
-        same companion integrated alone from the record's resume sample."""
+        same companion run alone from the start on the same grid
+        (full_companion)."""
         rec = run_protocol(scheme, pulse, timeline, grid=grid, companion=True)
-        stacked = run_original_readout(scheme, rec, n_t=grid[1])
-        assert stacked is rec.companion[1]
-        alone = run_original_readout(scheme, replace(rec, companion=None),
-                                     n_t=grid[1])
-        assert alone is not stacked
-        return rec, stacked, alone
+        stacked = run_original_readout(scheme, rec)
+        assert stacked is rec.companion
+        return rec, stacked, full_companion(scheme, pulse, timeline, grid)
+
+    @staticmethod
+    def assert_matches_full(stacked, full, rel=2e-9):
+        """The companion against full_companion: the converted energy
+        within rel (1e-4 under a forced n_t, whose uniform grids start at
+        different samples), the same t_end and the same number of
+        samples."""
+        assert stacked.energies["converted"] == pytest.approx(
+            full.energies["converted"], rel=rel)
+        assert stacked.diagnostics["t_end"] == full.diagnostics["t_end"]
+        assert stacked.t_exit.size == full.t_exit.size
 
     @staticmethod
     def assert_same_run(a, b):
@@ -932,7 +946,7 @@ class TestCompanion:
         sample before t_r, and its first step already reads out."""
         sch, pulse, tl = self.case(ramp_fraction)
         rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl, (24, 0))
-        self.assert_same_run(stacked, alone)
+        self.assert_matches_full(stacked, alone)
         # the main run is the same with its companion beside it
         self.assert_same_run(rec, run_protocol(sch, pulse, tl, grid=(24, 0)))
 
@@ -947,7 +961,7 @@ class TestCompanion:
         tl = timeline_for_protocol(Om, 0.85 * Om, T_p, KAPPA)
         rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl, (24, 0))
         assert sch.p.size == 7
-        self.assert_same_run(stacked, alone)
+        self.assert_matches_full(stacked, alone)
 
     @pytest.mark.parametrize("T_p_us, eta, D_p, ccp2, ratio, stop", [
         (0.15, 3.5, 150.0, 4.0, 1.5, "t_end"),
@@ -962,10 +976,10 @@ class TestCompanion:
         drains."""
         sch, pulse, tl = benchmark_case(T_p_us, eta, D_p, ccp2, ratio)
         rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl, (24, 0))
-        self.assert_same_run(stacked, alone)
+        self.assert_matches_full(stacked, alone)
         assert stacked.diagnostics["stop"] == stop
         assert (rec.diagnostics["n_t"]
-                > rec.resume[0] + stacked.diagnostics["n_t"])
+                > rec.resume + stacked.diagnostics["n_t"])
 
     def test_stacked_main_stops_first(self):
         """A main run cut short by its t_end leaves the batch, and the
@@ -974,10 +988,10 @@ class TestCompanion:
         rec = run_protocol(sch, pulse, tl, grid=(24, 0), t_end=tl.t_r + 10.0,
                            companion=True)
         stacked = run_original_readout(sch, rec)
-        alone = run_original_readout(sch, replace(rec, companion=None))
-        self.assert_same_run(stacked, alone)
+        self.assert_matches_full(stacked,
+                                 full_companion(sch, pulse, tl, (24, 0)))
         assert rec.diagnostics["stop"] == "t_end"
-        assert (rec.resume[0] + stacked.diagnostics["n_t"]
+        assert (rec.resume + stacked.diagnostics["n_t"]
                 > rec.diagnostics["n_t"])
 
     def test_stacked_forced_n_t(self):
@@ -986,12 +1000,12 @@ class TestCompanion:
         rec, stacked, alone = self.stacked_and_alone(sch, pulse, tl,
                                                      (16, n_t))
         assert stacked.t_exit.size == n_t
-        self.assert_same_run(stacked, alone)
-        # another n_t integrates alone, and this one is refused
-        k, _ = rec.resume
+        self.assert_matches_full(stacked, alone, rel=1e-4)
+        # a forced n_t too coarse for the run is refused
         with pytest.raises(StiffnessError,
                            match=r"stability bound .* need n_t >= \d+"):
-            run_original_readout(sch, rec, n_t=k + 20)
+            run_protocol(sch, pulse, tl, grid=(16, rec.resume + 20),
+                         companion=True)
         # without the keyword the record carries no companion
         assert run_protocol(sch, pulse, tl, grid=(16, n_t)).companion is None
 
