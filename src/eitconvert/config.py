@@ -409,7 +409,7 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Engine grid overrides; None keeps every engine's own default."""
+    """Engine grid overrides (n_z is mb's only); None keeps each default."""
 
     n_z: int | None = _num(integer=True, minimum=8)
     n_t: int | None = _num(integer=True, minimum=2)

@@ -24,7 +24,7 @@ through the control envelopes, so the same integrator covers slow light
 (write control never switched), storage, and retrieval with finite ramps.
 The z-integrals, of the fields and of the excitation held in the medium,
 take one rule on n_z uniform samples (N_Z = 64 by default): the four-point
-rule of _z_weights, fourth order in dz.
+rule of fields._z_weights, fourth order in dz, as in the spectral read-out.
 Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage, at one uniform step per protocol phase: the write phase up to the
 read turn-on, the read phase after it (see _phase_bounds).  Every run
@@ -79,7 +79,6 @@ host).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -87,7 +86,7 @@ import numpy as np
 
 from .atoms import ConversionScheme
 from .errors import GridBudgetError, StiffnessError
-from .fields import CoherenceField
+from .fields import CoherenceField, _z_weights
 from .theory import (LN2, _slow_light, pulse_bandwidth, pulse_energy,
                      read_channel, write_channel)
 
@@ -595,29 +594,6 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
         record.diagnostics["grid_doubling_rel"] = rel
         record.diagnostics["grid_converged"] = bool(rel < 0.01)
     return record
-
-
-@functools.lru_cache(maxsize=8)
-def _z_weights(n_z: int) -> np.ndarray:
-    """Cumulative weights W of the z rule on n_z uniform samples of [0, 1].
-
-    The integral of g from 0 to z_i is sum_m g_m W[m, i], so the last
-    column holds the weights over the whole medium.  Each interval
-    [z_k, z_k+1] takes dz/24 (-g_k-1 + 13 g_k + 13 g_k+1 - g_k+2), the
-    first one dz/24 (9 g_0 + 19 g_1 - 5 g_2 + g_3) and the last one its
-    mirror: the four-point rule, fourth order in dz (Press et al.,
-    Numerical Recipes, sec. 4.1).  Read-only; needs n_z >= 4.
-    """
-    intervals = np.zeros((n_z - 1, n_z))
-    k = np.arange(1, n_z - 2)
-    for shift, w in enumerate((-1.0, 13.0, 13.0, -1.0), -1):
-        intervals[k, k + shift] = w
-    intervals[0, :4] = (9.0, 19.0, -5.0, 1.0)
-    intervals[-1, -4:] = (1.0, -5.0, 19.0, 9.0)
-    weights = np.zeros((n_z, n_z))
-    weights[:, 1:] = np.cumsum(intervals, axis=0).T / (24.0 * (n_z - 1))
-    weights.flags.writeable = False
-    return weights
 
 
 def _medium_energy(scheme: ConversionScheme, field: CoherenceField) -> float:

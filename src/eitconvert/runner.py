@@ -3,7 +3,8 @@
 All three engines report a converted waveform on a shared time axis
 whose origin is the read-control turn-on, so pointwise comparisons need
 no further alignment.  mb and spectral share the protocol's time window
-too (mb.ControlTimeline.window).  The spectral engine sizes its read-out
+too (mb.ControlTimeline.window) and one z rule (grid.n_z is mb's only).
+The spectral engine sizes its read-out
 grid by that window less the storage hold, and keeps the converted
 samples on it, [t_start - t_w, t_end - t_r] from the read turn-on; it
 keeps the slow-light probe's samples within [-2 T_p, t_end] of the
@@ -23,7 +24,8 @@ Per-engine summary keys:
             validity flags of the Gaussian model joined by "; ", empty
             inside its regime)
   spectral: converted_energy, input_energy, xi_total, transmission,
-            quadrature_delta, n_omega_write, n_omega_read,
+            quadrature_delta (z-quadrature error estimate), n_omega_write,
+            n_omega_read,
             omega_max_write, omega_max_read, and the rule that set each
             (n_omega_limit_write, n_omega_limit_read: bandwidth, window,
             floor or given; omega_max_limit_write, omega_max_limit_read:
@@ -237,15 +239,12 @@ def _run_spectral(scheme: ConversionScheme, config: ScenarioConfig,
                                                           controls.T_p)
     probe_window = ControlTimeline(controls.Omega_w).window(scheme,
                                                             controls.T_p)
-    # forced grid fields apply to both stages
+    # forced grid fields apply to both stages (grid.n_z is mb's only)
     forced = {"n_omega": over.n_omega, "omega_max": over.omega_max}
     write_grid = SpectralGrid.for_write(scheme, controls.Omega_w,
                                         controls.T_p, **forced)
     read_grid = SpectralGrid.for_read(scheme, controls.Omega_w, controls.T_p,
                                       controls.Omega_r, read_window, **forced)
-    if over.n_z:
-        write_grid = replace(write_grid, n_z=over.n_z)
-        read_grid = replace(read_grid, n_z=over.n_z)
     decay = math.exp(-scheme.gamma_sg * controls.t_s)
 
     def convert(write_grid, read_grid, quadrature_check=True):

@@ -16,10 +16,11 @@ length L is the unit of length, so z runs over [0, 1].
 This module evaluates those kernels exactly on a discrete frequency grid:
 storage is an inverse transform of the filtered input spectrum at the write
 cutoff, and retrieval is a z-quadrature of the stored coherence against the
-read-channel kernel.  Truncation switches reproduce the Gaussian closed
-forms of the theory module: clamping A to its resonant value -1 and Taylor
-expanding f to second order turns the exact propagator into the analytic
-one, which pins down the error budget of each approximation separately.
+read-channel kernel by mb's z rule (fields._z_weights).  Truncation
+switches reproduce the Gaussian closed forms of the theory module:
+clamping A to its resonant value -1 and Taylor expanding f to second order
+turns the exact propagator into the analytic one, which pins down the
+error budget of each approximation separately.
 
 Unitary Fourier convention: g~(omega) = (2 pi)^{-1/2} integral g(t)
 exp(+i omega t) dt, so Parseval holds without extra factors.
@@ -28,13 +29,13 @@ exp(+i omega t) dt, so Parseval holds without extra factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atoms import ConversionScheme
 from .errors import AliasingError, GridBudgetError, GridError
-from .fields import CoherenceField
+from .fields import CoherenceField, _z_weights
 from .theory import LN2, pulse_bandwidth
 
 __all__ = [
@@ -74,14 +75,15 @@ class SpectralGrid:
     """Uniform centered frequency grid plus a spatial sample count.
 
     omega spans [-omega_max, omega_max) with n_omega points (power of two,
-    so omega = 0 is an exact sample); n_z samples cover [0, 1] inclusive.
-    n_omega_limit and omega_max_limit name the rule that set each size
-    (see _for_stage), "given" where the caller chose it.
+    so omega = 0 is an exact sample); n_z uniform samples, an odd number,
+    cover [0, 1] inclusive.  n_omega_limit and omega_max_limit name the
+    rule that set each size (see _for_stage), "given" where the caller
+    chose it.
     """
 
     omega_max: float
     n_omega: int = 4096
-    n_z: int = 512
+    n_z: int = 129
     n_omega_limit: str = "given"
     omega_max_limit: str = "given"
 
@@ -91,8 +93,8 @@ class SpectralGrid:
         n = self.n_omega
         if n < 16 or (n & (n - 1)) != 0:
             raise GridError(f"n_omega must be a power of two >= 16, got {n}")
-        if self.n_z < 16:
-            raise GridError(f"n_z must be at least 16, got {self.n_z}")
+        if self.n_z < 17 or self.n_z % 2 == 0:
+            raise GridError(f"n_z must be odd and at least 17, got {self.n_z}")
 
     @property
     def omega(self) -> np.ndarray:
@@ -144,14 +146,28 @@ class SpectralGrid:
         near the exit face.  Against a 16x wider span this grid loses at
         most 9.3e-5 of the converted energy at depths 100 and 500 and
         ratios 0.05-0.5, and 3.4e-5 on the benchmark's convert cases.
+
+        A forced n_omega whose time grid cannot hold the window between its
+        1/16 pad and refused last 5% (see converted_field_exact) raises
+        AliasingError: a wrapped field can pass _check_aliasing.
         """
         bandwidth = (pulse_bandwidth(T_p)
                      * min(1.0, abs(Omega_r / Omega_w)) ** 2)
-        return cls._for_stage(
+        length = window[1] - window[0]
+        grid = cls._for_stage(
             "read-out", scheme.channel("read"), Omega_r, bandwidth, 3.0,
-            WINDOW_MARGIN * (window[1] - window[0]), "window",
+            WINDOW_MARGIN * length, "window",
             f"to span {WINDOW_MARGIN:g} times the converted field's window",
             n_omega, omega_max)
+        # two samples more: the pad's rounding and the refused edge sample
+        need = 1 << math.ceil(math.log2(
+            (length * grid.omega_max / math.pi + 2.0) / (0.95 - 1.0 / 16)))
+        if grid.n_omega < need:
+            raise AliasingError(
+                f"spectral read-out: the time grid of n_omega = "
+                f"{grid.n_omega} bins is too short for the converted "
+                f"field's window; force grid.n_omega >= {need}")
+        return grid
 
     @classmethod
     def _for_stage(cls, stage, ch, Omega, bandwidth, tail, t_window, rule,
@@ -308,14 +324,6 @@ def _check_aliasing(x, values, what, domain="frequency"):
             f"{domain} grid; {remedy}")
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    return w
-
-
 def stored_coherence_exact(scheme: ConversionScheme, Omega_w: complex,
                            probe_spectrum, t_w: float, grid: SpectralGrid,
                            truncate_A: bool = False,
@@ -369,18 +377,23 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
 
     E~_c(L, omega) = (alpha_c Gamma_r / L Omega_r^*) sum_j R_j^c A_j^r(omega)
                      * integral_0^L sigma_j(z') e^{-f_r(omega)(L - z')} dz'
-    by composite trapezoid over the stored samples, then an inverse
-    transform to the time domain.  The time axis, measured from the read
-    turn-on, covers the window 2 pi / d_omega from a pad of 1/16 of it
-    before t_start (the start of ControlTimeline.read_window; default the
-    turn-on itself), rounded out to keep t = 0 on a sample.  The pad keeps the turn-on
-    clear of the refused first 5% of the window on any grid, the grid
-    check's doubled one too.  A spectrum or a waveform with energy in the
+    by the z rule over stored.z, which must be SpectralGrid.z_samples()
+    (else GridError), then an inverse transform to the time domain.  The
+    time axis, measured from the read turn-on, covers the window
+    2 pi / d_omega from a pad of 1/16 of it before t_start (the start of
+    ControlTimeline.read_window; default the turn-on itself), rounded out
+    to keep t = 0 on a sample.  The pad keeps the turn-on clear of the
+    refused first 5% of the window on any grid, the grid check's doubled
+    one too.  A spectrum or a waveform with energy in the
     outer 10% of its grid, either end, raises AliasingError: the waveform
     would wrap around its time window, whose length only a larger n_omega
-    extends.  The quadrature flag compares the full z sampling against a
-    half-density subsample (Richardson style).
+    extends.  The quadrature flag sets quadrature_delta to 1/15 of the
+    relative energy change on every other z sample (fourth-order rule).
     """
+    z = stored.z
+    if np.abs(z - replace(grid, n_z=z.size).z_samples()).max() > 1e-12:
+        raise GridError("stored.z must be the uniform odd sampling of [0, 1] "
+                        "of SpectralGrid.z_samples()")
     A_r, f_r = channel_transfer(scheme, "read", Omega_r, grid.omega,
                                 truncate_A, truncate_f)
     # 1/sqrt(2 pi): the stored coherence enters the one-sided transform
@@ -391,49 +404,35 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     # omega block whose (M, block) accumulator stays near 1 MB, in cache
     block = max(1, (1 << 16) // scheme.R_c.size)
 
-    def _spectrum_on(z, sigma):
-        # Horner's rule over z: acc <- acc q_k + w_k sigma_k with
-        # q_k = exp(-f_r (z_k - z_{k-1})) leaves
-        # sum_k w_k sigma_k exp(-f_r (z_last - z_k)) in acc, one complex
-        # multiply-add per (subsystem, bin, sample) and no (n_omega, n_z)
-        # exp table.  |q_k| <= 1 in an absorbing channel.
-        columns = (sigma * _trapezoid_weights(z)[None, :]).T[:, :, None]
-        steps = np.diff(z)
-        # linspace steps differ in their last bits: steps equal to within
-        # 16 ulps of the z extent share one exp, taken at their mean
-        keys = np.round(steps / (16 * np.finfo(float).eps * np.abs(z).max()))
-        _, which = np.unique(keys, return_inverse=True)
-        spacing = np.append(np.bincount(which, weights=steps)
-                            / np.bincount(which), 1.0 - z[-1])
+    def _spectrum_on(sigma):
+        # Horner's rule over z: acc <- acc q + w_k sigma_k with
+        # q = exp(-f_r dz) leaves sum_k w_k sigma_k exp(-f_r (1 - z_k)) in
+        # acc, one complex multiply-add per (subsystem, bin, sample) and no
+        # (n_omega, n_z) exp table.  |q| <= 1 in an absorbing channel.
+        columns = (sigma * _z_weights(sigma.shape[1])[:, -1]).T[:, :, None]
         out = np.empty(grid.n_omega, dtype=complex)
         for lo in range(0, grid.n_omega, block):
             sl = slice(lo, min(lo + block, grid.n_omega))
-            # last row carries the remaining path from z_last to 1
-            q = np.exp(-f_r[sl][None, :] * spacing[:, None])
-            acc = np.repeat(columns[0], q.shape[1], axis=1)
-            for k in range(1, z.size):
-                acc *= q[which[k - 1]]
-                acc += columns[k]
-            acc *= q[-1]
+            q = np.exp(-f_r[sl] / (len(columns) - 1))
+            acc = np.repeat(columns[0], q.size, axis=1)
+            for column in columns[1:]:
+                acc *= q
+                acc += column
             out[sl] = pref * (scheme.R_c[:, None] * A_r[:, sl]
                               * acc).sum(axis=0)
         return out
 
-    spec = _spectrum_on(stored.z, stored.sigma)
+    spec = _spectrum_on(stored.sigma)
     _check_aliasing(grid.omega, spec, "converted field")
 
     energy_scaled = float((np.abs(spec) ** 2).sum() * grid.d_omega)
     delta = 0.0
     converged = True
-    if quadrature_check and stored.z.size >= 8:
-        idx = np.arange(0, stored.z.size, 2)
-        if idx[-1] != stored.z.size - 1:
-            idx = np.append(idx, stored.z.size - 1)
-        coarse = _spectrum_on(stored.z[idx], stored.sigma[:, idx])
+    if quadrature_check:
+        coarse = _spectrum_on(stored.sigma[:, ::2])
         e_coarse = float((np.abs(coarse) ** 2).sum() * grid.d_omega)
         if energy_scaled > 0:
-            # trapezoid is O(h^2): remaining error is about a third of the step
-            delta = abs(energy_scaled - e_coarse) / (3.0 * energy_scaled)
+            delta = abs(energy_scaled - e_coarse) / (15.0 * energy_scaled)
             converged = delta < 5e-3
 
     dt = math.pi / grid.omega_max

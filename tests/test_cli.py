@@ -215,12 +215,14 @@ class TestScenarioCommand:
         assert "n_omega = 67108864" in err and "4194304" in err
 
     def test_wrapped_transmitted_probe_exits_3(self, tmp_path, capsys):
-        """At this forced n_omega the converted field fits its read grid,
-        but the probe, delayed by the whole medium at eta 8, wraps around
-        the time window of the write grid."""
-        doc = minimal_doc(engines=["spectral"], grid={"n_omega": 1024})
+        """On this forced grid the read grid holds the window of the fast
+        read (control ratio 2), but the probe, delayed by the whole medium
+        at eta 12, wraps around the time window of the write grid, which
+        is centred on the input pulse."""
+        doc = minimal_doc(engines=["spectral"],
+                          grid={"n_omega": 8192, "omega_max": 175.0})
         doc["scheme"]["ccp2"] = 1.0
-        doc["protocol"].update(eta=8.0, control_ratio=1.0)
+        doc["protocol"].update(eta=12.0, control_ratio=2.0)
         f = write_json(tmp_path / "s.json", doc)
         assert main(["scenario", f, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err

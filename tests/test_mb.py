@@ -26,6 +26,8 @@ import numpy as np
 import pytest
 
 from eitconvert import mb
+from eitconvert.fields import _z_weights
+from eitconvert.runner import _peak_and_fwhm
 from eitconvert import (
     CoherenceField,
     ControlTimeline,
@@ -51,18 +53,6 @@ from eitconvert import (
 
 T_P = UnitSystem().time_in(0.2)
 ETA, KAPPA, D = 4.0, 1.35, 500.0
-
-
-def intensity_fwhm(t, field):
-    p = np.abs(np.asarray(field)) ** 2
-    i = int(np.argmax(p))
-    half = 0.5 * p[i]
-    above = p >= half
-    lo = int(np.argmax(above))
-    hi = p.size - 1 - int(np.argmax(above[::-1]))
-    tl = t[lo - 1] + (t[lo] - t[lo - 1]) * (half - p[lo - 1]) / (p[lo] - p[lo - 1])
-    th = t[hi] + (t[hi + 1] - t[hi]) * (p[hi] - half) / (p[hi] - p[hi + 1])
-    return th - tl
 
 
 @pytest.fixture(scope="module")
@@ -260,8 +250,8 @@ class TestCrossValidation:
         res = converted_field_exact(sch, stored, Om, grid)
         pk_mb = np.abs(rec.converted_exit).max()
         pk_sp = np.abs(res.waveform).max()
-        fw_mb = intensity_fwhm(rec.t_exit - tl.t_r, rec.converted_exit)
-        fw_sp = intensity_fwhm(res.t, res.waveform)
+        fw_mb = _peak_and_fwhm(rec.t_exit - tl.t_r, rec.converted_exit)[2]
+        fw_sp = _peak_and_fwhm(res.t, res.waveform)[2]
         assert pk_mb == pytest.approx(pk_sp, rel=0.025)
         assert fw_mb == pytest.approx(fw_sp, rel=0.025)
         assert rec.energies["converted_scaled"] == pytest.approx(
@@ -371,12 +361,13 @@ class TestNumerics:
 
 class TestZRule:
     """The field integrals and the medium energies share one z rule
-    (mb._z_weights), fourth order in dz."""
+    (fields._z_weights), fourth order in dz; the spectral read-out takes
+    it too."""
 
     @pytest.mark.parametrize("n_z", [8, 13, 64])
     def test_cubics_integrate_exactly(self, n_z):
         z = np.linspace(0.0, 1.0, n_z)
-        weights = mb._z_weights(n_z)
+        weights = _z_weights(n_z)
         for power in range(4):
             assert z ** power @ weights == pytest.approx(
                 z ** (power + 1) / (power + 1), rel=1e-13, abs=1e-15)

@@ -13,11 +13,13 @@ with eta = 4, kappa = 1.35, D = 500 unless noted):
   model peak -0.11%, intensity FWHM +0.16%, energy -0.04%, peak time
   within 0.11 of the group-delay prediction; the truncated pipeline
   reproduces the Gaussian model to 3.4e-6
-- converted energy is independent of the read power to 6.2e-6
-- grid refinement moves the converted energy by 6.7e-7
+- converted energy is independent of the read power to 4.9e-5
+- grid refinement moves the converted energy by 8.2e-8 (6.7e-7 with the
+  trapezoid z rule at n_z 512)
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,24 +48,12 @@ from eitconvert import (
     write_channel,
 )
 from eitconvert.mb import timeline_for_protocol
+from eitconvert.runner import _peak_and_fwhm
 from eitconvert.spectral import _check_aliasing
 
 LN2 = math.log(2.0)
 T_P = UnitSystem().time_in(0.2)
 ETA, KAPPA, D = 4.0, 1.35, 500.0
-
-
-def intensity_fwhm(t, field):
-    """Full width at half maximum of |field|^2 with linear crossings."""
-    p = np.abs(np.asarray(field)) ** 2
-    i = int(np.argmax(p))
-    half = 0.5 * p[i]
-    above = p >= half
-    lo = int(np.argmax(above))
-    hi = p.size - 1 - int(np.argmax(above[::-1]))
-    tl = t[lo - 1] + (t[lo] - t[lo - 1]) * (half - p[lo - 1]) / (p[lo] - p[lo - 1])
-    th = t[hi] + (t[hi + 1] - t[hi]) * (p[hi] - half) / (p[hi] - p[hi + 1])
-    return th - tl
 
 
 def _read_grid(sch, Om, Om_r, kappa=KAPPA, n_omega=None):
@@ -305,7 +295,7 @@ class TestConvertedField:
         ana = converted_spectrum(sch, w, r)
         peak = np.abs(res.waveform).max()
         t_peak = res.t[int(np.argmax(np.abs(res.waveform)))]
-        fw = intensity_fwhm(res.t, res.waveform)
+        fw = _peak_and_fwhm(res.t, res.waveform)[2]
         e_ana = float(np.trapezoid(np.abs(ana.time_waveform(res.t)) ** 2,
                                    res.t))
         assert peak == pytest.approx(ana.peak_amplitude, rel=5e-3)
@@ -385,15 +375,51 @@ class TestConvertedField:
         assert res.energy == pytest.approx(ratio * res.energy_scaled,
                                            rel=1e-14)
 
+    @pytest.mark.parametrize("case", ["narrow", "cesium"])
+    def test_default_n_z_is_converged(self, case):
+        """The converted energy at the default n_z against n_z 4097, on
+        the convert benchmark options farthest off of their slots: narrow
+        T0.08-eta4.5-D350-ccp20.5 (control ratio 0.3) and cesium
+        sigma+ -> sigma-, isotropic, alpha 250, ratio 1.2, eta 4.5 read
+        5.7e-7 and 1.9e-7 off."""
+        units = UnitSystem(gamma_2pi_MHz=4.56)
+        if case == "narrow":
+            T_p, ratio = units.time_in(0.08), 0.3
+            sch = single_lambda_scheme(350.0, 175.0)
+        else:
+            T_p, ratio = units.time_in(0.2), 1.2
+            sch = build_cesium_d1_scheme("sigma+->sigma-", [1.0 / 7.0] * 7,
+                                         250.0, 250.0)
+        Om = control_for_eta(sch, 4.5, T_p)
+        Om_r = ratio * Om
+        window = timeline_for_protocol(Om, Om_r, T_p, KAPPA).read_window(
+            sch, T_p)
+        write = SpectralGrid.for_write(sch, Om, T_p)
+        read = SpectralGrid.for_read(sch, Om, T_p, Om_r, window)
+        energies = []
+        for n_z in (read.n_z, 4097):
+            w, r = (replace(g, n_z=n_z) for g in (write, read))
+            stored = stored_coherence_exact(
+                sch, Om, gaussian_probe_spectrum(w, T_p), KAPPA * T_p, w)
+            energies.append(converted_field_exact(
+                sch, stored, Om_r, r, quadrature_check=False,
+                t_start=window[0]).energy)
+        assert energies[0] == pytest.approx(energies[1], rel=1e-6)
+
 
 def _direct_readout(sch, stored, Om_r, grid):
-    """Read-out quadrature through the full (n_omega, n_z) exp table."""
+    """Read-out quadrature through the full (n_omega, n_z) exp table, with
+    the four-point rule summed one interval at a time: dz/24 (-1, 13, 13,
+    -1) over the samples around an inner interval, (9, 19, -5, 1) on the
+    first and its mirror on the last."""
     A_r, f_r = channel_transfer(sch, "read", Om_r, grid.omega)
     z, L = stored.z, 1.0
-    w = np.empty_like(z)
-    w[0] = 0.5 * (z[1] - z[0])
-    w[-1] = 0.5 * (z[-1] - z[-2])
-    w[1:-1] = 0.5 * (z[2:] - z[:-2])
+    w = np.zeros_like(z)
+    for k in range(1, z.size - 2):
+        w[k - 1:k + 3] += (-1.0, 13.0, 13.0, -1.0)
+    w[:4] += (9.0, 19.0, -5.0, 1.0)
+    w[-4:] += (1.0, -5.0, 19.0, 9.0)
+    w *= (z[1] - z[0]) / 24.0
     kern = np.exp(-f_r[:, None] * (L - z)[None, :])
     inner = (stored.sigma * w[None, :]) @ kern.T
     pref = sch.alpha_c * sch.Gamma_r / (math.sqrt(2.0 * math.pi) * L
@@ -411,31 +437,22 @@ def _readout_case(kind):
     Om = control_for_eta(sch, ETA, T_P)
     Om_r = 0.8 * Om
     w = write_channel(sch, Om, T_P, KAPPA)
-    grid = _read_grid(sch, Om, Om_r, n_omega=4096)
+    grid = _read_grid(sch, Om, Om_r)
     stored = stored_coherence_exact(
         sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
-    z = stored.z
     if kind == "half-density":
-        # the quadrature check's subsample of an even n_z: steps 2h, then h
-        idx = np.append(np.arange(0, z.size, 2), z.size - 1)
-        stored = CoherenceField(z=z[idx], sigma=stored.sigma[:, idx],
-                                t=stored.t)
-    elif kind == "jittered":
-        # arbitrary spacings, last sample short of the exit face
-        rng = np.random.default_rng(5)
-        zj = np.sort(0.97 * z + rng.uniform(-0.3, 0.3, z.size) * z[1])
-        stored = CoherenceField(z=np.clip(zj, 0.0, None), sigma=stored.sigma,
+        # the quadrature check's subsample, every other sample of an odd n_z
+        stored = CoherenceField(z=stored.z[::2], sigma=stored.sigma[:, ::2],
                                 t=stored.t)
     return sch, Om_r, grid, stored
 
 
 class TestHornerReadout:
-    @pytest.mark.parametrize("kind", ["uniform", "half-density", "cesium",
-                                      "jittered"])
+    @pytest.mark.parametrize("kind", ["uniform", "half-density", "cesium"])
     def test_matches_direct_table(self, kind):
         sch, Om_r, grid, stored = _readout_case(kind)
         if kind == "half-density":
-            assert stored.z.size == 257 and grid.n_z % 2 == 0
+            assert stored.z.size == (grid.n_z + 1) // 2 == 65
         if kind == "cesium":
             assert sch.p.size == 7
         res = converted_field_exact(sch, stored, Om_r, grid,
@@ -443,6 +460,27 @@ class TestHornerReadout:
         ref = _direct_readout(sch, stored, Om_r, grid)
         assert np.abs(ref).max() > 0
         assert np.max(np.abs(res.spectrum - ref)) < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("z", ["jittered", "even", "short"])
+    def test_other_z_sampling_refused(self, z):
+        """The rule needs the uniform sampling of [0, 1] on an odd number
+        of points: jittered samples, an even count or a sampling that
+        stops short of the exit face are refused."""
+        sch, Om_r, grid, stored = _readout_case("uniform")
+        n = stored.z.size
+        if z == "jittered":
+            rng = np.random.default_rng(5)
+            zs = np.sort(stored.z + rng.uniform(-0.3, 0.3, n) / (n - 1))
+            zs = np.clip(zs, 0.0, 1.0)
+        elif z == "even":
+            zs = np.linspace(0.0, 1.0, n + 1)
+        else:
+            zs = 0.97 * stored.z
+        sigma = np.resize(stored.sigma, (stored.sigma.shape[0], zs.size))
+        with pytest.raises(GridError, match="odd"):
+            converted_field_exact(sch, CoherenceField(z=zs, sigma=sigma,
+                                                      t=stored.t),
+                                  Om_r, grid)
 
 
 class TestAliasingGuard:
@@ -531,9 +569,35 @@ class TestGridSizing:
         assert ok.n_omega == 1 << 22
         with pytest.raises(GridBudgetError, match="67108864.*4194304"):
             _read_grid(sch, Om, 1e-4 * Om)
-        forced = _read_grid(sch, Om, 1e-4 * Om, n_omega=1 << 23)
-        assert forced.n_omega == 1 << 23
+        forced = _read_grid(sch, Om, 1e-4 * Om, n_omega=1 << 25)
+        assert forced.n_omega == 1 << 25
         assert forced.n_omega_limit == "given"
+
+    def test_forced_n_omega_must_hold_read_window(self):
+        """At D_p 500, ccp2 1, eta 8, ratio 1 the read window runs over
+        -19.2...92.7.  1024 bins span -21.5...15.3: the converted field
+        wrapped onto itself passed the aliasing check, its peak at 0.18
+        instead of 39.4.  2048 are short too; 4096 hold the window and
+        give the automatic grid's pulse."""
+        sch = single_lambda_scheme(D, D)
+        Om = control_for_eta(sch, 8.0, T_P)
+        for n in (1024, 2048):
+            with pytest.raises(AliasingError,
+                               match=f"n_omega = {n} .*n_omega >= 4096"):
+                _read_grid(sch, Om, Om, n_omega=n)
+        window = timeline_for_protocol(Om, Om, T_P, KAPPA).read_window(
+            sch, T_P)
+        peaks = []
+        for n in (4096, None):
+            grid = _read_grid(sch, Om, Om, n_omega=n)
+            stored = stored_coherence_exact(
+                sch, Om, gaussian_probe_spectrum(grid, T_P), KAPPA * T_P,
+                grid)
+            res = converted_field_exact(sch, stored, Om, grid,
+                                        t_start=window[0])
+            peaks.append(_peak_and_fwhm(res.t, res.waveform)[0])
+        assert peaks[1] == pytest.approx(39.4, abs=0.1)
+        assert peaks[0] == pytest.approx(peaks[1], abs=0.05)
 
     def test_bad_grids_rejected(self):
         with pytest.raises(GridError):
@@ -544,6 +608,14 @@ class TestGridSizing:
             SpectralGrid(omega_max=10.0, n_omega=8)
         with pytest.raises(GridError):
             SpectralGrid(omega_max=10.0, n_omega=256, n_z=4)
+
+    def test_even_n_z_refused(self):
+        """The quadrature check subsamples every other z sample, which
+        ends on the exit face only for an odd count."""
+        with pytest.raises(GridError, match="odd.*got 128"):
+            SpectralGrid(omega_max=10.0, n_omega=256, n_z=128)
+        default = SpectralGrid(omega_max=10.0)
+        assert (default.n_z, default.refined().n_z) == (129, 257)
 
     def test_refined_halves_spacing(self):
         g = SpectralGrid(omega_max=10.0, n_omega=256, n_z=33)
