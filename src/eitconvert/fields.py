@@ -7,7 +7,6 @@ integrates it over z (_z_weights) are kept here so both compute alike.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +30,7 @@ class CoherenceField:
         if self.sigma.ndim != 2 or self.sigma.shape[1] != self.z.size:
             raise ValueError("sigma must have shape (n_subsystems, n_z)")
 
-    def excitation_density(self, populations: np.ndarray) -> np.ndarray:
-        """Population-normalized excitation density sum_j |sigma_j|^2 / p_j.
 
-        Subsystems with zero population carry no coherence and are skipped.
-        """
-        populations = np.asarray(populations)
-        populated = populations > 0
-        return (np.abs(self.sigma[populated]) ** 2
-                / populations[populated, None]).sum(axis=0)
-
-
-@functools.lru_cache(maxsize=8)
 def _z_weights(n_z: int) -> np.ndarray:
     """Cumulative weights W of the z rule on n_z uniform samples of [0, 1].
 
@@ -51,7 +39,7 @@ def _z_weights(n_z: int) -> np.ndarray:
     [z_k, z_k+1] takes dz/24 (-g_k-1 + 13 g_k + 13 g_k+1 - g_k+2), the
     first one dz/24 (9 g_0 + 19 g_1 - 5 g_2 + g_3) and the last one its
     mirror: the four-point rule, fourth order in dz (Press et al.,
-    Numerical Recipes, sec. 4.1).  Read-only; needs n_z >= 4.
+    Numerical Recipes, sec. 4.1).  Not cached; needs n_z >= 4.
     """
     weights = np.zeros((n_z, n_z))
     intervals = weights[:, 1:].T         # row k: [z_k, z_k+1], summed in place
@@ -62,5 +50,4 @@ def _z_weights(n_z: int) -> np.ndarray:
     intervals[-1, -4:] = (1.0, -5.0, 19.0, 9.0)
     np.cumsum(intervals, axis=0, out=intervals)
     weights /= 24.0 * (n_z - 1)
-    weights.flags.writeable = False
     return weights

@@ -22,9 +22,11 @@ constants reduce to optical depths:
 Both channels stay live through all phases; the protocol is expressed purely
 through the control envelopes, so the same integrator covers slow light
 (write control never switched), storage, and retrieval with finite ramps.
-The z-integrals, of the fields and of the excitation held in the medium,
-take one rule on n_z uniform samples (N_Z = 64 by default): the four-point
-rule of fields._z_weights, fourth order in dz, as in the spectral read-out.
+The z-integrals, of the fields and of the excitation held in the medium
+(one weight table per run, _Run.norm, for the drain check, the ledger and
+the error estimate), take one rule on n_z uniform samples (N_Z = 64 by
+default): the four-point rule of fields._z_weights, fourth order in dz, as
+in the spectral read-out.
 Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage, at one uniform step per protocol phase: the write phase up to the
 read turn-on, the read phase after it (see _phase_bounds).  Every run
@@ -596,21 +598,6 @@ def _simulate(scheme: ConversionScheme, pulse: GaussianPulse,
     return record
 
 
-def _medium_energy(scheme: ConversionScheme, field: CoherenceField) -> float:
-    """Excitation held by the coherences of field, in input units.
-
-    The rows of field.sigma run over the subsystems, the same number of
-    rows each (sigma_sg alone, or the stacked state), sampled on the run's
-    z grid; the result is alpha_p Gamma_w times the z-integral, by the
-    rule of _z_weights, of sum_j sum_rows |sigma|^2 / p_j.
-    """
-    write = scheme.channel("write")
-    rows = field.sigma.shape[0] // scheme.p.size
-    density = field.excitation_density(np.repeat(scheme.p, rows))
-    return float(write.alpha * write.Gamma
-                 * np.dot(density, _z_weights(field.z.size)[:, -1]))
-
-
 def _time_axis(segments: list, head=()) -> np.ndarray:
     """The samples of a run that steps over segments after the samples of
     head."""
@@ -667,11 +654,13 @@ class _Run:
         P[:, 0, 0] = 0.5j * write.alpha * write.Gamma * scheme.a_p
         P[:, 2, 1] = 0.5j * read.alpha * read.Gamma * scheme.a_c
         self.P = P.reshape(3 * M, 2)
-        # the medium-energy weight alpha_p Gamma_w / p_j of each subsystem
-        # (0 on empty ones), for the error estimate's norm
+        # the excitation norm (see _excitation), (M, 1, n_z): alpha_p
+        # Gamma_w / p_j (0 on empty subsystems) times the z rule's weights
+        # over the whole medium
         live = scheme.p > 0
-        self.weight = np.where(live, write.alpha * write.Gamma
-                               / np.where(live, scheme.p, 1.0), 0.0)
+        weight = np.where(live, write.alpha * write.Gamma
+                          / np.where(live, scheme.p, 1.0), 0.0)
+        self.norm = weight[:, None, None] * _z_weights(n_z)[:, -1]
 
         self.exits = np.zeros((t_axis.size, 2), dtype=complex)
         self.idx_w = (None if timeline.t_w is None
@@ -691,6 +680,16 @@ class _Run:
         # set once the run stops: why, and the last sample stepped
         self.stop = None
         self.k_stop = None
+
+
+def _excitation(run: _Run, sigma: np.ndarray) -> float:
+    """Excitation held by sigma in the medium of run, in input units:
+    sum_j alpha_p Gamma_w / p_j times the z-integral of |sigma_j|^2 over
+    the rows of each subsystem; sigma is (M, n_z) (sigma_sg alone) or
+    (M, 3, n_z) (the stacked state)."""
+    M, _, n_z = run.norm.shape
+    power = (np.abs(sigma.reshape(M, -1, n_z)) ** 2).sum(axis=1)
+    return float(np.vdot(run.norm, power))
 
 
 class _Batch:
@@ -756,14 +755,13 @@ class _Batch:
             rows += drive_rows
 
         # The error estimate's norm: diff holds k4 - k1, and its squared
-        # norm is the medium energy of diff, alpha_p Gamma_w / p_j
-        # |diff_j|^2 integrated by the z rule and summed over the
-        # subsystems: each run's float rows, times the z weights of each
-        # subsystem's rows scaled by its weight, dotted with themselves.
+        # norm is the excitation of diff: each run's float rows, times its
+        # excitation norm expanded to every row and to the real and
+        # imaginary parts, dotted with themselves.
         diff = np.empty_like(self.stage)
         floats = diff.reshape(R, 3 * M * n_z).view(float)
-        z_rows = np.tile(np.repeat(_z_weights(n_z)[:, -1], 2), 3)
-        weights = np.stack([np.outer(run.weight, z_rows).ravel()
+        weights = np.stack([np.broadcast_to(run.norm[..., None],
+                                            (M, 3, n_z, 2)).ravel()
                             for run in runs])
         weighted = np.empty_like(floats)
 
@@ -825,7 +823,7 @@ class _Batch:
     def visit(self, r: int, k: int, err: float, state: np.ndarray) -> int:
         """Snapshots and stop checks of run r at sample k, where its state
         is state; returns the next sample that needs a visit."""
-        run, M = self.runs[r], state.shape[0]
+        run = self.runs[r]
         t_k = run.t_axis[k]
         if k == run.idx_w:
             run.snap_w = CoherenceField(z=self.z, sigma=state[:, 1].copy(),
@@ -835,9 +833,7 @@ class _Batch:
         elif k == run.t_axis.size - 1:
             run.stop = "t_end"
         elif ((k - run.first) % DRAIN_EVERY == 0 and t_k >= run.t_drain
-              and _medium_energy(run.scheme, CoherenceField(
-                  z=self.z, sigma=state.reshape(3 * M, -1), t=t_k))
-              < DRAIN_TOL * self.pulse.energy):
+              and _excitation(run, state) < DRAIN_TOL * self.pulse.energy):
             run.stop = "drained"
         due = [run.t_axis.size - 1,
                k + DRAIN_EVERY - (k - run.first) % DRAIN_EVERY]
@@ -909,7 +905,7 @@ class _Batch:
         return k, not stopped
 
 
-def _record(run: _Run, pulse: GaussianPulse, z: np.ndarray) -> SimulationRecord:
+def _record(run: _Run, pulse: GaussianPulse) -> SimulationRecord:
     """The record of a run that has stopped."""
     t_axis = run.t_axis
     probe_exit = run.exits[:, 0].copy()
@@ -923,12 +919,9 @@ def _record(run: _Run, pulse: GaussianPulse, z: np.ndarray) -> SimulationRecord:
         e_leak = e_trans
     e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
     e_conv = run.scheme.energy_unit_ratio * e_conv_scaled
-    e_stored = (_medium_energy(run.scheme, run.snap_w)
+    e_stored = (_excitation(run, run.snap_w.sigma)
                 if run.snap_w is not None else 0.0)
-    M = run.scheme.p.size
-    e_resid = _medium_energy(run.scheme, CoherenceField(
-        z=z, sigma=run.state.reshape(3 * M, z.size),
-        t=t_axis[run.k_stop]))
+    e_resid = _excitation(run, run.state)
     energies = {
         "input": e_in,
         "transmitted": e_trans,
@@ -961,8 +954,8 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     steps taken: e_n = dt/6 (k4 of step n - k1 of step n + 1) is the
     difference between RK4 and the third-order method that shares its
     stages plus f(y_n+1), and the next k1 is computed anyway.  Each
-    ||e_n|| is taken in the excitation norm, the square root of the medium
-    energy of e_n (see _medium_energy), and the sum is divided by the
+    ||e_n|| is taken in the excitation norm, the square root of the
+    excitation of e_n (see _excitation), and the sum is divided by the
     square root of the input energy.
     Over a run it falls as dt^3.
 
@@ -1007,7 +1000,7 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     if fork is not None and runs[1].snap_w is None:
         # the write cutoff lies before the fork: the snapshot is shared
         runs[1].snap_w = main.snap_w
-    return [_record(run, pulse, z) for run in runs if run.stop is not None]
+    return [_record(run, pulse) for run in runs if run.stop is not None]
 
 
 def run_original_readout(scheme: ConversionScheme,

@@ -8,7 +8,7 @@ The spectral engine sizes its read-out
 grid by that window less the storage hold, and keeps the converted
 samples on it, [t_start - t_w, t_end - t_r] from the read turn-on; it
 keeps the slow-light probe's samples within [-2 T_p, t_end] of the
-slow-light run, as far as the write grid's time axis reaches.  Summaries
+slow-light run, which the write grid's time axis holds.  Summaries
 are flat dicts
 of numbers, plus the closed form's validity flags, the names of the
 rules that set the spectral grids and of the rates that bounded the mb
@@ -27,10 +27,10 @@ Per-engine summary keys:
             quadrature_delta (z-quadrature error estimate), n_omega_write,
             n_omega_read,
             omega_max_write, omega_max_read, and the rule that set each
-            (n_omega_limit_write, n_omega_limit_read: bandwidth, window,
-            floor or given; omega_max_limit_write, omega_max_limit_read:
-            bandwidth, linewidth, read_rabi or given), peak_time,
-            peak_amplitude, fwhm
+            (n_omega_limit_write, n_omega_limit_read: bandwidth,
+            slow_light, window, floor or given; omega_max_limit_write,
+            omega_max_limit_read: bandwidth, linewidth, read_rabi or
+            given), peak_time, peak_amplitude, fwhm
   mb:       converted_energy, input_energy, xi_total, xi_relative,
             leakage, transmitted_energy, peak_time, peak_amplitude, fwhm,
             stop ("drained" once the medium is drained, or "t_end" at the

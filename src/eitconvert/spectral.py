@@ -36,6 +36,7 @@ import numpy as np
 from .atoms import ConversionScheme
 from .errors import AliasingError, GridBudgetError, GridError
 from .fields import CoherenceField, _z_weights
+from .mb import ControlTimeline
 from .theory import LN2, pulse_bandwidth
 
 __all__ = [
@@ -116,14 +117,19 @@ class SpectralGrid:
         transmission.
 
         Unless n_omega is forced, the spacing keeps 16 points across the
-        input bandwidth's FWHM; the span and the bin limits are those of
-        _for_stage.
+        input bandwidth's FWHM and holds the slow-light window
+        (ControlTimeline.window) inside the inner 90% of the probe's
+        centred time axis, which _check_aliasing accepts; the span and the
+        bin limits are those of _for_stage.
         """
         bandwidth = pulse_bandwidth(T_p)
         return cls._for_stage(
             "storage", scheme.channel("write"), Omega_w, bandwidth, 0.0,
-            32.0 * math.pi / bandwidth, "bandwidth",
-            "to resolve the input bandwidth", n_omega, omega_max)
+            [(32.0 * math.pi / bandwidth, "bandwidth",
+              "to resolve the input bandwidth"),
+             (2.0 / 0.9 * ControlTimeline(Omega_w).window(scheme, T_p)[1],
+              "slow_light", "to hold the slow-light window")],
+            n_omega, omega_max)
 
     @classmethod
     def for_read(cls, scheme: ConversionScheme, Omega_w: complex,
@@ -156,8 +162,9 @@ class SpectralGrid:
         length = window[1] - window[0]
         grid = cls._for_stage(
             "read-out", scheme.channel("read"), Omega_r, bandwidth, 3.0,
-            WINDOW_MARGIN * length, "window",
-            f"to span {WINDOW_MARGIN:g} times the converted field's window",
+            [(WINDOW_MARGIN * length, "window",
+              f"to span {WINDOW_MARGIN:g} times the converted field's "
+              f"window")],
             n_omega, omega_max)
         # two samples more: the pad's rounding and the refused edge sample
         need = 1 << math.ceil(math.log2(
@@ -170,17 +177,19 @@ class SpectralGrid:
         return grid
 
     @classmethod
-    def _for_stage(cls, stage, ch, Omega, bandwidth, tail, t_window, rule,
-                   reason, n_omega, omega_max) -> "SpectralGrid":
+    def _for_stage(cls, stage, ch, Omega, bandwidth, tail, windows,
+                   n_omega, omega_max) -> "SpectralGrid":
         """Grid of one stage driven by the control Omega on channel ch.
 
         Unless omega_max is given, it is 8 times the largest of the
         stage's bandwidth, its power-broadened control linewidth
         |a_max Omega|^2 / Gamma and tail |a_max Omega|.  Unless n_omega is
         forced, it is the smallest power of two, at least MIN_N_OMEGA,
-        whose time window 2 pi / d_omega reaches t_window; a size above
-        MAX_N_OMEGA raises GridBudgetError naming the stage and the reason
-        before anything is allocated.  A forced n_omega is taken as given.
+        whose time window 2 pi / d_omega reaches every t_window of windows,
+        a list of (t_window, rule, reason); the first rule that needs that
+        size names it.  A size above MAX_N_OMEGA raises GridBudgetError
+        naming the stage and the reason before anything is allocated.  A
+        forced n_omega is taken as given.
         """
         a_Omega = ch.a_ctrl_max * abs(Omega)
         span_limit = n_limit = "given"
@@ -191,9 +200,10 @@ class SpectralGrid:
             span_limit = max(spans, key=spans.get)
             omega_max = 8.0 * spans[span_limit]
         if n_omega is None:
-            n_limit = rule
-            n_omega = 1 << math.ceil(math.log2(omega_max * t_window
-                                               / math.pi))
+            n_omega, n_limit, reason = max(
+                ((1 << math.ceil(math.log2(omega_max * t_window / math.pi)),
+                  rule, reason) for t_window, rule, reason in windows),
+                key=lambda size: size[0])
             if n_omega < MIN_N_OMEGA:
                 n_omega, n_limit = MIN_N_OMEGA, "floor"
             if n_omega > MAX_N_OMEGA:

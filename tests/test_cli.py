@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eitconvert import UnitSystem, mb, relative_efficiency_single, runner
-from eitconvert.arrayio import read_csv
+from eitconvert.arrayio import read_csv, write_csv
 from eitconvert.cli import main
 from eitconvert.config import ScenarioConfig, load_scenario
 from eitconvert.errors import ValidityWarning
@@ -581,6 +581,30 @@ class TestStageGrids:
             half = 0.5 * (t[1] - t[0])
             assert abs(t[0] - lo) <= half and abs(t[-1] - hi) <= half, name
 
+    @pytest.mark.parametrize("eta, n_omega, limit", [
+        (4.0, 16384, "bandwidth"), (12.0, 8192, "slow_light")])
+    def test_probe_reaches_slow_light_window_end(self, tmp_path, eta,
+                                                 n_omega, limit):
+        """At D_p 500, ccp2 1, control ratio 1 and eta 12 the slow-light
+        window ends at 139.2, and on the 4096 bins that the input bandwidth
+        asks for probe_spectral.csv ended at 110.6.  The write grid now
+        holds the window; at eta 4 the bandwidth still sets its size."""
+        doc = minimal_doc(engines=["spectral"])
+        doc["scheme"]["ccp2"] = 1.0
+        doc["protocol"].update(eta=eta, control_ratio=1.0)
+        config = ScenarioConfig.from_dict(doc)
+        scheme = config.build_scheme()
+        c = config.controls(scheme)
+        end = ControlTimeline(c.Omega_w).window(scheme, c.T_p)[1]
+        out = tmp_path / "out"
+        assert main(["scenario", write_json(tmp_path / "s.json", doc),
+                     "--out", str(out)]) == 0
+        summary = load_manifest(out)["engines"]["spectral"]
+        assert summary["n_omega_write"] == n_omega
+        assert summary["n_omega_limit_write"] == limit
+        t = read_csv(out / "probe_spectral.csv")[1]["t"]
+        assert abs(t[-1] - end) <= 0.5 * (t[1] - t[0])
+
     def test_storage_time_leaves_the_read_out_alone(self, tmp_path):
         """Nothing leaves the medium during the storage hold, so a longer
         hold sizes no larger read grid and writes no more rows: without
@@ -655,6 +679,35 @@ class TestDeterminism:
         first_man.pop("created_unix")
         second_man.pop("created_unix")
         assert first_man == second_man
+
+    def test_csv_bytes_of_edge_floats(self, tmp_path):
+        """Each float is written as its shortest round-tripping repr,
+        signed zero, infinities, NaN and the subnormal and largest
+        doubles included; the header row comes first."""
+        path = tmp_path / "edge.csv"
+        write_csv(path, ["a", "b"],
+                  [[-0.0, np.inf, 5e-324, 0.1],
+                   np.array([np.nan, -np.inf, 1.7976931348623157e308, 1.0])])
+        assert path.read_bytes() == (b"a,b\n-0.0,nan\ninf,-inf\n"
+                                     b"5e-324,1.7976931348623157e+308\n"
+                                     b"0.1,1.0\n")
+        header, cols = read_csv(path)
+        assert header == ["a", "b"]
+        assert np.signbit(cols["a"][0]) and np.isnan(cols["b"][0])
+        with pytest.raises(ValueError,
+                           match=r"column lengths differ: \[2, 3\]"):
+            write_csv(path, ["a", "b"], [[1.0, 2.0], [1.0, 2.0, 3.0]])
+
+    def test_csv_rows_across_blocks(self, tmp_path):
+        """Rows formatted block by block read as the repr of each float,
+        row after row, over several blocks and a partial last one."""
+        rng = np.random.default_rng(5)
+        columns = (rng.standard_normal((3, 2500))
+                   * 10.0 ** rng.integers(-300, 300, (3, 2500)))
+        path = tmp_path / "many.csv"
+        write_csv(path, ["a", "b", "c"], columns)
+        assert path.read_text() == "a,b,c\n" + "".join(
+            f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(*columns.tolist()))
 
 
 class TestSweepCommand:

@@ -29,7 +29,6 @@ from eitconvert import mb
 from eitconvert.fields import _z_weights
 from eitconvert.runner import _peak_and_fwhm
 from eitconvert import (
-    CoherenceField,
     ControlTimeline,
     GaussianPulse,
     SpectralGrid,
@@ -616,9 +615,10 @@ class TestStackedStepOracle:
         en = rec.energies
 
         def stored(sigma):
-            field = CoherenceField(z=z, sigma=sigma, t=0.0)
-            return (sch.alpha_p * 1.0 / 1.0
-                    * _cumulative_z(field.excitation_density(sch.p))[-1])
+            # sum_j |sigma_j|^2 / p_j over the populated subsystems
+            live = sch.p > 0
+            density = (np.abs(sigma[live]) ** 2 / sch.p[live, None]).sum(axis=0)
+            return sch.alpha_p * 1.0 / 1.0 * _cumulative_z(density)[-1]
 
         ref = {
             "transmitted": np.trapezoid(np.abs(probe) ** 2, t),

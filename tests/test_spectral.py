@@ -19,6 +19,7 @@ with eta = 4, kappa = 1.35, D = 500 unless noted):
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -406,6 +407,25 @@ class TestConvertedField:
                 t_start=window[0]).energy)
         assert energies[0] == pytest.approx(energies[1], rel=1e-6)
 
+    def test_readout_keeps_no_z_table(self):
+        """The read-out builds its z weights per call and keeps none: an
+        n_z 1025 read-out, its quadrature check on, leaves less than 1 MB
+        allocated once its result is dropped.  A cached (n_z, n_z) table
+        for 1025 and 513 samples alone would hold 10.5 MB."""
+        sch, Om, w, grid = _fig2_setup()
+        grid = replace(grid, n_z=1025)
+        stored = stored_coherence_exact(
+            sch, Om, gaussian_probe_spectrum(grid, T_P), w.t_w, grid)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = converted_field_exact(sch, stored, Om, grid)
+            del res
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left < 1 << 20
+
 
 def _direct_readout(sch, stored, Om_r, grid):
     """Read-out quadrature through the full (n_omega, n_z) exp table, with
@@ -572,6 +592,17 @@ class TestGridSizing:
         forced = _read_grid(sch, Om, 1e-4 * Om, n_omega=1 << 25)
         assert forced.n_omega == 1 << 25
         assert forced.n_omega_limit == "given"
+
+    def test_slow_light_window_over_budget_refused(self):
+        """The write grid grows with the slow-light window, within the
+        same budget: at eta 10^5 it needs 2^22 bins, at 2 10^5 2^23."""
+        sch = single_lambda_scheme(D, D)
+        grid = SpectralGrid.for_write(sch, control_for_eta(sch, 1e5, T_P),
+                                      T_P)
+        assert (grid.n_omega, grid.n_omega_limit) == (1 << 22, "slow_light")
+        with pytest.raises(GridBudgetError,
+                           match="storage.*8388608.*slow-light window"):
+            SpectralGrid.for_write(sch, control_for_eta(sch, 2e5, T_P), T_P)
 
     def test_forced_n_omega_must_hold_read_window(self):
         """At D_p 500, ccp2 1, eta 8, ratio 1 the read window runs over
