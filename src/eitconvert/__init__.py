@@ -24,14 +24,13 @@ Layers:
 # runner reads __version__, so it is bound before runner is imported.
 __version__ = "0.1.0"
 
-from . import (arrayio, atoms, cg, config, errors, fields, figures, mb,
-               pumping, runner, spectral, theory, units)
+from . import (arrayio, atoms, cg, config, errors, figures, mb, pumping,
+               runner, spectral, theory, units)
 from .atoms import *  # noqa: F403
 from .cg import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .theory import *  # noqa: F403
 from .units import *  # noqa: F403
-from .fields import *  # noqa: F403
 from .arrayio import *  # noqa: F403
 from .spectral import *  # noqa: F403
 from .mb import *  # noqa: F403
@@ -42,7 +41,7 @@ from .figures import *  # noqa: F403
 
 # The public API is the union of the submodule lists.
 __all__ = ["__version__"]
-for _module in (atoms, cg, errors, theory, units, fields, arrayio, spectral,
-                mb, pumping, config, runner, figures):
+for _module in (atoms, cg, errors, theory, units, arrayio, spectral, mb,
+                pumping, config, runner, figures):
     __all__ += _module.__all__
 del _module

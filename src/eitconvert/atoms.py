@@ -38,7 +38,6 @@ __all__ = [
     "ConversionScheme",
     "build_cesium_d1_scheme",
     "single_lambda_scheme",
-    "effective_depth_factor",
     "coherence_mismatch",
     "ZEEMAN_M",
 ]
@@ -137,17 +136,6 @@ class PopulationDistribution:
     @classmethod
     def isotropic(cls) -> "PopulationDistribution":
         return cls(np.full(7, 1.0 / 7.0))
-
-    @classmethod
-    def single_state(cls, m: int) -> "PopulationDistribution":
-        if m not in range(-3, 4):
-            raise SchemeError(f"m must be in -3..3, got {m}")
-        p = np.zeros(7)
-        p[m + 3] = 1.0
-        return cls(p)
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.p - self.p[::-1])) <= tol)
 
     def mean_m(self) -> float:
         return float(np.dot(ZEEMAN_M, self.p))
@@ -359,21 +347,6 @@ def single_lambda_scheme(
         Gamma_r=Gamma_r,
         gamma_sg=gamma_sg,
     )
-
-
-def effective_depth_factor(scheme: ConversionScheme, branch: str = "probe") -> float:
-    """Population-weighted CG-squared factor sum_j p_j a_j^2 for one branch.
-
-    Multiplied by alpha it gives the operative optical depth of the medium
-    for that branch.
-    """
-    if branch == "probe":
-        a = scheme.a_p
-    elif branch == "converted":
-        a = scheme.a_c
-    else:
-        raise SchemeError(f"branch must be 'probe' or 'converted', got {branch!r}")
-    return float(math.fsum(scheme.p * a * a))
 
 
 def coherence_mismatch(scheme: ConversionScheme) -> float:

@@ -25,8 +25,8 @@ through the control envelopes, so the same integrator covers slow light
 The z-integrals, of the fields and of the excitation held in the medium
 (one weight table per run, _Run.norm, for the drain check, the ledger and
 the error estimate), take one rule on n_z uniform samples (N_Z = 64 by
-default): the four-point rule of fields._z_weights, fourth order in dz, as
-in the spectral read-out.
+default): the four-point rule of _z_weights, fourth order in dz, which
+the spectral read-out takes too.
 Time stepping is classical RK4 with the field integrals re-evaluated at each
 stage, at one uniform step per protocol phase: the write phase up to the
 read turn-on, the read phase after it (see _phase_bounds).  Every run
@@ -88,7 +88,6 @@ import numpy as np
 
 from .atoms import ConversionScheme
 from .errors import GridBudgetError, StiffnessError
-from .fields import CoherenceField, _z_weights
 from .theory import (LN2, _slow_light, pulse_bandwidth, pulse_energy,
                      read_channel, write_channel)
 
@@ -302,10 +301,9 @@ def timeline_for_protocol(Omega_w: complex, Omega_r: complex, T_p: float,
 class SimulationRecord:
     """Everything a protocol run produces.
 
-    Exit waveforms are kept at full time resolution, plus the ground-state
-    coherence at the write cutoff.  Energies are in input-field units: the
-    converted energy already carries the coupling ratio
-    scheme.energy_unit_ratio, so ratios against the input are
+    Exit waveforms are kept at full time resolution.  Energies are in
+    input-field units: the converted energy already carries the coupling
+    ratio scheme.energy_unit_ratio, so ratios against the input are
     photon-flux-consistent.  The figures of merit are ratios of entries:
     converted / input is the total efficiency, leaked / input the leakage,
     and converted over the converted energy of run_original_readout the
@@ -324,7 +322,6 @@ class SimulationRecord:
     companion=True, which run_original_readout returns; None otherwise.
     """
 
-    stored_write: CoherenceField | None
     t_exit: np.ndarray
     probe_exit: np.ndarray
     converted_exit: np.ndarray
@@ -620,6 +617,37 @@ def _resume_index(timeline: ControlTimeline, t_axis: np.ndarray):
     return max(int(np.searchsorted(t_axis, timeline.t_r, side)) - 1, 0)
 
 
+def _z_weights(n_z: int) -> np.ndarray:
+    """Cumulative weights W of the z rule on n_z uniform samples of [0, 1].
+
+    The integral of g from 0 to z_i is sum_m g_m W[m, i].  Each interval
+    [z_k, z_k+1] takes dz/24 (-g_k-1 + 13 g_k + 13 g_k+1 - g_k+2), the
+    first one dz/24 (9 g_0 + 19 g_1 - 5 g_2 + g_3) and the last one its
+    mirror: the four-point rule, fourth order in dz (Press et al.,
+    Numerical Recipes, sec. 4.1).  Not cached; needs n_z >= 4.
+    """
+    weights = np.zeros((n_z, n_z))
+    intervals = weights[:, 1:].T         # row k: [z_k, z_k+1], summed in place
+    k = np.arange(1, n_z - 2)
+    for shift, w in enumerate((-1.0, 13.0, 13.0, -1.0), -1):
+        intervals[k, k + shift] = w
+    intervals[0, :4] = (9.0, 19.0, -5.0, 1.0)
+    intervals[-1, -4:] = (1.0, -5.0, 19.0, 9.0)
+    np.cumsum(intervals, axis=0, out=intervals)
+    weights /= 24.0 * (n_z - 1)
+    return weights
+
+
+def _medium_weights(n_z: int) -> np.ndarray:
+    """Weights of the z rule over the whole medium, the last column of
+    _z_weights(n_z) to the bit: dz/24 (8, 31, 20, 25, 24, ..., 24, 25,
+    20, 31, 8).  Needs n_z >= 8."""
+    weights = np.full(n_z, 24.0)
+    weights[:4] = (8.0, 31.0, 20.0, 25.0)
+    weights[-4:] = (25.0, 20.0, 31.0, 8.0)
+    return weights / (24.0 * (n_z - 1))
+
+
 class _Run:
     """One run of a batch: its channel constants, controls and time axis,
     what it carries from one batch to the next, and what it records."""
@@ -660,7 +688,7 @@ class _Run:
         live = scheme.p > 0
         weight = np.where(live, write.alpha * write.Gamma
                           / np.where(live, scheme.p, 1.0), 0.0)
-        self.norm = weight[:, None, None] * _z_weights(n_z)[:, -1]
+        self.norm = weight[:, None, None] * _medium_weights(n_z)
 
         self.exits = np.zeros((t_axis.size, 2), dtype=complex)
         self.idx_w = (None if timeline.t_w is None
@@ -676,6 +704,7 @@ class _Run:
                                         for _ in range(3))
         self.h6 = 0.0
         self.err = 0.0
+        # sigma_sg at the write cutoff, (M, n_z), for stored_equivalent
         self.snap_w = None
         # set once the run stops: why, and the last sample stepped
         self.stop = None
@@ -705,12 +734,11 @@ class _Batch:
     compares with the next k1.
     """
 
-    def __init__(self, runs: list, pulse: GaussianPulse, z: np.ndarray,
-                 integral: np.ndarray):
+    def __init__(self, runs: list, pulse: GaussianPulse, integral: np.ndarray):
         R = len(runs)
         M, _, n_z = runs[0].state.shape
         RM = R * M
-        self.runs, self.pulse, self.z = runs, pulse, z
+        self.runs, self.pulse = runs, pulse
         blocks = np.zeros((2, 5, R, M, 3, n_z), dtype=complex)
         blocks[0, 0] = [run.state for run in runs]
         blocks[0, 1] = [run.k1 for run in runs]
@@ -826,8 +854,7 @@ class _Batch:
         run = self.runs[r]
         t_k = run.t_axis[k]
         if k == run.idx_w:
-            run.snap_w = CoherenceField(z=self.z, sigma=state[:, 1].copy(),
-                                        t=t_k)
+            run.snap_w = state[:, 1].copy()
         if not err <= DIVERGED_EST * math.sqrt(self.pulse.energy):
             run.stop = "diverged"
         elif k == run.t_axis.size - 1:
@@ -919,7 +946,7 @@ def _record(run: _Run, pulse: GaussianPulse) -> SimulationRecord:
         e_leak = e_trans
     e_conv_scaled = float(np.trapezoid(np.abs(conv_exit) ** 2, t_axis))
     e_conv = run.scheme.energy_unit_ratio * e_conv_scaled
-    e_stored = (_excitation(run, run.snap_w.sigma)
+    e_stored = (_excitation(run, run.snap_w)
                 if run.snap_w is not None else 0.0)
     e_resid = _excitation(run, run.state)
     energies = {
@@ -933,8 +960,8 @@ def _record(run: _Run, pulse: GaussianPulse) -> SimulationRecord:
         "dissipated": e_in - e_trans - e_conv - e_resid,
     }
     return SimulationRecord(
-        stored_write=run.snap_w, t_exit=t_axis, probe_exit=probe_exit,
-        converted_exit=conv_exit, energies=energies,
+        t_exit=t_axis, probe_exit=probe_exit, converted_exit=conv_exit,
+        energies=energies,
         diagnostics={"n_t": run.k_stop + 1 - run.first,
                      "stop": run.stop,
                      "err_est": run.err / math.sqrt(e_in)},
@@ -976,7 +1003,6 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
     stops leaves the batch, and the other steps on alone.  The record
     keeps the whole axis, with zero exits after the stop.
     """
-    z = np.linspace(0.0, 1.0, n_z)
     integral = np.ones((n_z, n_z + 1))
     integral[:, 1:] = _z_weights(n_z).T
     main = _Run(scheme, timeline, _time_axis(segments), 0, n_z)
@@ -995,7 +1021,7 @@ def _integrate(scheme: ConversionScheme, pulse: GaussianPulse,
             branch.exits[:k] = main.exits[:k]
             live.append(branch)
             k_fork = -1
-        k, fresh = _Batch(live, pulse, z, integral).advance(k, fresh, k_fork)
+        k, fresh = _Batch(live, pulse, integral).advance(k, fresh, k_fork)
         live = [run for run in live if run.stop is None]
     if fork is not None and runs[1].snap_w is None:
         # the write cutoff lies before the fork: the snapshot is shared

@@ -32,7 +32,6 @@ __all__ = [
     "PumpConfig",
     "DensityMatrix14",
     "PumpTrajectory",
-    "pump_couplings",
     "build_pump_generator",
     "evolve_pumping",
     "steady_state",
@@ -58,16 +57,6 @@ def _transitions() -> dict:
         T.setflags(write=False)
         out[name] = T
     return out
-
-
-def pump_couplings() -> dict:
-    """Coupling coefficients b_{q,m} = <3,m;1,q|3,m+q> per polarization.
-
-    Fresh arrays indexed by m = -3..3 (ground-state label); entries whose
-    target m+q falls outside the manifold are zero.
-    """
-    return {name: T[:, :_N_G].sum(axis=0)
-            for name, T in _transitions().items()}
 
 
 @dataclass(frozen=True)
@@ -102,7 +91,7 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class DensityMatrix14:
-    """State of the 14-level system with its sanity checks.
+    """State of the 14-level system, checked to be 14x14.
 
     Basis order: |g,-3>..|g,3>, |e,-3>..|e,3>.
     """
@@ -129,16 +118,6 @@ class DensityMatrix14:
     @property
     def trace(self) -> float:
         return float(self.rho.trace().real)
-
-    def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-12,
-                 pop_floor: float = -1e-12) -> None:
-        if abs(self.trace - 1.0) > trace_tol:
-            raise SchemeError(f"trace {self.trace} deviates from 1 "
-                              f"beyond {trace_tol}")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > herm_tol:
-            raise SchemeError("matrix is not Hermitian")
-        if self.rho.diagonal().real.min() < pop_floor:
-            raise SchemeError("negative population beyond the numeric floor")
 
 
 def _superoperator(config: PumpConfig):

@@ -57,7 +57,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -501,6 +500,10 @@ def run_sweep(spec: SweepSpec, out_dir=None, base_dir=".",
             progress(f"sweep point {result[0] + 1}/{spec.size}")
 
     if spec.parallelism > 1 and spec.size > 1:
+        # imported here, not with the module: the process pool's modules
+        # are a large share of the package's import time, and only a
+        # parallel sweep needs them
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
             for future in as_completed([pool.submit(_sweep_point, *job)
                                         for job in jobs]):

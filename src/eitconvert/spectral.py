@@ -16,11 +16,7 @@ length L is the unit of length, so z runs over [0, 1].
 This module evaluates those kernels exactly on a discrete frequency grid:
 storage is an inverse transform of the filtered input spectrum at the write
 cutoff, and retrieval is a z-quadrature of the stored coherence against the
-read-channel kernel by mb's z rule (fields._z_weights).  Truncation
-switches reproduce the Gaussian closed forms of the theory module:
-clamping A to its resonant value -1 and Taylor expanding f to second order
-turns the exact propagator into the analytic one, which pins down the
-error budget of each approximation separately.
+read-channel kernel by mb's z rule (mb._z_weights).
 
 Unitary Fourier convention: g~(omega) = (2 pi)^{-1/2} integral g(t)
 exp(+i omega t) dt, so Parseval holds without extra factors.
@@ -35,15 +31,14 @@ import numpy as np
 
 from .atoms import ConversionScheme
 from .errors import AliasingError, GridBudgetError, GridError
-from .fields import CoherenceField, _z_weights
-from .mb import ControlTimeline
+from .mb import ControlTimeline, _medium_weights
 from .theory import LN2, pulse_bandwidth
 
 __all__ = [
+    "CoherenceField",
     "SpectralGrid",
     "ConvertedFieldResult",
     "TransmittedFieldResult",
-    "spectrum_from_time",
     "time_from_spectrum",
     "gaussian_probe_spectrum",
     "channel_transfer",
@@ -229,16 +224,6 @@ class SpectralGrid:
                             n_z=2 * self.n_z - 1)
 
 
-def spectrum_from_time(t: np.ndarray, field: np.ndarray):
-    """Sampled E(t) on a uniform grid -> (omega, E~(omega)), unitary convention."""
-    t = np.asarray(t, dtype=float)
-    n = t.size
-    dt = t[1] - t[0]
-    omega = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, d=dt))
-    spec = np.fft.fftshift(np.fft.ifft(field)) * (n * dt / _SQRT_2PI)
-    return omega, spec * np.exp(1j * omega * t[0])
-
-
 def time_from_spectrum(omega: np.ndarray, spec: np.ndarray,
                        t0: float | None = None):
     """Sampled E~(omega) on a uniform ascending grid -> (t, E(t)).
@@ -272,8 +257,7 @@ def gaussian_probe_spectrum(grid: SpectralGrid, T_p: float,
 # ---------------------------------------------------------------------------
 
 def channel_transfer(scheme: ConversionScheme, channel: str, Omega: complex,
-                     omega: np.ndarray, truncate_A: bool = False,
-                     truncate_f: bool = False):
+                     omega: np.ndarray):
     """Transfer functions of the "write" or "read" channel on omega.
 
     Returns (A, f): the per-subsystem adiabatic amplitudes, shape
@@ -287,18 +271,10 @@ def channel_transfer(scheme: ConversionScheme, channel: str, Omega: complex,
     s = (ch.a_ctrl * abs(Omega)) ** 2                   # per-j |a Omega|^2
     safe = np.where(s > 0, s, 1.0)
     x = (2j * ch.Gamma * omega[None, :] + 4.0 * omega[None, :] ** 2) / safe[:, None]
-    A_full = -1.0 / (1.0 - x)
-    A_full[s == 0] = -1.0
-    A = np.full_like(A_full, -1.0) if truncate_A else A_full
-
-    if truncate_f:
-        # second-order Taylor: linear group delay + Gaussian window curvature
-        f = (-1j * omega * (ch.alpha * ch.Gamma * ch.S2 / absW2)
-             + 2.0 * ch.alpha * ch.Gamma**2 * ch.S4 / absW2**2 * omega**2)
-    else:
-        weighted = (scheme.p * ch.R * ch.R)[:, None] * A_full
-        f = (1j * omega * (ch.alpha * ch.Gamma / absW2)
-             * weighted.sum(axis=0))
+    A = -1.0 / (1.0 - x)
+    A[s == 0] = -1.0
+    weighted = (scheme.p * ch.R * ch.R)[:, None] * A
+    f = 1j * omega * (ch.alpha * ch.Gamma / absW2) * weighted.sum(axis=0)
     return A, f
 
 
@@ -334,10 +310,26 @@ def _check_aliasing(x, values, what, domain="frequency"):
             f"{domain} grid; {remedy}")
 
 
+@dataclass(frozen=True)
+class CoherenceField:
+    """Ground-state coherence sigma_j(z) of every subsystem at time t.
+
+    sigma has shape (n_subsystems, n_z); row order follows the scheme's
+    subsystem index array.
+    """
+
+    z: np.ndarray
+    sigma: np.ndarray
+    t: float
+
+    def __post_init__(self):
+        if self.sigma.ndim != 2 or self.sigma.shape[1] != self.z.size:
+            raise ValueError("sigma must have shape (n_subsystems, n_z)")
+
+
 def stored_coherence_exact(scheme: ConversionScheme, Omega_w: complex,
-                           probe_spectrum, t_w: float, grid: SpectralGrid,
-                           truncate_A: bool = False,
-                           truncate_f: bool = False) -> CoherenceField:
+                           probe_spectrum, t_w: float,
+                           grid: SpectralGrid) -> CoherenceField:
     """Ground-state coherence left in the medium at the write cutoff.
 
     sigma_j(z) = (p_j R_j^p / Omega_w) * IFT[A_j(omega) e^{-f(omega) z}
@@ -346,8 +338,7 @@ def stored_coherence_exact(scheme: ConversionScheme, Omega_w: complex,
     """
     spec = _as_spectrum(probe_spectrum, grid)
     _check_aliasing(grid.omega, spec, "input probe")
-    A_w, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
-                                truncate_A, truncate_f)
+    A_w, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega)
     z = grid.z_samples()
     # Only bins carrying probe amplitude contribute to the integral, and
     # the input spectrum is narrow next to the full grid span, so skip the
@@ -380,7 +371,6 @@ class ConvertedFieldResult:
 
 def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
                           Omega_r: complex, grid: SpectralGrid,
-                          truncate_A: bool = False, truncate_f: bool = False,
                           quadrature_check: bool = True,
                           t_start: float = 0.0) -> ConvertedFieldResult:
     """Retrieve the stored coherence through the read channel.
@@ -404,8 +394,7 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
     if np.abs(z - replace(grid, n_z=z.size).z_samples()).max() > 1e-12:
         raise GridError("stored.z must be the uniform odd sampling of [0, 1] "
                         "of SpectralGrid.z_samples()")
-    A_r, f_r = channel_transfer(scheme, "read", Omega_r, grid.omega,
-                                truncate_A, truncate_f)
+    A_r, f_r = channel_transfer(scheme, "read", Omega_r, grid.omega)
     # 1/sqrt(2 pi): the stored coherence enters the one-sided transform
     # as an initial-condition source, which carries this factor in the
     # unitary convention
@@ -419,7 +408,7 @@ def converted_field_exact(scheme: ConversionScheme, stored: CoherenceField,
         # q = exp(-f_r dz) leaves sum_k w_k sigma_k exp(-f_r (1 - z_k)) in
         # acc, one complex multiply-add per (subsystem, bin, sample) and no
         # (n_omega, n_z) exp table.  |q| <= 1 in an absorbing channel.
-        columns = (sigma * _z_weights(sigma.shape[1])[:, -1]).T[:, :, None]
+        columns = (sigma * _medium_weights(sigma.shape[1])).T[:, :, None]
         out = np.empty(grid.n_omega, dtype=complex)
         for lo in range(0, grid.n_omega, block):
             sl = slice(lo, min(lo + block, grid.n_omega))
@@ -469,8 +458,8 @@ class TransmittedFieldResult:
 
 
 def transmitted_probe(scheme: ConversionScheme, Omega_w: complex,
-                      probe_spectrum, grid: SpectralGrid,
-                      truncate_f: bool = False) -> TransmittedFieldResult:
+                      probe_spectrum, grid: SpectralGrid
+                      ) -> TransmittedFieldResult:
     """Propagate the probe through the whole medium with the control held on.
 
     An input spectrum, or a delayed waveform, with energy in the outer 10%
@@ -478,8 +467,7 @@ def transmitted_probe(scheme: ConversionScheme, Omega_w: complex,
     """
     spec_in = _as_spectrum(probe_spectrum, grid)
     _check_aliasing(grid.omega, spec_in, "input probe")
-    _, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega,
-                              truncate_f=truncate_f)
+    _, f_w = channel_transfer(scheme, "write", Omega_w, grid.omega)
     spec_out = spec_in * np.exp(-f_w)
     t, wave = time_from_spectrum(grid.omega, spec_out)
     _check_aliasing(t, wave, "transmitted probe", domain="time")

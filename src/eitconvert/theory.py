@@ -12,9 +12,8 @@ FWHM T_p and spectral intensity FWHM Delta_omega_0 = 4 ln2 / T_p.  The write
 control is cut at t_w = kappa * T_p after the pulse peak enters the medium;
 eta = T_d / T_p is the delay-time ratio of the write channel.
 
-Two broadening conventions appear in the literature-style simple forms:
-beta_r_simple drops a 1/beta_w^2 factor inside the read-broadening term
-(valid at large optical depth).  read_channel keeps it; everything built on
+read_channel keeps a 1/beta_w^2 factor inside the read-broadening term
+that the large-depth form in (eta, kappa, D) drops; everything built on
 ReadChannelParams (spectra, bandwidths, total efficiencies) is therefore
 internally consistent with Parseval energy ratios.
 """
@@ -32,7 +31,6 @@ __all__ = [
     "LN2",
     "WriteChannelParams",
     "ReadChannelParams",
-    "StoredCoherenceProfile",
     "ConvertedSpectrum",
     "EfficiencyReport",
     "pulse_bandwidth",
@@ -40,10 +38,6 @@ __all__ = [
     "control_for_eta",
     "write_channel",
     "read_channel",
-    "beta_w_simple",
-    "beta_r_simple",
-    "xi1_simple",
-    "stored_coherence_profile",
     "converted_spectrum",
     "converted_bandwidth",
     "total_efficiency",
@@ -225,75 +219,8 @@ def read_channel(scheme: ConversionScheme, Omega_r: complex,
 
 
 # ---------------------------------------------------------------------------
-# simple closed forms in terms of (eta, kappa, D)
+# converted field, Gaussian approximation
 # ---------------------------------------------------------------------------
-
-def beta_w_simple(eta: float, kappa: float, D_p: float) -> float:
-    """Write broadening factor sqrt(1 + 16 ln2 eta kappa / D_p)."""
-    if D_p <= 0:
-        raise ValueError("D_p must be positive")
-    if eta <= 0 or kappa <= 0:
-        raise ValueError("eta and kappa must be positive")
-    return math.sqrt(1.0 + _16LN2 * eta * kappa / D_p)
-
-
-def beta_r_simple(eta: float, kappa: float, D_c: float) -> float:
-    """Read broadening factor sqrt(1 + 16 ln2 eta (eta - kappa) / D_c).
-
-    Large-depth form: the 1/beta_w^2 correction kept by read_channel is
-    dropped here.
-    """
-    if D_c <= 0:
-        raise ValueError("D_c must be positive")
-    if eta <= kappa:
-        raise ValueError("eta must exceed kappa (stored pulse inside the medium)")
-    return math.sqrt(1.0 + _16LN2 * eta * (eta - kappa) / D_c)
-
-
-def xi1_simple(eta: float, kappa: float, D_p: float, D_c: float) -> float:
-    """Finite-bandwidth efficiency 1/(beta_w beta_r) in the simple convention."""
-    return 1.0 / (beta_w_simple(eta, kappa, D_p) * beta_r_simple(eta, kappa, D_c))
-
-
-# ---------------------------------------------------------------------------
-# stored coherence and converted field, Gaussian approximations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StoredCoherenceProfile:
-    """Gaussian spin-wave descriptor per subsystem after the write cut.
-
-    sigma_j(z) = amplitude_j * exp(-2 ln2 (z - center)^2 / fwhm^2); fwhm is
-    the spatial intensity FWHM L_w * beta_w.
-    """
-
-    amplitude: np.ndarray      # complex, per subsystem
-    center: float
-    fwhm: float
-
-    def evaluate(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        envelope = np.exp(-2.0 * LN2 * ((z - self.center) / self.fwhm) ** 2)
-        return self.amplitude[:, None] * envelope[None, :]
-
-
-def stored_coherence_profile(scheme: ConversionScheme,
-                             write: WriteChannelParams,
-                             E0: complex = 1.0) -> StoredCoherenceProfile:
-    """Analytic stored ground-state coherence at the write cutoff.
-
-    amplitude_j = -E0 p_j R_j^p / (Omega_w beta_w), centered at z_mid = v_w t_w
-    with spatial FWHM L_w beta_w.  Fields are Rabi-scaled, so g_p does not
-    appear explicitly.  L_w = v_w T_p = 1/eta, so a pulse too long to fit
-    inside the medium carries the write_channel flag for eta < 2.5.
-    """
-    amp = -E0 * scheme.p * scheme.R_p / (write.Omega_w * write.beta_w_mid)
-    return StoredCoherenceProfile(
-        amplitude=amp.astype(complex),
-        center=write.z_mid,
-        fwhm=write.L_w * write.beta_w_mid,
-    )
-
 
 @dataclass(frozen=True)
 class ConvertedSpectrum:
@@ -323,10 +250,6 @@ class ConvertedSpectrum:
     def temporal_fwhm(self) -> float:
         """Intensity FWHM of the converted pulse."""
         return 2.0 * math.sqrt(2.0 * self.S * LN2)
-
-    @property
-    def spectral_fwhm(self) -> float:
-        return 2.0 * math.sqrt(LN2 / (2.0 * self.S))
 
     @property
     def energy(self) -> float:
@@ -402,9 +325,8 @@ def total_efficiency(scheme: ConversionScheme, write: WriteChannelParams,
                      read: ReadChannelParams) -> EfficiencyReport:
     """Energy conversion efficiency xi_total = xi_1 xi_2 with xi_1 = 1/(beta_w beta_r).
 
-    Uses the read_channel broadening (beta_w-consistent); the large-depth
-    simple chain is available via xi1_simple.  See the write_channel and
-    read_channel flags for the regime.
+    Uses the read_channel broadening (beta_w-consistent).  See the
+    write_channel and read_channel flags for the regime.
     """
     xi2 = coherence_mismatch(scheme)
     xi1 = 1.0 / (write.beta_w_mid * read.beta_r_L)

@@ -20,7 +20,6 @@ from eitconvert import (
     build_cesium_d1_scheme,
     clebsch_gordan,
     coherence_mismatch,
-    effective_depth_factor,
     single_lambda_scheme,
     DegenerateSchemeError,
     SchemeError,
@@ -142,11 +141,11 @@ class TestPopulationDistribution:
     def test_isotropic(self):
         pop = PopulationDistribution.isotropic()
         np.testing.assert_allclose(pop.p, 1.0 / 7.0)
-        assert pop.is_symmetric()
+        assert np.max(np.abs(pop.p - pop.p[::-1])) <= 1e-12
         assert pop.mean_m() == pytest.approx(0.0, abs=1e-15)
 
     def test_single_state(self):
-        pop = PopulationDistribution.single_state(3)
+        pop = PopulationDistribution(np.eye(7)[6])
         assert pop.p[-1] == 1.0
         assert pop.mean_m() == pytest.approx(3.0)
 
@@ -265,11 +264,11 @@ class TestChannelSums:
         sch = build_cesium_d1_scheme("plus_to_minus",
                                      PopulationDistribution.isotropic(),
                                      alpha_p=500.0, alpha_c=500.0)
-        # sum_j p_j a_j^2 = (1/7) sum (4+j)(5+j)/56 = 3/7 for the sigma+ comb
-        assert effective_depth_factor(sch, "probe") == pytest.approx(3.0 / 7.0,
-                                                                     rel=1e-12)
-        assert effective_depth_factor(sch, "converted") == pytest.approx(
-            3.0 / 7.0, rel=1e-12)
+        # sum_j p_j a_j^2 = (1/7) sum (4+j)(5+j)/56 = 3/7 for the sigma+
+        # comb, the factor that times alpha gives the operative depth
+        for a in (sch.a_p, sch.a_c):
+            assert math.fsum(sch.p * a * a) == pytest.approx(3.0 / 7.0,
+                                                             rel=1e-12)
 
     def test_isotropic_mismatch_exact_rational(self):
         """Cauchy-Schwarz deficit of the isotropic distribution.
@@ -294,8 +293,7 @@ class TestChannelSums:
 
     def test_single_state_mismatch_is_one(self):
         for m in range(-3, 4):
-            sch = build_cesium_d1_scheme("plus_to_minus",
-                                         PopulationDistribution.single_state(m),
+            sch = build_cesium_d1_scheme("plus_to_minus", np.eye(7)[m + 3],
                                          alpha_p=500.0, alpha_c=500.0)
             assert coherence_mismatch(sch) == pytest.approx(1.0, abs=1e-12)
 

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from eitconvert import mb
-from eitconvert.fields import _z_weights
+from eitconvert.mb import _medium_weights, _z_weights
 from eitconvert.runner import _peak_and_fwhm
 from eitconvert import (
     ControlTimeline,
@@ -360,8 +360,8 @@ class TestNumerics:
 
 class TestZRule:
     """The field integrals and the medium energies share one z rule
-    (fields._z_weights), fourth order in dz; the spectral read-out takes
-    it too."""
+    (mb._z_weights), fourth order in dz; the spectral read-out takes it
+    too."""
 
     @pytest.mark.parametrize("n_z", [8, 13, 64])
     def test_cubics_integrate_exactly(self, n_z):
@@ -370,6 +370,13 @@ class TestZRule:
         for power in range(4):
             assert z ** power @ weights == pytest.approx(
                 z ** (power + 1) / (power + 1), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("n_z", [8, 9, 17, 64, 129, 1025])
+    def test_medium_weights_are_last_column(self, n_z):
+        """The whole-medium weights that the excitation norm and the
+        spectral read-out take are the cumulative table's last column, to
+        the bit."""
+        assert np.array_equal(_medium_weights(n_z), _z_weights(n_z)[:, -1])
 
     def test_fourth_order_in_z(self, fig2):
         """On one time grid, the converted energy moves 2.1e-4 and then

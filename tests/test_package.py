@@ -1,9 +1,12 @@
-"""The package's public API is the union of its submodules' lists, and
-the README's Python examples run."""
+"""The package's public API is the union of its submodules' lists, the
+README's Python examples run, and the import loads no process pool."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import eitconvert
@@ -35,3 +38,16 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_import_loads_no_process_pool():
+    """concurrent.futures is imported by a parallel sweep alone: a fresh
+    interpreter's import eitconvert leaves it out of sys.modules."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(eitconvert.__file__).parents[1]))
+    probe = ("import sys, eitconvert; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('concurrent')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -15,8 +15,6 @@ import pytest
 from eitconvert import (
     PopulationDistribution,
     UnitSystem,
-    beta_r_simple,
-    beta_w_simple,
     build_cesium_d1_scheme,
     coherence_mismatch,
     control_for_eta,
@@ -27,13 +25,36 @@ from eitconvert import (
     relative_efficiency_multi,
     relative_efficiency_single,
     single_lambda_scheme,
-    stored_coherence_profile,
     total_efficiency,
     write_channel,
-    xi1_simple,
 )
+from references import stored_coherence_profile
 
 ETA, KAPPA, D = 4.0, 1.35, 500.0
+LN2 = math.log(2.0)
+
+
+# The paper's large-depth forms in (eta, kappa, D), references for the
+# broadening factors of write_channel and read_channel.
+
+def beta_w_simple(eta, kappa, D_p):
+    """Write broadening factor sqrt(1 + 16 ln2 eta kappa / D_p)."""
+    return math.sqrt(1.0 + 16.0 * LN2 * eta * kappa / D_p)
+
+
+def beta_r_simple(eta, kappa, D_c):
+    """Read broadening factor sqrt(1 + 16 ln2 eta (eta - kappa) / D_c):
+    the 1/beta_w^2 factor that read_channel keeps is dropped."""
+    if eta <= kappa:
+        raise ValueError("eta must exceed kappa")
+    return math.sqrt(1.0 + 16.0 * LN2 * eta * (eta - kappa) / D_c)
+
+
+def xi1_simple(eta, kappa, D_p, D_c):
+    """Finite-bandwidth efficiency 1/(beta_w beta_r) of the large-depth
+    forms."""
+    return 1.0 / (beta_w_simple(eta, kappa, D_p)
+                  * beta_r_simple(eta, kappa, D_c))
 
 
 def _single_chain(D_p=D, D_c=D, eta=ETA, kappa=KAPPA, T_p=1.0):
@@ -218,8 +239,10 @@ class TestConvertedSpectrum:
     def test_bandwidth_identity(self):
         sch, w, r = _single_chain(D_c=2 * D)
         cs = converted_spectrum(sch, w, r)
-        assert cs.spectral_fwhm == pytest.approx(converted_bandwidth(sch, w, r),
-                                                 rel=1e-12)
+        # intensity FWHM of the spectrum |C|^2 exp(-2 S omega^2)
+        spectral_fwhm = 2.0 * math.sqrt(LN2 / (2.0 * cs.S))
+        assert spectral_fwhm == pytest.approx(converted_bandwidth(sch, w, r),
+                                              rel=1e-12)
 
     def test_perfect_retrieval_limit(self):
         """Identical channels at huge depth reproduce the input pulse."""
